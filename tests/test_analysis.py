@@ -1,6 +1,8 @@
 """Cost model: hand-computed oracles, published reference rows, parity, and
 the benchmark harness."""
 
+import hashlib
+
 import pytest
 
 from splatnet.analysis import (
@@ -143,6 +145,46 @@ class TestCountFlops:
             parts = line.split("\t")
             assert len(parts) == 3
             int(parts[1]), int(parts[2])
+
+
+# sha256 of ``count_flops(net, hw).machine_lines()``: every row's path,
+# params and MACs, pinned for five 50-layer variants at two input sizes
+PINNED_ROWS = {
+    "r50_classic": (
+        dict(depth=50, radix=0, deep_stem=False, avg_down=False),
+        {224: "4fb8b747c7b40efb59a413e97a78c91baf6f496528c8c11169aa7a9c639ccedf",
+         32: "6fba9f6b86c35944a934a7546c9f1c1194cdb83a400599efd9ca6a9ded535d25"},
+    ),
+    "r50_d": (
+        dict(depth=50, radix=0, deep_stem=True, avg_down=True),
+        {224: "ce0f3718347444a2a25817193c9cd67b963cb54486684926af84ad6bb954b8e6",
+         32: "2245fa09aad85c385bae38922bb1607ad8d8dd259775b2042ee1c8eedcd09495"},
+    ),
+    "2s1x64d_fast": (
+        dict(depth=50, radix=2, cardinality=1, base_width=64, fast=True),
+        {224: "450aefc46519f25fdaddec697a0bd80cc7c2683705a4ca0b32de1675ced8193b",
+         32: "70c3cdc75c3800768ecf5e28bfe30d2fcab06ef37d3b73c7e1aebb9d68c9c4e4"},
+    ),
+    "2s2x40d": (
+        dict(depth=50, radix=2, cardinality=2, base_width=40),
+        {224: "1d13b1cad217c2a6a80faabf3245f524b861ba8a3ba03a1979b3fd72a189dbfb",
+         32: "16616ad251314cc06b97207f0df02e22b0d59e4c7f89e3a5ed7306a7b5be4b78"},
+    ),
+    "1s1x64d": (
+        dict(depth=50, radix=1, cardinality=1, base_width=64),
+        {224: "76295b562aec6524ff8659bad5ca31e86c517b842c193a3b0159949c759ec154",
+         32: "f4420a95737de570d17e670f3d034db395da32e476c057ec087f3e807fff4518"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_machine_rows_pinned(name):
+    cfg_kwargs, digests = PINNED_ROWS[name]
+    net = build_network(NetworkConfig(**cfg_kwargs), rng=None)
+    for hw, want in digests.items():
+        lines = count_flops(net, (hw, hw)).machine_lines()
+        assert hashlib.sha256(lines.encode()).hexdigest() == want, (name, hw)
 
 
 class TestParity:
