@@ -1,19 +1,22 @@
 """Static cost model and micro-benchmark harness.
 
-The cost model walks a built network's structure and produces one row per
-layer: parameter count (taken from the live parameter arrays, so every
-parameter is counted exactly once) and multiply-accumulate count for a given
-input size (from closed-form shape arithmetic, per image).
+The cost model runs the network's own eval-mode forward on an empty batch,
+``[0, C, H, W]``, and records every leaf-layer call in call order. Each call
+gives one row: the layer's dotted path, its per-image output shape, its
+parameter count (taken from the live parameter arrays, so every parameter is
+counted exactly once) and the ``(macs, aux_ops)`` its ``cost`` method returns
+for the per-image input and output shapes. The topology is therefore written
+once, in the forward, and an input size the forward rejects cannot be priced.
 
 Conventions, stated once and loudly because the field is inconsistent:
 
 * 1 FLOP = 1 multiply-accumulate. A 3x3 convolution over an HxW output with
   Cout filters of depth Cin/g costs H*W*Cout*(Cin/g)*9 under this convention,
   which makes the classic 50-layer baseline land at about 4.1 G.
-* Elementwise work (normalization, activations, additions) and pooling are
-  excluded from the headline MAC total and itemized in a secondary
-  "aux ops" column instead. Fully-connected layers, including the attention
-  bottleneck, do count as MACs.
+* Elementwise work (normalization, activations, additions, bias adds) and
+  pooling are excluded from the headline MAC total and itemized in a
+  secondary "aux ops" column instead. Fully-connected layers, including the
+  attention bottleneck, do count as MACs.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ConfigurationError
-from .layers import BatchNorm, Conv2d, Linear
+from .params import ConfigurationError, Module
 from .network import Bottleneck, BottleneckSpec, Network
-from .splat import SplitAttentionUnit
 
 
 @dataclass
@@ -81,152 +82,56 @@ class CostReport:
         return "\n".join(out)
 
 
-def _conv_out_hw(layer: Conv2d, hw):
-    h, w = hw
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    ph, pw = layer.padding
-    return ((h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
-
-
-def _pool_out_hw(kernel, stride, padding, hw):
-    from .ops import _pair
-
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    h, w = hw
-    return ((h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
-
-
 def _nparams(module) -> int:
     return sum(p.value.size for p in module.parameters())
 
 
-class _Walker:
-    def __init__(self):
-        self.rows: list[CostRow] = []
+def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
+    """One cost row per leaf-layer call of an empty-batch eval forward.
 
-    def add(self, path, out_shape, params, macs, aux=0):
-        self.rows.append(CostRow(path, tuple(out_shape), int(params), int(macs), int(aux)))
+    Recording wrappers go on the leaf instances; every module's attributes
+    (wrappers and forward caches alike) are put back afterwards.
+    """
+    rows: list[CostRow] = []
 
-    def conv(self, path, layer: Conv2d, hw):
-        ho, wo = _conv_out_hw(layer, hw)
-        kh, kw = layer.kernel
-        cin_g = layer.in_channels // layer.groups
-        macs = ho * wo * layer.out_channels * cin_g * kh * kw
-        self.add(path, (layer.out_channels, ho, wo), _nparams(layer), macs)
-        return (ho, wo)
+    def recording(path, leaf):
+        forward = leaf.forward
 
-    def bn(self, path, layer: BatchNorm, channels, hw=None):
-        elems = channels * (hw[0] * hw[1] if hw else 1)
-        shape = (channels,) + (tuple(hw) if hw else ())
-        self.add(path, shape, _nparams(layer), 0, aux=2 * elems)
+        def recorded(x, *args, **kwargs):
+            y = forward(x, *args, **kwargs)
+            macs, aux = leaf.cost(x.shape[1:], y.shape[1:])
+            rows.append(CostRow(path, y.shape[1:], _nparams(leaf), macs, aux))
+            return y
+        return recorded
 
-    def act(self, path, channels, hw=None):
-        elems = channels * (hw[0] * hw[1] if hw else 1)
-        shape = (channels,) + (tuple(hw) if hw else ())
-        self.add(path, shape, 0, 0, aux=elems)
-
-    def pool(self, path, kernel, stride, padding, channels, hw):
-        out_hw = _pool_out_hw(kernel, stride, padding, hw)
-        from .ops import _pair
-
-        kh, kw = _pair(kernel)
-        self.add(path, (channels,) + out_hw, 0, 0,
-                 aux=out_hw[0] * out_hw[1] * channels * kh * kw)
-        return out_hw
-
-    def linear(self, path, layer: Linear, extra_aux=0):
-        macs = layer.out_features * (layer.in_features // layer.groups)
-        self.add(path, (layer.out_features,), _nparams(layer), macs, aux=extra_aux)
-
-    def splat(self, prefix, unit: SplitAttentionUnit, hw):
-        cfg = unit.cfg
-        hw = self.conv(f"{prefix}.conv_in", unit.conv_in, hw)
-        self.bn(f"{prefix}.bn_in", unit.bn_in, cfg.mid_channels, hw)
-        self.act(f"{prefix}.relu_in", cfg.mid_channels, hw)
-        if unit.pool is not None and cfg.fast:
-            hw = self.pool(f"{prefix}.pool", 3, cfg.stride, 1, cfg.mid_channels, hw)
-        hw = self.conv(f"{prefix}.conv_split", unit.conv_split, hw)
-        cr = cfg.channels * cfg.radix
-        self.bn(f"{prefix}.bn_split", unit.bn_split, cr, hw)
-        self.act(f"{prefix}.relu_split", cr, hw)
-        if unit.pool is not None and not cfg.fast:
-            hw = self.pool(f"{prefix}.pool", 3, cfg.stride, 1, cr, hw)
-        # split fusion, pooled statistics, attention, weighted recombination
-        fuse_aux = (cfg.radix - 1) * cfg.channels * hw[0] * hw[1] if cfg.radix > 1 else 0
-        self.add(f"{prefix}.fuse", (cfg.channels, *hw), 0, 0, aux=fuse_aux)
-        self.add(f"{prefix}.stats", (cfg.channels,), 0, 0,
-                 aux=cfg.channels * hw[0] * hw[1])
-        self.linear(f"{prefix}.fc1", unit.fc1)
-        self.bn(f"{prefix}.bn_att", unit.bn_att, cfg.attention_inner)
-        self.act(f"{prefix}.relu_att", cfg.attention_inner)
-        self.linear(f"{prefix}.fc2", unit.fc2)
-        self.add(f"{prefix}.assign", (cfg.cardinality, cfg.radix, cfg.cardinal_width),
-                 0, 0, aux=3 * cr)
-        self.add(f"{prefix}.weighted_fuse", (cfg.channels, *hw), 0, 0,
-                 aux=(2 * cfg.radix - 1) * cfg.channels * hw[0] * hw[1])
-        return hw
-
-    def bottleneck(self, prefix, block: Bottleneck, hw):
-        spec = block.spec
-        in_hw = hw
-        if spec.radix >= 1:
-            hw = self.splat(f"{prefix}.splat", block.splat, hw)
-        else:
-            hw = self.conv(f"{prefix}.conv1", block.conv1, hw)
-            self.bn(f"{prefix}.bn1", block.bn1, spec.group_width, hw)
-            self.act(f"{prefix}.relu1", spec.group_width, hw)
-            hw = self.conv(f"{prefix}.conv2", block.conv2, hw)
-            self.bn(f"{prefix}.bn2", block.bn2, spec.group_width, hw)
-            self.act(f"{prefix}.relu2", spec.group_width, hw)
-        hw = self.conv(f"{prefix}.conv3", block.conv3, hw)
-        self.bn(f"{prefix}.bn3", block.bn3, spec.out_channels, hw)
-        if block.down_conv is not None:
-            s_hw = in_hw
-            if block.down_pool is not None:
-                s_hw = self.pool(f"{prefix}.down_pool", 2, 2, 0, spec.in_channels, s_hw)
-            s_hw = self.conv(f"{prefix}.down_conv", block.down_conv, s_hw)
-            self.bn(f"{prefix}.down_bn", block.down_bn, spec.out_channels, s_hw)
-        self.add(f"{prefix}.add_relu", (spec.out_channels, *hw), 0, 0,
-                 aux=2 * spec.out_channels * hw[0] * hw[1])
-        return hw
-
-    def stem(self, stem, hw):
-        hw = self.conv("stem.conv1", stem.conv1, hw)
-        ch = stem.conv1.out_channels
-        self.bn("stem.bn1", stem.bn1, ch, hw)
-        self.act("stem.relu1", ch, hw)
-        if stem.deep:
-            hw = self.conv("stem.conv2", stem.conv2, hw)
-            self.bn("stem.bn2", stem.bn2, stem.conv2.out_channels, hw)
-            self.act("stem.relu2", stem.conv2.out_channels, hw)
-            hw = self.conv("stem.conv3", stem.conv3, hw)
-            self.bn("stem.bn3", stem.bn3, stem.conv3.out_channels, hw)
-            self.act("stem.relu3", stem.conv3.out_channels, hw)
-            ch = stem.conv3.out_channels
-        hw = self.pool("stem.maxpool", 3, 2, 1, ch, hw)
-        return hw
+    children = list(module.named_modules(prefix))
+    saved = [(m, dict(vars(m))) for m in [module, *(m for _, m in children)]]
+    dtype = module.parameters()[0].value.dtype
+    try:
+        for path, m in children:
+            if next(m.named_modules(), None) is None:
+                m.forward = recording(path, m)
+        module.forward(np.zeros((0, *input_shape), dtype), mode="eval")
+    finally:
+        for m, attrs in saved:
+            vars(m).clear()
+            vars(m).update(attrs)
+    return rows
 
 
 def cost_report(network: Network, input_hw: tuple[int, int] = (224, 224)) -> CostReport:
-    """Per-layer parameter and MAC accounting for one input image."""
-    walker = _Walker()
-    hw = walker.stem(network.stem, input_hw)
-    for i, stage in enumerate(network.stages(), start=1):
-        for b, block in enumerate(stage.block):
-            hw = walker.bottleneck(f"stage{i}.block{b}", block, hw)
-    walker.add("gap", (network.feature_channels,), 0, 0,
-               aux=network.feature_channels * hw[0] * hw[1])
-    walker.linear("fc", network.fc, extra_aux=network.fc.out_features)
+    """Per-layer parameter and MAC accounting for one input image.
+
+    Raises ``ConfigurationError`` for an input size the forward rejects.
+    """
     cfg = network.cfg
+    rows = _trace_rows(network, (cfg.input_channels, *input_hw))
     echo = (
         f"depth={cfg.depth} {cfg.variant_name} stage_blocks={cfg.stage_blocks} "
         f"deep_stem={cfg.deep_stem} stem_width={cfg.stem_width} "
         f"avg_down={cfg.avg_down} fast={cfg.fast} classes={cfg.num_classes}"
     )
-    return CostReport(walker.rows, echo, input_hw)
+    return CostReport(rows, echo, input_hw)
 
 
 def count_params(network: Network) -> CostReport:
@@ -236,7 +141,7 @@ def count_params(network: Network) -> CostReport:
     direct = sum(p.value.size for p in network.parameters())
     if direct != report.total_params:
         raise AssertionError(
-            f"cost walk saw {report.total_params} params, network holds {direct}"
+            f"cost trace saw {report.total_params} params, network holds {direct}"
         )
     return report
 
@@ -287,10 +192,7 @@ class ParityReport:
 
 
 def _block_rows(spec: BottleneckSpec, input_hw) -> list[CostRow]:
-    block = Bottleneck(spec)
-    walker = _Walker()
-    walker.bottleneck("block", block, input_hw)
-    return walker.rows
+    return _trace_rows(Bottleneck(spec), (spec.in_channels, *input_hw), "block.")
 
 
 _ATTENTION_PARTS = (".fc1", ".bn_att", ".relu_att", ".fc2")

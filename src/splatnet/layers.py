@@ -2,12 +2,16 @@
 
 Each layer caches whatever its backward pass needs during forward; a layer is
 therefore a one-slot tape: call ``forward`` then ``backward`` once, in that
-order. Parameter gradients accumulate into ``Parameter.grad``. All layers
-share the signature ``forward(x, mode="train", rng=None)`` so containers can
-thread training mode and randomness blindly.
+order. Parameter gradients accumulate into ``Parameter.grad``.
+
+Every layer also prices one image: ``cost(x_shape, y_shape)`` returns
+``(macs, aux_ops)`` from the per-image shapes of its first input and its
+output (conventions in :mod:`splatnet.analysis`).
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -44,6 +48,11 @@ class Conv2d(Module):
         self._x = x
         b = self.bias.value if self.bias is not None else None
         return ops.conv2d(x, self.weight.value, b, self.stride, self.padding, self.groups)
+
+    def cost(self, x_shape, y_shape):
+        kh, kw = self.kernel
+        macs = prod(y_shape) * (self.in_channels // self.groups) * kh * kw
+        return macs, prod(y_shape) if self.bias is not None else 0
 
     def backward(self, grad_out):
         gx, gw, gb = ops.conv2d_backward(
@@ -83,6 +92,10 @@ class Linear(Module):
         b = self.bias.value if self.bias is not None else None
         return ops.fully_connected(x, self.weight.value, b, self.groups)
 
+    def cost(self, x_shape, y_shape):
+        macs = self.out_features * (self.in_features // self.groups)
+        return macs, self.out_features if self.bias is not None else 0
+
     def backward(self, grad_out):
         gx, gw, gb = ops.fully_connected_backward(
             grad_out, self._x, self.weight.value, self.groups,
@@ -121,6 +134,9 @@ class BatchNorm(Module):
         self._cache = cache
         return y
 
+    def cost(self, x_shape, y_shape):
+        return 0, 2 * prod(y_shape)
+
     def backward(self, grad_out):
         if self._mode == "train":
             gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, self._cache)
@@ -142,6 +158,31 @@ class ReLU(Module):
         self._x = x
         return ops.relu(x)
 
+    def cost(self, x_shape, y_shape):
+        return 0, prod(y_shape)
+
+    def backward(self, grad_out):
+        return ops.relu_backward(grad_out, self._x)
+
+
+class AddReLU(Module):
+    """Residual join: ReLU of the branch output plus the shortcut."""
+
+    def __init__(self):
+        self._x = None
+
+    def forward(self, x, shortcut):
+        if x.shape != shortcut.shape:
+            raise ConfigurationError(
+                f"residual/shortcut shape mismatch: {x.shape[1:]} vs "
+                f"{shortcut.shape[1:]} per image"
+            )
+        self._x = x + shortcut
+        return ops.relu(self._x)
+
+    def cost(self, x_shape, y_shape):
+        return 0, 2 * prod(y_shape)
+
     def backward(self, grad_out):
         return ops.relu_backward(grad_out, self._x)
 
@@ -158,6 +199,9 @@ class AvgPool2d(Module):
         self._x_shape = x.shape
         return ops.avg_pool2d(x, self.kernel, self.stride, self.padding,
                               self.count_includes_pad)
+
+    def cost(self, x_shape, y_shape):
+        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
         return ops.avg_pool2d_backward(grad_out, self._x_shape, self.kernel,
@@ -178,6 +222,9 @@ class MaxPool2d(Module):
         y, self._idx = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
         return y
 
+    def cost(self, x_shape, y_shape):
+        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
+
     def backward(self, grad_out):
         return ops.max_pool2d_backward(grad_out, self._idx, self._x_shape,
                                        self.kernel, self.stride, self.padding)
@@ -190,6 +237,9 @@ class GlobalAvgPool(Module):
     def forward(self, x, mode="train", rng=None):
         self._x_shape = x.shape
         return ops.global_avg_pool(x)
+
+    def cost(self, x_shape, y_shape):
+        return 0, prod(x_shape)
 
     def backward(self, grad_out):
         return ops.global_avg_pool_backward(grad_out, self._x_shape)
@@ -206,20 +256,8 @@ class Dropout(Module):
         y, self._mask = ops.dropout(x, self.p, rng, mode)
         return y
 
+    def cost(self, x_shape, y_shape):
+        return 0, 0  # the identity at inference
+
     def backward(self, grad_out):
         return ops.dropout_backward(grad_out, self._mask)
-
-
-class Sequential(Module):
-    def __init__(self, *layers):
-        self.layers = list(layers)
-
-    def forward(self, x, mode="train", rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, mode=mode, rng=rng)
-        return x
-
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .params import ConfigurationError, Module
-from .layers import AvgPool2d, BatchNorm, Conv2d, Dropout, GlobalAvgPool, Linear, MaxPool2d, ReLU
+from .layers import (AddReLU, AvgPool2d, BatchNorm, Conv2d, Dropout, GlobalAvgPool, Linear,
+                     MaxPool2d, ReLU)
 from .splat import SplatConfig, SplitAttentionUnit
 from .training import dropblock_mask
 
@@ -157,7 +159,7 @@ class Bottleneck(Module):
             self.down_pool = None
             self.down_conv = None
             self.down_bn = None
-        self.relu_out = ReLU()
+        self.add_relu = AddReLU()
 
     def branch_forward(self, x, mode="train", rng=None):
         if self.spec.radix >= 1:
@@ -175,15 +177,10 @@ class Bottleneck(Module):
 
     def forward(self, x, mode="train", rng=None):
         v = self.branch_forward(x, mode=mode, rng=rng)
-        s = self.shortcut_forward(x, mode=mode)
-        if v.shape != s.shape:
-            raise ConfigurationError(
-                f"residual/shortcut shape mismatch: {v.shape} vs {s.shape}"
-            )
-        return self.relu_out.forward(v + s, mode)
+        return self.add_relu.forward(v, self.shortcut_forward(x, mode=mode))
 
     def backward(self, grad_out):
-        g = self.relu_out.backward(grad_out)
+        g = self.add_relu.backward(grad_out)
         gb = self.bn3.backward(g)
         gb = self.conv3.backward(gb)
         if self.spec.radix >= 1:
@@ -346,7 +343,7 @@ class Network(Module):
         x = self.stem.forward(x, mode=mode)
         for stage in self.stages():
             for block in stage.block:
-                x = block.relu_out.forward(block.shortcut_forward(x, mode=mode), mode)
+                x = ops.relu(block.shortcut_forward(x, mode=mode))
         feats = self.gap.forward(x, mode=mode)
         return self.fc.forward(feats, mode=mode)
 

@@ -83,6 +83,12 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{attr}{i}", item
 
+    def named_modules(self, prefix: str = ""):
+        """(dotted path, module) for every module below this one, depth first."""
+        for name, child in self._children():
+            yield f"{prefix}{name}", child
+            yield from child.named_modules(f"{prefix}{name}.")
+
     def named_parameters(self, prefix: str = ""):
         for attr, obj in vars(self).items():
             if isinstance(obj, Parameter):

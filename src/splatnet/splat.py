@@ -34,12 +34,13 @@ block of the same width, which is what the surrounding bottleneck assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import AvgPool2d, BatchNorm, Conv2d, Linear, ReLU
+from .layers import AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU
 
 
 def _round_up(v: int, mult: int) -> int:
@@ -199,6 +200,71 @@ def weighted_fuse_backward(grad_out: np.ndarray, u: np.ndarray, a: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# Attention stages as leaf layers. They call the functions above through the
+# module namespace, so replacing one of those functions reaches the unit.
+# ---------------------------------------------------------------------------
+
+
+class CardinalFuse(Module):
+    """Sum of the radix splits: [N, C*R, H, W] -> [N, C, H, W]."""
+
+    def __init__(self, radix: int, cardinality: int):
+        self.radix = radix
+        self.cardinality = cardinality
+
+    def forward(self, u):
+        return cardinal_fuse(u, self.radix, self.cardinality)
+
+    def cost(self, x_shape, y_shape):
+        return 0, prod(x_shape) - prod(y_shape)
+
+    def backward(self, grad_out):
+        return cardinal_fuse_backward(grad_out, self.radix)
+
+
+class RSoftmax(Module):
+    """Per-split weights [N, K, R, c] from the flat attention logits."""
+
+    def __init__(self, radix: int, cardinality: int, cardinal_width: int):
+        self.radix = radix
+        self.cardinality = cardinality
+        self.cardinal_width = cardinal_width
+        self._a = None
+
+    def forward(self, logits):
+        logits = logits.reshape(logits.shape[0], self.cardinality, self.radix,
+                                self.cardinal_width)
+        self._a = r_softmax(logits, self.radix)
+        return self._a
+
+    def cost(self, x_shape, y_shape):
+        return 0, 3 * prod(y_shape)
+
+    def backward(self, grad_out):
+        g = r_softmax_backward(grad_out, self._a, self.radix)
+        return g.reshape(g.shape[0], -1)
+
+
+class WeightedFuse(Module):
+    """Splits [N, C*R, H, W] weighted by [N, K, R, c] -> [N, C, H, W]."""
+
+    def __init__(self):
+        self._u = None
+        self._a = None
+
+    def forward(self, u, a):
+        self._u, self._a = u, a
+        return weighted_fuse(u, a)
+
+    def cost(self, x_shape, y_shape):
+        return 0, 2 * prod(x_shape) - prod(y_shape)
+
+    def backward(self, grad_out):
+        """Gradients with respect to the splits and the weights."""
+        return weighted_fuse_backward(grad_out, self._u, self._a)
+
+
+# ---------------------------------------------------------------------------
 # Radix-major unit (production path, with backward)
 # ---------------------------------------------------------------------------
 
@@ -233,9 +299,10 @@ class SplitAttentionUnit(Module):
         self.relu_att = ReLU()
         self.fc2 = Linear(c.attention_inner, c.channels * c.radix,
                           groups=c.cardinality, bias=True, rng=rng, dtype=dtype)
-        self._u = None
-        self._a = None
-        self._fused_shape = None
+        self.fuse = CardinalFuse(c.radix, c.cardinality)
+        self.stats = GlobalAvgPool()
+        self.assign = RSoftmax(c.radix, c.cardinality, c.cardinal_width)
+        self.weighted_fuse = WeightedFuse()
         self.last_attention: np.ndarray | None = None
 
     def transform(self, x, mode="train"):
@@ -250,28 +317,19 @@ class SplitAttentionUnit(Module):
         return u
 
     def forward(self, x, mode="train", rng=None):
-        c = self.cfg
         u = self.transform(x, mode)
-        fused = cardinal_fuse(u, c.radix, c.cardinality)
-        self._fused_shape = fused.shape
-        s = channel_stats(fused)
+        s = self.stats.forward(self.fuse.forward(u))
         h = self.relu_att.forward(self.bn_att.forward(self.fc1.forward(s), mode), mode)
-        logits = self.fc2.forward(h).reshape(
-            x.shape[0], c.cardinality, c.radix, c.cardinal_width
-        )
-        a = r_softmax(logits, c.radix)
-        self._u, self._a = u, a
+        a = self.assign.forward(self.fc2.forward(h))
         self.last_attention = a
-        return weighted_fuse(u, a)
+        return self.weighted_fuse.forward(u, a)
 
     def backward(self, grad_out):
         c = self.cfg
-        gu, ga = weighted_fuse_backward(grad_out, self._u, self._a)
-        glogits = r_softmax_backward(ga, self._a, c.radix)
-        gh = self.fc2.backward(glogits.reshape(glogits.shape[0], -1))
+        gu, ga = self.weighted_fuse.backward(grad_out)
+        gh = self.fc2.backward(self.assign.backward(ga))
         gs = self.fc1.backward(self.bn_att.backward(self.relu_att.backward(gh)))
-        gfused = ops.global_avg_pool_backward(gs, self._fused_shape)
-        gu = gu + cardinal_fuse_backward(gfused, c.radix)
+        gu = gu + self.fuse.backward(self.stats.backward(gs))
         if self.pool is not None and not c.fast:
             gu = self.pool.backward(gu)
         gz = self.conv_split.backward(self.bn_split.backward(self.relu_split.backward(gu)))
@@ -305,12 +363,18 @@ def split_transform(x, cfg: SplatConfig, params: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _bn_slice(x, gamma, beta, mean, var, eps=1e-5):
-    inv = 1.0 / np.sqrt(var + eps)
-    if x.ndim == 4:
-        return (x - mean[None, :, None, None]) * (gamma * inv)[None, :, None, None] \
-            + beta[None, :, None, None]
-    return (x - mean[None, :]) * (gamma * inv)[None, :] + beta[None, :]
+def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice,
+                 eps=1e-5):
+    """Eval-mode batch norm over channels ``sl`` of the ``prefix`` layer.
+
+    Coded straight from the parameter dict, without ``ops.batch_norm``, so
+    the reference paths stay independent of the production kernels.
+    """
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    mean = params[f"{prefix}.running_mean"][sl].reshape(shape)
+    inv = 1.0 / np.sqrt(params[f"{prefix}.running_var"][sl] + eps)
+    scale = (params[f"{prefix}.gamma"][sl] * inv).reshape(shape)
+    return (x - mean) * scale + params[f"{prefix}.beta"][sl].reshape(shape)
 
 
 def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
@@ -337,25 +401,11 @@ def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.nd
         for r in range(r_):
             g = k * r_ + r
             z = ops.conv2d(x, w_in[g * sw : (g + 1) * sw])
-            z = _bn_slice(
-                z,
-                params["bn_in.gamma"][g * sw : (g + 1) * sw],
-                params["bn_in.beta"][g * sw : (g + 1) * sw],
-                params["bn_in.running_mean"][g * sw : (g + 1) * sw],
-                params["bn_in.running_var"][g * sw : (g + 1) * sw],
-            )
-            z = np.maximum(z, 0.0)
+            z = np.maximum(reference_bn(z, params, "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
             if c.stride > 1 and c.fast:
                 z = ops.avg_pool2d(z, 3, stride=c.stride, padding=1)
             u = ops.conv2d(z, w_split[g * cw : (g + 1) * cw], stride=1, padding=1)
-            u = _bn_slice(
-                u,
-                params["bn_split.gamma"][g * cw : (g + 1) * cw],
-                params["bn_split.beta"][g * cw : (g + 1) * cw],
-                params["bn_split.running_mean"][g * cw : (g + 1) * cw],
-                params["bn_split.running_var"][g * cw : (g + 1) * cw],
-            )
-            u = np.maximum(u, 0.0)
+            u = np.maximum(reference_bn(u, params, "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
             if c.stride > 1 and not c.fast:
                 u = ops.avg_pool2d(u, 3, stride=c.stride, padding=1)
             splits.append(u)
@@ -364,14 +414,7 @@ def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.nd
         s = fused.mean(axis=(2, 3))  # [N, cw]
 
         h = s @ params["fc1.weight"][k * ai_k : (k + 1) * ai_k].T
-        h = _bn_slice(
-            h,
-            params["bn_att.gamma"][k * ai_k : (k + 1) * ai_k],
-            params["bn_att.beta"][k * ai_k : (k + 1) * ai_k],
-            params["bn_att.running_mean"][k * ai_k : (k + 1) * ai_k],
-            params["bn_att.running_var"][k * ai_k : (k + 1) * ai_k],
-        )
-        h = np.maximum(h, 0.0)
+        h = np.maximum(reference_bn(h, params, "bn_att", slice(k * ai_k, (k + 1) * ai_k)), 0.0)
         rows = slice(k * r_ * cw, (k + 1) * r_ * cw)
         logits = h @ params["fc2.weight"][rows].T + params["fc2.bias"][rows]
         logits = logits.reshape(n, r_, cw)

@@ -296,7 +296,6 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
               mixup_cfg: MixupConfig, opt_cfg: OptimizerConfig, seed: int = 0,
               checkpoint_path=None, resume_from=None, log_fn=None,
-              stop_accuracy: float | None = None,
               end_epoch: int | None = None) -> TrainResult:
     """Deterministic training loop over an in-memory dataset.
 
@@ -309,8 +308,7 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
     the epoch counter) after every epoch.
 
     ``end_epoch`` cuts the run short while keeping the schedule defined by
-    ``sched.total_epochs`` (a truncated run, not a shorter schedule);
-    ``stop_accuracy`` stops once the epoch training accuracy reaches it.
+    ``sched.total_epochs`` (a truncated run, not a shorter schedule).
     """
     images, labels = dataset.images, dataset.labels
     m = images.shape[0]
@@ -372,8 +370,6 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
             save_training_state(network, velocities, epoch + 1, checkpoint_path)
         if log_fn is not None:
             log_fn(metrics.log_line())
-        if stop_accuracy is not None and metrics.accuracy >= stop_accuracy:
-            break
     return result
 
 

@@ -23,6 +23,7 @@ from .splat import (
     SplatConfig,
     SplitAttentionUnit,
     permute_params,
+    reference_bn,
     splat_forward_cardinality_major,
 )
 
@@ -122,34 +123,22 @@ def se_reference_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
     assert cfg.radix == 1
     k_, cw, sw = cfg.cardinality, cfg.cardinal_width, cfg.split_width
     ai_k = cfg.attention_inner // cfg.cardinality
-    eps = 1e-5
-
-    def bn(v, prefix, sl):
-        g = params[f"{prefix}.gamma"][sl]
-        b = params[f"{prefix}.beta"][sl]
-        m = params[f"{prefix}.running_mean"][sl]
-        var = params[f"{prefix}.running_var"][sl]
-        scale = g / np.sqrt(var + eps)
-        if v.ndim == 4:
-            return (v - m[None, :, None, None]) * scale[None, :, None, None] + b[None, :, None, None]
-        return (v - m[None, :]) * scale[None, :] + b[None, :]
-
     outs = []
     for k in range(k_):
         gsl = slice(k * sw, (k + 1) * sw)
         csl = slice(k * cw, (k + 1) * cw)
         t = ops.conv2d(x, params["conv_in.weight"][gsl])
-        t = np.maximum(bn(t, "bn_in", gsl), 0.0)
+        t = np.maximum(reference_bn(t, params, "bn_in", gsl), 0.0)
         if cfg.stride > 1 and cfg.fast:
             t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
         t = ops.conv2d(t, params["conv_split.weight"][csl], padding=1)
-        t = np.maximum(bn(t, "bn_split", csl), 0.0)
+        t = np.maximum(reference_bn(t, params, "bn_split", csl), 0.0)
         if cfg.stride > 1 and not cfg.fast:
             t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
         s = t.mean(axis=(2, 3))
         asl = slice(k * ai_k, (k + 1) * ai_k)
         h = s @ params["fc1.weight"][asl].T
-        h = np.maximum(bn(h, "bn_att", asl), 0.0)
+        h = np.maximum(reference_bn(h, params, "bn_att", asl), 0.0)
         logit = h @ params["fc2.weight"][csl].T + params["fc2.bias"][csl]
         gate = 1.0 / (1.0 + np.exp(-logit))
         outs.append(t * gate[:, :, None, None])

@@ -67,6 +67,37 @@ class TestCountParams:
         p2 = cost_report(net, (224, 224)).total_params
         assert p1 == p2
 
+    def test_cost_report_leaves_trained_network_untouched(self):
+        """Tracing puts back every attribute: the wrappers are gone, the
+        forward caches of the last train step survive, so its backward
+        still gives the same gradients."""
+        net = build(MICRO)
+        rng = make_rng(1)
+        x = rng.standard_normal((2, 1, 32, 32))
+        g = rng.standard_normal((2, 2))
+        net.forward(x, mode="train", rng=rng)
+        net.backward(g)  # running stats and gradients are now non-trivial
+        logits = net.forward(x, mode="train", rng=make_rng(2))
+        attrs = {path: dict(vars(m)) for path, m in net.named_modules()}
+        state = {k: v.copy() for k, v in net.state_dict().items()}
+
+        cost_report(net, (64, 64))
+
+        for path, m in net.named_modules():
+            assert vars(m).keys() == attrs[path].keys(), path
+            assert all(vars(m)[k] is v for k, v in attrs[path].items()), path
+        after = net.state_dict()
+        assert after.keys() == state.keys()
+        for k, v in state.items():
+            assert after[k].tobytes() == v.tobytes(), k
+
+        net.zero_grad()
+        gx = net.backward(g)
+        ref = build(MICRO)
+        ref.load_state_dict(state)
+        assert ref.forward(x, mode="train", rng=make_rng(2)).tobytes() == logits.tobytes()
+        assert ref.backward(g).tobytes() == gx.tobytes()
+
     def test_resnet50_baseline(self):
         net = build(dict(depth=50, radix=0, deep_stem=False, avg_down=False))
         total = count_params(net).total_params
@@ -136,6 +167,32 @@ class TestCountFlops:
             row1 = next(r.macs for r in r1.rows if r.path == "stage1.block0.splat.conv_split")
             row2 = next(r.macs for r in r2.rows if r.path == "stage1.block0.splat.conv_split")
             assert row2 == 4 * row1  # width doubled, per-group depth doubled
+
+    def test_aux_ops_per_layer_type(self):
+        """Hand oracle for the aux column of one split-attention block
+        (C=16, R=2, 32 attention channels, 64 outputs on a 16x16 map) and
+        the head."""
+        report = count_flops(build(MICRO), (64, 64))
+        aux = {r.path: r.aux_ops for r in report.rows}
+        c, r, hw, inner, out = 16, 2, 16 * 16, 32, 64
+        want = {
+            "conv_in": 0, "bn_in": 2 * c * hw, "relu_in": c * hw,
+            "conv_split": 0, "bn_split": 2 * c * r * hw, "relu_split": c * r * hw,
+            "fuse": (r - 1) * c * hw,  # adds
+            "stats": c * hw,  # pooled sums
+            "fc1": 0, "bn_att": 2 * inner, "relu_att": inner,
+            "fc2": c * r,  # bias adds
+            "assign": 3 * c * r,
+            "weighted_fuse": (2 * r - 1) * c * hw,  # multiplies and adds
+        }
+        for name, value in want.items():
+            assert aux[f"stage1.block0.splat.{name}"] == value, name
+        for name, value in {"conv3": 0, "bn3": 2 * out * hw, "down_conv": 0,
+                            "down_bn": 2 * out * hw, "add_relu": 2 * out * hw}.items():
+            assert aux[f"stage1.block0.{name}"] == value, name
+        assert aux["stage4.block0.down_pool"] == 256 * 2 * 2 * 4  # 2x2 window per output
+        assert aux["gap"] == 512 * 2 * 2
+        assert aux["fc"] == 2  # bias adds
 
     def test_machine_lines_format(self):
         net = build(MICRO)

@@ -40,6 +40,20 @@ def test_analyze_machine_rows_to_file(tmp_path, capsys):
     assert all(len(r.split("\t")) == 3 for r in rows)
 
 
+@pytest.mark.parametrize("size, reason", [
+    (33, "residual/shortcut shape mismatch"),  # the stride chain does not divide 33
+    (16, "below minimum size"),
+])
+def test_analyze_unrunnable_input_size_exit_2(size, reason, capsys):
+    rc = main(["analyze", "--depth", "50", "--radix", "2", "--fast", "true",
+               "--input-size", str(size)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert "Traceback" not in captured.err
+    assert "TOTAL" not in captured.out
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("depht = 50\n")
