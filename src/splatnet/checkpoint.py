@@ -18,6 +18,7 @@ logits exactly after loading.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from pathlib import Path
@@ -53,31 +54,36 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
+def _unpack(fmt: str, buf: bytes, off: int, path) -> tuple:
+    """``struct.unpack_from`` that reports a short buffer as a truncated file."""
+    if off + struct.calcsize(fmt) > len(buf):
+        raise CheckpointError(f"{path}: truncated header at byte {off}")
+    return struct.unpack_from(fmt, buf, off)
+
+
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", buf, 4)
+    version, count = _unpack("<II", buf, 4, path)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     off = 12
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + name_len].decode("utf-8")
-        off += name_len
-        tag, rank = struct.unpack_from("<BB", buf, off)
-        off += 2
+        (name_len,) = _unpack("<H", buf, off, path)
+        raw, tag, rank = _unpack(f"<{name_len}sBB", buf, off + 2, path)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name at byte {off} is not UTF-8") from None
+        off += 4 + name_len
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: tensor {name}: unknown dtype tag {tag}")
-        shape = struct.unpack_from(f"<{rank}Q", buf, off)
+        shape = _unpack(f"<{rank}Q", buf, off, path)
         off += 8 * rank
         dtype = _TAG_DTYPES[tag]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        if rank == 0:
-            shape = ()
-            nbytes = dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if off + nbytes > len(buf):
             raise CheckpointError(f"{path}: truncated data for tensor {name}")
         data = np.frombuffer(buf, dtype=dtype, count=nbytes // dtype.itemsize, offset=off)

@@ -2,7 +2,8 @@
 
 Each layer caches whatever its backward pass needs during forward; a layer is
 therefore a one-slot tape: call ``forward`` then ``backward`` once, in that
-order. Parameter gradients accumulate into ``Parameter.grad``.
+order. Each backward writes (replaces) its parameters' ``Parameter.grad``;
+an eval-mode batch-norm backward writes no gamma/beta gradient.
 
 Every layer also prices one image: ``cost(x_shape, y_shape)`` returns
 ``(macs, aux_ops)`` from the per-image shapes of its first input and its
@@ -59,9 +60,9 @@ class Conv2d(Module):
             grad_out, self._x, self.weight.value, self.stride, self.padding,
             self.groups, has_bias=self.bias is not None,
         )
-        self.weight.accumulate(gw)
+        self.weight.set_grad(gw)
         if self.bias is not None:
-            self.bias.accumulate(gb)
+            self.bias.set_grad(gb)
         return gx
 
 
@@ -101,9 +102,9 @@ class Linear(Module):
             grad_out, self._x, self.weight.value, self.groups,
             has_bias=self.bias is not None,
         )
-        self.weight.accumulate(gw)
+        self.weight.set_grad(gw)
         if self.bias is not None:
-            self.bias.accumulate(gb)
+            self.bias.set_grad(gb)
         return gx
 
 
@@ -138,15 +139,13 @@ class BatchNorm(Module):
         return 0, 2 * prod(y_shape)
 
     def backward(self, grad_out):
-        if self._mode == "train":
-            gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, self._cache)
-        else:
-            gx = ops.batch_norm_eval_backward(grad_out, self.gamma.value,
-                                              self.running_var, self.eps)
-            dgamma = None
-        if dgamma is not None:
-            self.gamma.accumulate(dgamma)
-            self.beta.accumulate(dbeta)
+        if self._mode != "train":
+            # eval mode: input gradient only; gamma/beta grads stay as they were
+            return ops.batch_norm_eval_backward(grad_out, self.gamma.value,
+                                                self.running_var, self.eps)
+        gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, self._cache)
+        self.gamma.set_grad(dgamma)
+        self.beta.set_grad(dbeta)
         return gx
 
 

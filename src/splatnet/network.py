@@ -312,6 +312,7 @@ class Network(Module):
                     eff -= 1
                 mask = dropblock_mask(
                     x.shape, eff, self.cfg.dropblock_prob, rng, mode=mode,
+                    dtype=x.dtype,
                 )
                 x = x * mask
                 self._dropblock_masks.append(mask)

@@ -1,9 +1,9 @@
 """Parameters, module tree, RNG, and weight initialization.
 
 Every trainable array in the library is a :class:`Parameter`: a named value
-tensor with a same-shaped gradient accumulator and a weight-decay eligibility
-flag (decay applies to conv / fully-connected weights only, never to biases
-or normalization scale/shift).
+tensor, the gradient its layer's last backward wrote (``None`` until then),
+and a weight-decay eligibility flag (decay applies to conv / fully-connected
+weights only, never to biases or normalization scale/shift).
 
 All randomness flows through explicit ``numpy.random.Generator`` objects
 seeded from a 64-bit integer via PCG64, so identical seeds give identical
@@ -33,36 +33,30 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass
 class Parameter:
-    """A named tensor with an accumulated gradient.
+    """A named tensor and the gradient of its layer's last backward.
 
-    ``decay_eligible`` is True only for convolution and fully-connected
-    weights; the optimizer skips L2 decay for everything else.
+    ``grad`` is None until a backward writes it; each backward replaces it,
+    so nothing needs clearing between steps. ``decay_eligible`` is True only
+    for convolution and fully-connected weights; the optimizer skips L2
+    decay for everything else.
     """
 
     value: np.ndarray
     decay_eligible: bool
     name: str = ""
-    grad: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        # np.zeros takes pre-zeroed pages from the allocator; zeros_like
-        # writes every entry, which dominates building a large network
-        self.grad = np.zeros(self.value.shape, dtype=self.value.dtype)
+    grad: np.ndarray | None = field(default=None, init=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if g.shape != self.value.shape:
+    def set_grad(self, g: np.ndarray) -> None:
+        if g.shape != self.value.shape or g.dtype != self.value.dtype:
             raise ConfigurationError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{self.name or '<unnamed>'} shape {self.value.shape}"
+                f"gradient {g.shape} {g.dtype} does not match parameter "
+                f"{self.name or '<unnamed>'} {self.value.shape} {self.value.dtype}"
             )
-        self.grad += g
+        self.grad = g
 
 
 class Module:
@@ -102,10 +96,6 @@ class Module:
     def assign_names(self, prefix: str = "") -> None:
         for name, p in self.named_parameters(prefix):
             p.name = name
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays to persist (e.g. normalization running stats)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .params import ConfigurationError, Parameter, spawn_rng
 
 
@@ -207,13 +207,15 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float,
 
 
 def dropblock_mask(shape, block_size: int, drop_prob: float,
-                   rng: np.random.Generator | None = None, mode: str = "train"):
+                   rng: np.random.Generator | None = None, mode: str = "train",
+                   dtype=np.float64):
     """Multiplicative mask zeroing contiguous block_size^2 squares.
 
     Seed positions are Bernoulli draws over the valid top-left region at rate
     gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
     expected zeroed fraction is about drop_prob. Survivors are rescaled per
-    feature map by total/kept. Eval mode (or drop_prob 0) is all-ones.
+    feature map by total/kept. Eval mode (or drop_prob 0) is all-ones. The
+    mask takes the activations' ``dtype`` so it keeps their precision.
     """
     n, c, h, w = shape
     if block_size % 2 == 0 or block_size < 1:
@@ -223,7 +225,7 @@ def dropblock_mask(shape, block_size: int, drop_prob: float,
             f"block_size {block_size} exceeds feature map {h}x{w}"
         )
     if mode == "eval" or drop_prob == 0.0:
-        return np.ones(shape)
+        return np.ones(shape, dtype)
     if rng is None:
         raise ConfigurationError("dropblock in train mode requires an rng")
     hv, wv = h - block_size + 1, w - block_size + 1
@@ -233,7 +235,7 @@ def dropblock_mask(shape, block_size: int, drop_prob: float,
     for i in range(block_size):
         for j in range(block_size):
             covered[:, :, i : i + hv, j : j + wv] |= seeds
-    mask = (~covered).astype(np.float64)
+    mask = (~covered).astype(dtype)
     kept = mask.sum(axis=(2, 3), keepdims=True)
     scale = (h * w) / np.maximum(kept, 1.0)
     return mask * scale
@@ -248,7 +250,7 @@ def sgd_step(params: list[Parameter], velocities: dict[str, np.ndarray],
              lr: float, opt: OptimizerConfig) -> None:
     """Classical momentum update with decay on decay-eligible weights only.
 
-    v <- momentum * v + (grad + wd * w);  w <- w - lr * v.
+    v <- momentum * v + (grad + wd * w), v starting at 0;  w <- w - lr * v.
     """
     for p in params:
         g = p.grad
@@ -256,8 +258,7 @@ def sgd_step(params: list[Parameter], velocities: dict[str, np.ndarray],
             g = g + opt.weight_decay * p.value
         v = velocities.get(p.name)
         if v is None:
-            v = np.zeros_like(p.value)
-            velocities[p.name] = v
+            v = velocities[p.name] = np.zeros_like(p.value)
         v *= opt.momentum
         v += g
         p.value -= lr * v
@@ -317,9 +318,7 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
             f"schedule wants {sched.steps_per_epoch} x {sched.batch_size} samples "
             f"per epoch but the dataset has {m}"
         )
-    velocities: dict[str, np.ndarray] = {
-        p.name: np.zeros_like(p.value) for p in network.parameters()
-    }
+    velocities: dict[str, np.ndarray] = {}  # sgd_step creates them on first use
     start_epoch = 0
     if resume_from is not None:
         start_epoch = restore_training_state(network, velocities, resume_from)
@@ -353,7 +352,6 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
                     f"loss diverged at epoch {epoch} step {step_in_epoch} "
                     f"(global step {gstep})"
                 )
-            network.zero_grad()
             network.backward(dlogits)
             last_lr = lr_at(gstep, sched)
             result.lr_trace.append(last_lr)
@@ -383,13 +381,19 @@ def save_training_state(network, velocities: dict[str, np.ndarray],
 
 
 def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> int:
-    """Load a training checkpoint; returns the epoch to resume from."""
+    """Load a training checkpoint into ``network`` and ``velocities`` (cast to
+    the parameter dtypes); returns the epoch to resume from."""
     tensors = load_checkpoint(path)
     state = {k: v for k, v in tensors.items()
              if not k.startswith("velocity.") and not k.startswith("meta.")}
     network.load_state_dict(state)
-    for name in velocities:
-        key = f"velocity.{name}"
-        if key in tensors:
-            velocities[name][...] = tensors[key]
+    for p in network.parameters():
+        v = tensors.get(f"velocity.{p.name}")
+        if v is None:
+            continue
+        if v.shape != p.shape:
+            raise CheckpointError(
+                f"{path}: velocity.{p.name}: shape {v.shape} != parameter shape {p.shape}"
+            )
+        velocities[p.name] = v.astype(p.value.dtype)
     return int(tensors["meta.next_epoch"][0])

@@ -226,7 +226,7 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def splat_gradcheck(seed: int = 0, h: float = 1e-5, train_mode: bool = True):
+def splat_gradcheck(seed: int = 0, h: float = 1e-5):
     """Full-unit gradient check against central differences."""
     rng = make_rng(seed + 23)
     cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=2)
@@ -235,17 +235,15 @@ def splat_gradcheck(seed: int = 0, h: float = 1e-5, train_mode: bool = True):
     proj = rng.standard_normal((2, 8, 5, 5))  # fixed projection: scalar loss
     params = {"input": x}
     params.update({name: p.value for name, p in unit.named_parameters()})
-    mode = "train" if train_mode else "eval"
 
     def loss_and_grads():
         # train-mode loss depends on batch statistics only; running-stat
         # drift across repeated calls is irrelevant to the check
-        y = unit.forward(x, mode=mode)
+        y = unit.forward(x, mode="train")
         loss = float((y * proj).sum())
-        unit.zero_grad()
         gx = unit.backward(proj)
         grads = {"input": gx}
-        grads.update({name: p.grad.copy() for name, p in unit.named_parameters()})
+        grads.update({name: p.grad for name, p in unit.named_parameters()})
         return loss, grads
 
     return grad_check(loss_and_grads, params, h=h, tolerance=1e-4,

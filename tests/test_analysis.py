@@ -91,7 +91,6 @@ class TestCountParams:
         for k, v in state.items():
             assert after[k].tobytes() == v.tobytes(), k
 
-        net.zero_grad()
         gx = net.backward(g)
         ref = build(MICRO)
         ref.load_state_dict(state)

@@ -68,6 +68,31 @@ def test_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_every_truncated_prefix_rejected(tmp_path):
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(2, dtype=np.float32)})
+    data = path.read_bytes()
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, extents, match", [
+    (b"\xff", (1,), "not UTF-8"),
+    (b"w", (2**62, 4), "truncated data"),  # byte count overflows int64
+])
+def test_corrupt_header_rejected(tmp_path, name, extents, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(
+        MAGIC + struct.pack("<IIH", VERSION, 1, len(name)) + name
+        + struct.pack(f"<BB{len(extents)}Q", 1, len(extents), *extents)
+        + np.ones(1).tobytes()
+    )
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_trailing_garbage(tmp_path):
     path = tmp_path / "trail.ckpt"
     save_checkpoint(path, {"x": np.ones(2)})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splatnet.cli import main
-from splatnet.checkpoint import load_checkpoint
+from splatnet.checkpoint import load_checkpoint, save_checkpoint
 
 MICRO_FLAGS = [
     "--depth", "50", "--stage-blocks", "1,1,1,1", "--base-planes", "16",
@@ -178,6 +178,20 @@ def test_train_resume_restores_bit_exact(tmp_path, capsys):
         np.testing.assert_array_equal(a[k], b[k])
 
 
+@pytest.mark.parametrize("shape", [(5,), (1,)])
+def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, shape):
+    main(_train_args(tmp_path, "base"))
+    capsys.readouterr()
+    tensors = load_checkpoint(tmp_path / "base.ckpt")
+    tensors["velocity.stem.conv1.weight"] = np.zeros(shape)
+    save_checkpoint(tmp_path / "bad.ckpt", tensors)
+    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bad.ckpt"))))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "velocity.stem.conv1.weight" in err
+    assert not (tmp_path / "resumed.ckpt").exists()
+
+
 def test_train_config_file_seed_echo(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(
@@ -207,3 +221,11 @@ def test_inspect_checkpoint_bad_file(tmp_path, capsys):
     rc = main(["inspect-checkpoint", str(p)])
     assert rc == 2
     assert "magic" in capsys.readouterr().err
+
+
+def test_inspect_checkpoint_truncated_header(tmp_path, capsys):
+    p = tmp_path / "short.ckpt"
+    p.write_bytes(b"SPLT\x01\x00")
+    rc = main(["inspect-checkpoint", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

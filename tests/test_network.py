@@ -14,7 +14,7 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.params import ConfigurationError, make_rng
+from splatnet.params import ConfigurationError, Parameter, make_rng
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -252,7 +252,6 @@ class TestNetwork:
 
         def loss():
             logits = net.forward(x, mode="train")
-            net.zero_grad()
             net.backward(proj)
             grads = {name: p.grad.copy() for name, p in net.named_parameters()
                      if name in picked}
@@ -302,3 +301,33 @@ class TestNetwork:
         assert masks[2] is not None and masks[3] is not None
         net.forward(x, mode="eval")
         assert all(m is None for m in net._dropblock_masks)
+
+
+class TestGradientContract:
+    def test_no_gradient_before_first_backward(self):
+        net = micro_net()
+        assert all(p.grad is None for p in net.parameters())
+        net.forward(make_rng(1).standard_normal((2, 1, 32, 32)), mode="eval")
+        assert all(p.grad is None for p in net.parameters())
+
+    def test_set_grad_rejects_wrong_shape_and_dtype(self):
+        p = Parameter(np.zeros((2, 3)), decay_eligible=True, name="w")
+        with pytest.raises(ConfigurationError, match="does not match parameter w"):
+            p.set_grad(np.zeros((3, 2)))
+        with pytest.raises(ConfigurationError, match="float32"):
+            p.set_grad(np.zeros((2, 3), dtype=np.float32))
+        assert p.grad is None
+
+    def test_second_backward_replaces_first(self):
+        rng = make_rng(2)
+        x = rng.standard_normal((2, 1, 32, 32))
+        g1, g2 = rng.standard_normal((2, 2, 2))
+        net, ref = micro_net(), micro_net()
+        net.forward(x, mode="train")
+        net.backward(g1)
+        net.forward(x, mode="train")
+        net.backward(g2)
+        ref.forward(x, mode="train")
+        ref.backward(g2)
+        for p, q in zip(net.parameters(), ref.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splatnet.checkpoint import load_checkpoint
 from splatnet.data import make_toy_dataset
 from splatnet.gradcheck import grad_check
 from splatnet.network import NetworkConfig, build_network
@@ -238,18 +239,21 @@ class TestDropBlock:
 class TestSgd:
     def test_decay_skips_ineligible(self):
         gamma = Parameter(np.ones(4), decay_eligible=False, name="bn.gamma")
+        gamma.set_grad(np.zeros(4))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
-        sgd_step([gamma], {}, lr=0.1, opt=opt)  # zero gradient
+        sgd_step([gamma], {}, lr=0.1, opt=opt)
         npt.assert_array_equal(gamma.value, np.ones(4))
 
     def test_decay_applies_to_weights(self):
         w = Parameter(np.ones(3), decay_eligible=True, name="conv.weight")
+        w.set_grad(np.zeros(3))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
         sgd_step([w], {}, lr=0.1, opt=opt)
         npt.assert_allclose(w.value, 1.0 - 0.1 * 0.5)
 
     def test_zero_grad_zero_velocity_noop(self):
         p = Parameter(np.full(3, 2.0), decay_eligible=False, name="bias")
+        p.set_grad(np.zeros(3))
         sgd_step([p], {}, lr=0.1, opt=OptimizerConfig(momentum=0.9, weight_decay=1e-4))
         npt.assert_array_equal(p.value, np.full(3, 2.0))
 
@@ -260,8 +264,7 @@ class TestSgd:
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.0)
         w_ref, v_ref = 1.0, 0.0
         for step in range(6):
-            p.zero_grad()
-            p.accumulate(p.value.copy())  # grad = w
+            p.set_grad(p.value.copy())  # grad = w
             sgd_step([p], velocities, lr=0.1, opt=opt)
             v_ref = 0.9 * v_ref + w_ref
             w_ref = w_ref - 0.1 * v_ref
@@ -336,6 +339,35 @@ class TestTrainToy:
         velocities = {p.name: np.zeros_like(p.value) for p in net2.parameters()}
         restore_training_state(net2, velocities, ck)
         npt.assert_array_equal(net2.forward(x, mode="eval"), logits)
+
+    def test_float32_stays_float32_with_dropblock_and_mixup(self, tmp_path):
+        cfg = NetworkConfig(**{**MICRO, "dropblock_prob": 0.2, "dropout": 0.2})
+        net = build_network(cfg, spawn_rng(0, 0), dtype=np.float32)
+        ds = make_toy_dataset(64, size=32, noise=1.0, seed=0, dtype=np.float32)
+        logit_dtypes = []
+        forward = net.forward
+
+        def recording_forward(x, mode="train", rng=None):
+            y = forward(x, mode=mode, rng=rng)
+            logit_dtypes.append(y.dtype)
+            return y
+
+        net.forward = recording_forward
+        sched = ScheduleConfig(batch_size=16, total_epochs=2, steps_per_epoch=4,
+                               base_lr=0.05, warmup_epochs=1)
+        ck = tmp_path / "f32.ckpt"
+        train_toy(net, ds, sched, LossConfig(2, smoothing=0.1),
+                  MixupConfig(alpha=0.2, enabled=True), OptimizerConfig(),
+                  seed=0, checkpoint_path=ck, end_epoch=1)
+        assert logit_dtypes == [np.float32] * 4
+        for p in net.parameters():
+            assert p.grad.dtype == np.float32, p.name
+        tensors = load_checkpoint(ck)
+        velocities = [k for k in tensors if k.startswith("velocity.")]
+        assert len(velocities) == len(net.parameters())
+        for name, arr in tensors.items():
+            if name != "meta.next_epoch":
+                assert arr.dtype == np.float32, name
 
     def test_divergence_aborts_with_step(self):
         cfg = NetworkConfig(**MICRO)
