@@ -19,6 +19,7 @@ logits exactly after loading.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections import OrderedDict
 from pathlib import Path
@@ -37,6 +38,12 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write ``tensors`` to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename, so a write that fails midway leaves the
+    previous file as it was and no temporary file behind.
+    """
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
         a = np.ascontiguousarray(arr)
@@ -51,7 +58,13 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", _DTYPE_TAGS[key], a.ndim))
         chunks.append(struct.pack(f"<{a.ndim}Q", *a.shape))
         chunks.append(a.astype(key, copy=False).tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful replace
 
 
 def _unpack(fmt: str, buf: bytes, off: int, path) -> tuple:

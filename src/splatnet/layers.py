@@ -44,11 +44,15 @@ class Conv2d(Module):
         self.weight = Parameter(w, decay_eligible=True)
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), decay_eligible=False) if bias else None
         self._x = None
+        self._cols = None
 
     def forward(self, x, mode="train", rng=None):
         self._x = x
         b = self.bias.value if self.bias is not None else None
-        return ops.conv2d(x, self.weight.value, b, self.stride, self.padding, self.groups)
+        y, cols = ops.conv2d(x, self.weight.value, b, self.stride, self.padding, self.groups)
+        # the columns are kh*kw times the input: only a train-mode forward keeps them
+        self._cols = cols if mode == "train" else None
+        return y
 
     def cost(self, x_shape, y_shape):
         kh, kw = self.kernel
@@ -56,9 +60,13 @@ class Conv2d(Module):
         return macs, prod(y_shape) if self.bias is not None else 0
 
     def backward(self, grad_out):
+        cols = self._cols
+        if cols is None:  # after an eval-mode forward
+            cols = ops.im2col(self._x, self.kernel, self.stride, self.padding)
+        self._cols = None
         gx, gw, gb = ops.conv2d_backward(
-            grad_out, self._x, self.weight.value, self.stride, self.padding,
-            self.groups, has_bias=self.bias is not None,
+            grad_out, cols, self._x.shape, self.weight.value, self.stride,
+            self.padding, self.groups, has_bias=self.bias is not None,
         )
         self.weight.set_grad(gw)
         if self.bias is not None:

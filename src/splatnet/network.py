@@ -165,15 +165,15 @@ class Bottleneck(Module):
         if self.spec.radix >= 1:
             v = self.splat.forward(x, mode=mode, rng=rng)
         else:
-            v = self.relu1.forward(self.bn1.forward(self.conv1.forward(x), mode), mode)
-            v = self.relu2.forward(self.bn2.forward(self.conv2.forward(v), mode), mode)
-        return self.bn3.forward(self.conv3.forward(v), mode)
+            v = self.relu1.forward(self.bn1.forward(self.conv1.forward(x, mode), mode), mode)
+            v = self.relu2.forward(self.bn2.forward(self.conv2.forward(v, mode), mode), mode)
+        return self.bn3.forward(self.conv3.forward(v, mode), mode)
 
     def shortcut_forward(self, x, mode="train"):
         if self.down_conv is None:
             return x
         s = x if self.down_pool is None else self.down_pool.forward(x)
-        return self.down_bn.forward(self.down_conv.forward(s), mode)
+        return self.down_bn.forward(self.down_conv.forward(s, mode), mode)
 
     def forward(self, x, mode="train", rng=None):
         v = self.branch_forward(x, mode=mode, rng=rng)
@@ -236,10 +236,10 @@ class Stem(Module):
         self.maxpool = MaxPool2d(3, stride=2, padding=1)
 
     def forward(self, x, mode="train", rng=None):
-        x = self.relu1.forward(self.bn1.forward(self.conv1.forward(x), mode), mode)
+        x = self.relu1.forward(self.bn1.forward(self.conv1.forward(x, mode), mode), mode)
         if self.deep:
-            x = self.relu2.forward(self.bn2.forward(self.conv2.forward(x), mode), mode)
-            x = self.relu3.forward(self.bn3.forward(self.conv3.forward(x), mode), mode)
+            x = self.relu2.forward(self.bn2.forward(self.conv2.forward(x, mode), mode), mode)
+            x = self.relu3.forward(self.bn3.forward(self.conv3.forward(x, mode), mode), mode)
         return self.maxpool.forward(x)
 
     def backward(self, grad_out):

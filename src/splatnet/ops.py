@@ -55,35 +55,35 @@ def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xp, kh, kw, sh, sw):
-    """Padded input [N, C, Hp, Wp] -> columns [N, C*kh*kw, Ho*Wo] plus (Ho, Wo).
+def im2col(x, kernel, stride=1, padding=0):
+    """Input [N, C, H, W] -> columns [C*kh*kw, N, Ho, Wo] of the zero-padded input.
 
     Row order is (channel, ki, kj), so a grouped reshape along rows keeps
-    channel groups contiguous. For 1x1 kernels this is a strided view, no
-    copy.
+    channel groups contiguous. The batch sits inside the columns: viewed as
+    [groups, C*kh*kw/groups, N*Ho*Wo], each group's columns for the whole
+    batch form one matrix. A copy, except for a 1x1 stride-1 unpadded
+    kernel on one image, where it is a view of the input.
     """
-    n, c = xp.shape[:2]
-    if kh == 1 and kw == 1:
-        view = xp[:, :, ::sh, ::sw]
-        ho, wo = view.shape[2], view.shape[3]
-        return view.reshape(n, c, ho * wo), ho, wo
-    win = _windows(xp, kh, kw, sh, sw)  # [N, C, Ho, Wo, kh, kw]
+    kh, kw = _pair(kernel)
+    ph, pw = _pair(padding)
+    n, c = x.shape[:2]
+    win = _windows(_pad_spatial(x, ph, pw), kh, kw, *_pair(stride))  # [N, C, Ho, Wo, kh, kw]
     ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-    return cols, ho, wo
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n, ho, wo)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """Grouped 2-D convolution (cross-correlation), direct summation.
+    """Grouped 2-D convolution (cross-correlation) as im2col plus GEMMs.
 
     x: [N, Cin, H, W]; weight: [Cout, Cin/groups, kh, kw]; bias: [Cout] or None.
     Output group g (rows g*Cout/g ..) reads only input channel group g.
-    Implemented as im2col plus batched matrix multiplies; results are exact
-    direct sums (dot products), deterministic for fixed inputs.
+    Returns (y, cols): y is [N, Cout, Ho, Wo] and cols are the ``im2col``
+    columns, which ``conv2d_backward`` takes so a train step builds them
+    once. Each image and group is one GEMM over its slice of the columns,
+    so an output is the same dot product whatever the batch size.
     """
     n, cin, h, w = x.shape
     cout, cing, kh, kw = weight.shape
-    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if cin % groups != 0:
         raise ConfigurationError(f"in_channels {cin} not divisible by groups {groups}")
@@ -97,47 +97,50 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         raise ConfigurationError(
             f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
         )
-    xp = _pad_spatial(x, ph, pw)
-    cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
-    ckk = cing * kh * kw
-    wg = weight.reshape(groups, cout // groups, ckk)
-    if groups == 1:
-        out = np.matmul(wg[0], cols)  # [N, Cout, L]
-    else:
-        colsg = cols.reshape(n, groups, ckk, ho * wo)
-        out = np.matmul(wg[None], colsg).reshape(n, cout, ho * wo)
-    out = out.reshape(n, cout, ho, wo)
+    cols = im2col(x, (kh, kw), stride, padding)
+    ho, wo = cols.shape[2], cols.shape[3]
+    colsg = cols.reshape(groups, cing * kh * kw, n, ho * wo).transpose(2, 0, 1, 3)
+    wg = weight.reshape(groups, cout // groups, cing * kh * kw)
+    out = np.matmul(wg, colsg).reshape(n, cout, ho, wo)  # [N, g, Cout/g, L]
     if bias is not None:
         out = out + bias[None, :, None, None]
-    return out
+    return out, cols
 
 
-def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1, has_bias=False):
-    """Gradients of conv2d w.r.t. (input, weight, bias)."""
-    n, cin, h, w = x.shape
+def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups=1,
+                    has_bias=False):
+    """Gradients of conv2d w.r.t. (input, weight, bias).
+
+    cols are the columns of the forward (``conv2d``'s second output, or
+    ``im2col`` of its input) and x_shape is the input's shape. The batch is
+    folded into the GEMMs: with grad_out as go = [groups, Cout/groups,
+    N*Ho*Wo], the weight gradient go @ colsᵀ and the column gradient
+    Wᵀ @ go are one GEMM per group each. The column gradient is summed back
+    onto the padded input (col2im) on a contiguous [Cin, N, Hp, Wp] canvas,
+    transposed to NCHW once; for a 1x1 stride-1 unpadded conv it already is
+    the input gradient.
+    """
+    n, cin, h, w = x_shape
     cout, cing, kh, kw = weight.shape
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     ho, wo = grad_out.shape[2], grad_out.shape[3]
-    lsz = ho * wo
-    ckk = cing * kh * kw
-    xp = _pad_spatial(x, ph, pw)
-    cols, _, _ = _im2col(xp, kh, kw, sh, sw)
-    colsg = cols.reshape(n, groups, ckk, lsz)
-    gog = grad_out.reshape(n, groups, cout // groups, lsz)
-    wg = weight.reshape(groups, cout // groups, ckk)
-
-    grad_w = np.matmul(gog, colsg.transpose(0, 1, 3, 2)).sum(axis=0)
+    ckk, m = cing * kh * kw, n * ho * wo
+    go = grad_out.transpose(1, 0, 2, 3).reshape(groups, cout // groups, m)
+    grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
     grad_w = grad_w.reshape(weight.shape)
 
-    # columns of the input gradient, scattered back onto the padded canvas
-    gcols = np.matmul(wg.transpose(0, 2, 1)[None], gog)  # [N, g, ckk, L]
-    gcols = gcols.reshape(n, cin, kh, kw, ho, wo)
-    gxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, :, i, j]
-    grad_x = gxp[:, :, ph : ph + h, pw : pw + w]
+    wg = weight.reshape(groups, cout // groups, ckk)
+    gcols = np.matmul(wg.transpose(0, 2, 1), go).reshape(cin, kh, kw, n, ho, wo)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        gx = gcols[:, 0, 0]
+    else:
+        gx = np.zeros((cin, n, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, i, j]
+        gx = gx[:, :, ph : ph + h, pw : pw + w]
+    grad_x = np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
     return grad_x, grad_w, grad_b
@@ -262,7 +265,9 @@ def fully_connected(x, weight, bias=None, groups=1):
         )
     xg = x.reshape(n, groups, f // groups)
     wg = weight.reshape(groups, o // groups, fg)
-    out = np.einsum("ngf,gof->ngo", xg, wg, optimize=True).reshape(n, o)
+    # one GEMM per group on transposed views, so the weight is never copied
+    out = np.matmul(xg.transpose(1, 0, 2), wg.transpose(0, 2, 1)).transpose(1, 0, 2)
+    out = out.reshape(n, o)
     if bias is not None:
         out = out + bias[None, :]
     return out

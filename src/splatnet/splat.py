@@ -308,10 +308,11 @@ class SplitAttentionUnit(Module):
     def transform(self, x, mode="train"):
         """Per-group transform stack only: x -> radix-major splits [N, C*R, ...]."""
         c = self.cfg
-        z = self.relu_in.forward(self.bn_in.forward(self.conv_in.forward(x), mode), mode)
+        z = self.relu_in.forward(self.bn_in.forward(self.conv_in.forward(x, mode), mode), mode)
         if self.pool is not None and c.fast:
             z = self.pool.forward(z)
-        u = self.relu_split.forward(self.bn_split.forward(self.conv_split.forward(z), mode), mode)
+        u = self.conv_split.forward(z, mode)
+        u = self.relu_split.forward(self.bn_split.forward(u, mode), mode)
         if self.pool is not None and not c.fast:
             u = self.pool.forward(u)
         return u
@@ -400,11 +401,11 @@ def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.nd
         splits = []
         for r in range(r_):
             g = k * r_ + r
-            z = ops.conv2d(x, w_in[g * sw : (g + 1) * sw])
+            z, _ = ops.conv2d(x, w_in[g * sw : (g + 1) * sw])
             z = np.maximum(reference_bn(z, params, "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
             if c.stride > 1 and c.fast:
                 z = ops.avg_pool2d(z, 3, stride=c.stride, padding=1)
-            u = ops.conv2d(z, w_split[g * cw : (g + 1) * cw], stride=1, padding=1)
+            u, _ = ops.conv2d(z, w_split[g * cw : (g + 1) * cw], stride=1, padding=1)
             u = np.maximum(reference_bn(u, params, "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
             if c.stride > 1 and not c.fast:
                 u = ops.avg_pool2d(u, 3, stride=c.stride, padding=1)

@@ -384,6 +384,11 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
     """Load a training checkpoint into ``network`` and ``velocities`` (cast to
     the parameter dtypes); returns the epoch to resume from."""
     tensors = load_checkpoint(path)
+    next_epoch = tensors.get("meta.next_epoch")
+    if next_epoch is None or next_epoch.size != 1:
+        raise CheckpointError(
+            f"{path}: no single-value meta.next_epoch tensor; not a training checkpoint"
+        )
     state = {k: v for k, v in tensors.items()
              if not k.startswith("velocity.") and not k.startswith("meta.")}
     network.load_state_dict(state)
@@ -396,4 +401,4 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
                 f"{path}: velocity.{p.name}: shape {v.shape} != parameter shape {p.shape}"
             )
         velocities[p.name] = v.astype(p.value.dtype)
-    return int(tensors["meta.next_epoch"][0])
+    return int(next_epoch[0])

@@ -127,11 +127,11 @@ def se_reference_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
     for k in range(k_):
         gsl = slice(k * sw, (k + 1) * sw)
         csl = slice(k * cw, (k + 1) * cw)
-        t = ops.conv2d(x, params["conv_in.weight"][gsl])
+        t, _ = ops.conv2d(x, params["conv_in.weight"][gsl])
         t = np.maximum(reference_bn(t, params, "bn_in", gsl), 0.0)
         if cfg.stride > 1 and cfg.fast:
             t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
-        t = ops.conv2d(t, params["conv_split.weight"][csl], padding=1)
+        t, _ = ops.conv2d(t, params["conv_split.weight"][csl], padding=1)
         t = np.maximum(reference_bn(t, params, "bn_split", csl), 0.0)
         if cfg.stride > 1 and not cfg.fast:
             t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
@@ -260,8 +260,8 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
     params = {"x": x, "w": w}
 
     def conv_loss():
-        y = ops.conv2d(x, w, stride=1, padding=1, groups=2)
-        gx, gw, _ = ops.conv2d_backward(np.ones_like(y), x, w, 1, 1, 2)
+        y, cols = ops.conv2d(x, w, stride=1, padding=1, groups=2)
+        gx, gw, _ = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 1, 1, 2)
         return float(y.sum()), {"x": gx, "w": gw}
 
     rep = grad_check(conv_loss, params, tolerance=1e-7)

@@ -1,6 +1,7 @@
 """Checkpoint format: golden bytes, round trips, and corruption handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -104,6 +105,45 @@ def test_trailing_garbage(tmp_path):
 def test_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_checkpoint(tmp_path / "int.ckpt", {"x": np.arange(3)})
+
+
+def _write_half_then_fail(monkeypatch):
+    real = Path.write_bytes
+
+    def write_bytes(self, data):
+        real(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+
+@pytest.mark.parametrize("failure", ["write", "dtype"])
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, failure):
+    """A save that fails midway leaves the previous checkpoint byte-identical
+    and no temporary file behind."""
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)})
+    before = path.read_bytes()
+    if failure == "write":
+        _write_half_then_fail(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.arange(1000.0)})
+        monkeypatch.undo()
+    else:
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            save_checkpoint(path, {"w": np.arange(1000.0), "bad": np.arange(3)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+
+
+def test_save_replaces_previous_file(tmp_path):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)})
+    save_checkpoint(path, {"v": np.ones((2, 3), dtype=np.float32)})
+    got = load_checkpoint(path)
+    assert list(got) == ["v"]
+    npt.assert_array_equal(got["v"], np.ones((2, 3), dtype=np.float32))
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
 def test_version_constant():

@@ -192,6 +192,23 @@ def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, shape):
     assert not (tmp_path / "resumed.ckpt").exists()
 
 
+@pytest.mark.parametrize("next_epoch", [None, np.zeros(0)], ids=["missing", "empty"])
+def test_train_resume_without_next_epoch(tmp_path, capsys, next_epoch):
+    """A checkpoint of the network state alone is no resume point: exit 2."""
+    main(_train_args(tmp_path, "base"))
+    capsys.readouterr()
+    tensors = load_checkpoint(tmp_path / "base.ckpt")
+    del tensors["meta.next_epoch"]
+    if next_epoch is not None:
+        tensors["meta.next_epoch"] = next_epoch
+    save_checkpoint(tmp_path / "bare.ckpt", tensors)
+    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bare.ckpt"))))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "meta.next_epoch" in err
+    assert not (tmp_path / "resumed.ckpt").exists()
+
+
 def test_train_config_file_seed_echo(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(

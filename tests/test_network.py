@@ -14,6 +14,7 @@ from splatnet.network import (
     Stem,
     build_network,
 )
+from splatnet.layers import Conv2d
 from splatnet.params import ConfigurationError, Parameter, make_rng
 
 
@@ -331,3 +332,37 @@ class TestGradientContract:
         ref.backward(g2)
         for p, q in zip(net.parameters(), ref.parameters()):
             assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
+class TestColumnCache:
+    """Conv2d keeps its im2col columns only from a train-mode forward to its
+    backward: an eval forward holds none, a backward drops them."""
+
+    @staticmethod
+    def convs(net):
+        return [(path, m) for path, m in net.named_modules() if isinstance(m, Conv2d)]
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_held_from_train_forward_to_backward_only(self, radix):
+        net = micro_net(radix=radix)
+        rng = make_rng(3)
+        x = rng.standard_normal((2, 1, 32, 32))
+        net.forward(x, mode="eval")
+        assert [p for p, m in self.convs(net) if m._cols is not None] == []
+        net.forward(x, mode="train")
+        assert [p for p, m in self.convs(net) if m._cols is None] == []
+        net.backward(rng.standard_normal((2, 2)))
+        assert [p for p, m in self.convs(net) if m._cols is not None] == []
+
+    def test_eval_backward_rebuilds_columns(self):
+        rng = make_rng(4)
+        conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, bias=True, rng=rng)
+        x = rng.standard_normal((3, 4, 7, 7))
+        g = rng.standard_normal((3, 6, 4, 4))
+        conv.forward(x, mode="train")
+        gx_train = conv.backward(g)
+        gw_train, gb_train = conv.weight.grad, conv.bias.grad
+        conv.forward(x, mode="eval")
+        assert conv.backward(g).tobytes() == gx_train.tobytes()
+        assert conv.weight.grad.tobytes() == gw_train.tobytes()
+        assert conv.bias.grad.tobytes() == gb_train.tobytes()

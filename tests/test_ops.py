@@ -4,6 +4,8 @@ against central finite differences."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splatnet import ops
 from splatnet.gradcheck import grad_check
@@ -42,6 +44,34 @@ def conv2d_oracle(x, w, bias, stride, padding, groups):
                                 )
                     out[b, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
     return out
+
+
+def conv2d_backward_oracle(grad_out, x, w, stride, padding, groups):
+    """Direct loops over the forward's products: each x*w term of output
+    (b, o, i, j) passes grad_out[b, o, i, j] times its partner to the other."""
+    n, cin, h, wd = x.shape
+    cout, cing, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    cpg_out = cout // groups
+    for b in range(n):
+        for o in range(cout):
+            g = o // cpg_out
+            for i in range(ho):
+                for j in range(wo):
+                    go = grad_out[b, o, i, j]
+                    for c in range(cing):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                pos = (b, g * cing + c, i * sh + ki, j * sw + kj)
+                                gxp[pos] += go * w[o, c, ki, kj]
+                                gw[o, c, ki, kj] += go * xp[pos]
+    return gxp[:, :, ph : ph + h, pw : pw + wd], gw, grad_out.sum(axis=(0, 2, 3))
 
 
 def avg_pool_oracle(x, kernel, stride, padding, count_includes_pad):
@@ -92,12 +122,12 @@ class TestConv2d:
         rng = make_rng(0)
         x = rng.standard_normal((2, 3, 4, 4))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        npt.assert_array_equal(ops.conv2d(x, w), x)
+        npt.assert_array_equal(ops.conv2d(x, w)[0], x)
 
     def test_constant_sum(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        y = ops.conv2d(x, w)
+        y, _ = ops.conv2d(x, w)
         assert y.shape == (1, 1, 1, 1)
         assert y[0, 0, 0, 0] == 9.0
 
@@ -112,7 +142,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((8, 4 // groups, 3, 3))
         b = rng.standard_normal(8)
-        got = ops.conv2d(x, w, b, stride, padding, groups)
+        got, _ = ops.conv2d(x, w, b, stride, padding, groups)
         want = conv2d_oracle(x, w, b, stride, padding, groups)
         npt.assert_allclose(got, want, atol=1e-12)
 
@@ -121,10 +151,10 @@ class TestConv2d:
         g = 3
         x = rng.standard_normal((2, 6, 6, 6))
         w = rng.standard_normal((9, 2, 3, 3))
-        grouped = ops.conv2d(x, w, stride=1, padding=1, groups=g)
+        grouped, _ = ops.conv2d(x, w, stride=1, padding=1, groups=g)
         parts = [
             ops.conv2d(x[:, 2 * i : 2 * (i + 1)], w[3 * i : 3 * (i + 1)],
-                       stride=1, padding=1)
+                       stride=1, padding=1)[0]
             for i in range(g)
         ]
         npt.assert_array_equal(grouped, np.concatenate(parts, axis=1))
@@ -135,8 +165,8 @@ class TestConv2d:
         y = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         a, b = 1.7, -0.4
-        lhs = ops.conv2d(a * x + b * y, w, padding=1)
-        rhs = a * ops.conv2d(x, w, padding=1) + b * ops.conv2d(y, w, padding=1)
+        lhs, _ = ops.conv2d(a * x + b * y, w, padding=1)
+        rhs = a * ops.conv2d(x, w, padding=1)[0] + b * ops.conv2d(y, w, padding=1)[0]
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_divisibility_errors(self):
@@ -157,12 +187,69 @@ class TestConv2d:
         proj = rng.standard_normal((2, 6, 3, 3))
 
         def loss():
-            y = ops.conv2d(x, w, b, (2, 2), (1, 1), 2)
-            gx, gw, gb = ops.conv2d_backward(proj, x, w, (2, 2), (1, 1), 2, True)
+            y, cols = ops.conv2d(x, w, b, (2, 2), (1, 1), 2)
+            gx, gw, gb = ops.conv2d_backward(proj, cols, x.shape, w, (2, 2), (1, 1), 2, True)
             return float((y * proj).sum()), {"x": gx, "w": gw, "b": gb}
 
         report = grad_check(loss, {"x": x, "w": w, "b": b}, tolerance=1e-6)
         assert report.passed, report.summary()
+
+
+@st.composite
+def conv_cases(draw):
+    """Random small conv problems: batch, groups, channels per group, kernel
+    1-3, stride 1-2, padding 0-1, and an input from the smallest the kernel
+    allows (a single output position) up to four positions larger."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sh, sw = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ph, pw = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    h = draw(st.integers(max(1, kh - 2 * ph), kh - 2 * ph + 4))
+    w = draw(st.integers(max(1, kw - 2 * pw), kw - 2 * pw + 4))
+    return dict(n=draw(st.integers(1, 3)), groups=draw(st.integers(1, 3)),
+                cin_g=draw(st.integers(1, 3)), cout_g=draw(st.integers(1, 3)),
+                kernel=(kh, kw), stride=(sh, sw), padding=(ph, pw), hw=(h, w),
+                bias=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+
+
+_ONE_POSITION = dict(n=2, groups=2, cin_g=2, cout_g=3, kernel=(3, 3), stride=(2, 2),
+                     padding=(1, 1), hw=(1, 1), bias=True, seed=0)
+_NO_CANVAS = dict(n=3, groups=1, cin_g=3, cout_g=2, kernel=(1, 1), stride=(1, 1),
+                  padding=(0, 0), hw=(3, 2), bias=False, seed=1)
+
+
+class TestConv2dReference:
+    """conv2d and conv2d_backward against the direct nested-loop references."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(conv_cases())
+    @example(_ONE_POSITION)
+    @example(dict(_NO_CANVAS, n=1, hw=(1, 1)))
+    @example(_NO_CANVAS)
+    def test_forward_and_backward(self, case):
+        rng = make_rng(case["seed"])
+        g = case["groups"]
+        cin, cout = g * case["cin_g"], g * case["cout_g"]
+        x = rng.standard_normal((case["n"], cin, *case["hw"]))
+        w = rng.standard_normal((cout, case["cin_g"], *case["kernel"]))
+        b = rng.standard_normal(cout) if case["bias"] else None
+        stride, padding = case["stride"], case["padding"]
+
+        y, cols = ops.conv2d(x, w, b, stride, padding, g)
+        npt.assert_allclose(y, conv2d_oracle(x, w, b, stride, padding, g), atol=1e-12)
+        # an eval-mode backward rebuilds exactly the columns the forward returned
+        assert ops.im2col(x, case["kernel"], stride, padding).tobytes() == cols.tobytes()
+
+        grad_out = rng.standard_normal(y.shape)
+        gx, gw, gb = ops.conv2d_backward(grad_out, cols, x.shape, w, stride, padding, g,
+                                         has_bias=b is not None)
+        want_gx, want_gw, want_gb = conv2d_backward_oracle(grad_out, x, w, stride, padding, g)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        npt.assert_allclose(gx, want_gx, atol=1e-12)
+        npt.assert_allclose(gw, want_gw, atol=1e-12)
+        if b is None:
+            assert gb is None
+        else:
+            npt.assert_allclose(gb, want_gb, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +580,8 @@ class TestDeterminism:
         rng = make_rng(29)
         x = rng.standard_normal((2, 4, 6, 6))
         w = rng.standard_normal((4, 2, 3, 3))
-        a = ops.conv2d(x, w, groups=2, padding=1)
-        b = ops.conv2d(x, w, groups=2, padding=1)
+        a, _ = ops.conv2d(x, w, groups=2, padding=1)
+        b, _ = ops.conv2d(x, w, groups=2, padding=1)
         npt.assert_array_equal(a, b)
         d1, _ = ops.dropout(x, 0.4, make_rng(99), "train")
         d2, _ = ops.dropout(x, 0.4, make_rng(99), "train")
