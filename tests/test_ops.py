@@ -74,28 +74,90 @@ def conv2d_backward_oracle(grad_out, x, w, stride, padding, groups):
     return gxp[:, :, ph : ph + h, pw : pw + wd], gw, grad_out.sum(axis=(0, 2, 3))
 
 
+def _window_positions(i, j, kernel, stride, padding, hw):
+    """(k, y, z) for each in-bounds input position of window (i, j), in
+    window order; k = ki*kw + kj is the offset within the padded window."""
+    (kh, kw), (sh, sw), (ph, pw), (h, w) = kernel, stride, padding, hw
+    for ki in range(kh):
+        for kj in range(kw):
+            y, z = i * sh + ki - ph, j * sw + kj - pw
+            if 0 <= y < h and 0 <= z < w:
+                yield ki * kw + kj, y, z
+
+
+def _pool_out_shape(x_shape, kernel, stride, padding):
+    n, c, h, w = x_shape
+    ho = (h + 2 * padding[0] - kernel[0]) // stride[0] + 1
+    wo = (w + 2 * padding[1] - kernel[1]) // stride[1] + 1
+    return n, c, ho, wo
+
+
 def avg_pool_oracle(x, kernel, stride, padding, count_includes_pad):
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    out = np.zeros(_pool_out_shape(x.shape, kernel, stride, padding), dtype=x.dtype)
+    n, c, ho, wo = out.shape
     for b in range(n):
         for ch in range(c):
             for i in range(ho):
                 for j in range(wo):
                     total, count = 0.0, 0
-                    for ki in range(kh):
-                        for kj in range(kw):
-                            y, z = i * sh + ki - ph, j * sw + kj - pw
-                            if 0 <= y < h and 0 <= z < w:
-                                total += x[b, ch, y, z]
-                                count += 1
-                    div = kh * kw if count_includes_pad else count
+                    for _, y, z in _window_positions(i, j, kernel, stride, padding,
+                                                     x.shape[2:]):
+                        total += x[b, ch, y, z]
+                        count += 1
+                    div = kernel[0] * kernel[1] if count_includes_pad else count
                     out[b, ch, i, j] = total / div
     return out
+
+
+def avg_pool_backward_oracle(grad_out, x_shape, kernel, stride, padding,
+                             count_includes_pad):
+    """Each window hands grad/divisor to every in-bounds position it covers."""
+    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    n, c, ho, wo = grad_out.shape
+    for b in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    pos = list(_window_positions(i, j, kernel, stride, padding,
+                                                 x_shape[2:]))
+                    div = kernel[0] * kernel[1] if count_includes_pad else len(pos)
+                    for _, y, z in pos:
+                        gx[b, ch, y, z] += grad_out[b, ch, i, j] / div
+    return gx
+
+
+def max_pool_oracle(x, kernel, stride, padding):
+    """Window max and the offset of its first occurrence in window order."""
+    y = np.zeros(_pool_out_shape(x.shape, kernel, stride, padding), dtype=x.dtype)
+    idx = np.zeros(y.shape, dtype=np.intp)
+    n, c, ho, wo = y.shape
+    for b in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    best, arg = -np.inf, -1
+                    for k, yy, zz in _window_positions(i, j, kernel, stride, padding,
+                                                       x.shape[2:]):
+                        if x[b, ch, yy, zz] > best:
+                            best, arg = x[b, ch, yy, zz], k
+                    y[b, ch, i, j], idx[b, ch, i, j] = best, arg
+    return y, idx
+
+
+def max_pool_backward_oracle(grad_out, idx, x_shape, kernel, stride, padding):
+    """Each window's gradient goes to its argmax, windows taken in order."""
+    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    n, c, ho, wo = grad_out.shape
+    kw = kernel[1]
+    for b in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    ki, kj = divmod(int(idx[b, ch, i, j]), kw)
+                    y = i * stride[0] + ki - padding[0]
+                    z = j * stride[1] + kj - padding[1]
+                    gx[b, ch, y, z] += grad_out[b, ch, i, j]
+    return gx
 
 
 def fc_oracle(x, w, bias, groups):
@@ -336,6 +398,67 @@ class TestPooling:
         npt.assert_array_equal(ops.global_avg_pool(one), one[:, :, 0, 0])
 
 
+@st.composite
+def pool_cases(draw):
+    """Random small pooling problems: kernel 1-3 per axis, stride 1-2,
+    padding up to half the kernel (so every window holds an input position,
+    but a corner window can hold only one), inputs from the smallest the
+    kernel allows up to four positions larger, and optionally a ReLU output
+    whose exact zeros tie for the max."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, kh // 2)), draw(st.integers(0, kw // 2))
+    h = draw(st.integers(max(1, kh - 2 * ph), kh - 2 * ph + 4))
+    w = draw(st.integers(max(1, kw - 2 * pw), kw - 2 * pw + 4))
+    return dict(n=draw(st.integers(1, 2)), c=draw(st.integers(1, 3)), kernel=(kh, kw),
+                stride=(draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+                padding=(ph, pw), hw=(h, w), count_includes_pad=draw(st.booleans()),
+                relu=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+
+
+# one input position under a 3x3 window: eight of its nine entries are padding
+_MOSTLY_PADDING = dict(n=2, c=2, kernel=(3, 3), stride=(2, 2), padding=(1, 1),
+                       hw=(1, 1), count_includes_pad=False, relu=False, seed=0)
+# the stem's 3x3/2 pad-1 max-pool on ReLU output, non-square map
+_STEM_TIES = dict(n=2, c=3, kernel=(3, 3), stride=(2, 2), padding=(1, 1),
+                  hw=(7, 6), count_includes_pad=True, relu=True, seed=1)
+_NON_SQUARE = dict(n=1, c=2, kernel=(2, 3), stride=(1, 2), padding=(1, 1),
+                   hw=(3, 4), count_includes_pad=False, relu=True, seed=2)
+
+
+class TestPoolingReference:
+    """Pooling forwards and backwards against the nested-loop references."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pool_cases())
+    @example(_MOSTLY_PADDING)
+    @example(dict(_MOSTLY_PADDING, count_includes_pad=True, relu=True))
+    @example(_STEM_TIES)
+    @example(_NON_SQUARE)
+    def test_forward_and_backward(self, case):
+        rng = make_rng(case["seed"])
+        x = rng.standard_normal((case["n"], case["c"], *case["hw"]))
+        if case["relu"]:
+            x = np.maximum(x, 0.0)
+        kernel, stride, padding = case["kernel"], case["stride"], case["padding"]
+        cip = case["count_includes_pad"]
+
+        y = ops.avg_pool2d(x, kernel, stride, padding, cip)
+        npt.assert_allclose(y, avg_pool_oracle(x, kernel, stride, padding, cip),
+                            rtol=0, atol=1e-14)
+        grad_out = rng.standard_normal(y.shape)
+        gx = ops.avg_pool2d_backward(grad_out, x.shape, kernel, stride, padding, cip)
+        want = avg_pool_backward_oracle(grad_out, x.shape, kernel, stride, padding, cip)
+        npt.assert_allclose(gx, want, rtol=0, atol=1e-14)
+
+        y, idx = ops.max_pool2d(x, kernel, stride, padding)
+        want_y, want_idx = max_pool_oracle(x, kernel, stride, padding)
+        npt.assert_array_equal(y, want_y)
+        npt.assert_array_equal(idx, want_idx)
+        gx = ops.max_pool2d_backward(grad_out, idx, x.shape, kernel, stride, padding)
+        want = max_pool_backward_oracle(grad_out, idx, x.shape, kernel, stride, padding)
+        npt.assert_array_equal(gx, want)
+
+
 # ---------------------------------------------------------------------------
 # fully connected
 # ---------------------------------------------------------------------------
@@ -573,6 +696,36 @@ class TestDropout:
         y, mask = ops.dropout(x, 0.3, rng, "train")
         g = ops.dropout_backward(np.ones_like(x), mask)
         npt.assert_array_equal(g, mask)
+
+
+class TestFloat32:
+    """A float32 input gives float32 outputs, caches and running buffers."""
+
+    def test_kernels_keep_float32(self):
+        rng = make_rng(30)
+        f32 = np.float32
+        x = np.maximum(rng.standard_normal((2, 3, 5, 5)), 0.0).astype(f32)
+        y = ops.avg_pool2d(x, 3, 2, 1)
+        g = rng.standard_normal(y.shape).astype(f32)
+        gx = ops.avg_pool2d_backward(g, x.shape, 3, 2, 1)
+        assert y.dtype == f32 and gx.dtype == f32
+        y, idx = ops.max_pool2d(x, 3, 2, 1)
+        gx = ops.max_pool2d_backward(g, idx, x.shape, 3, 2, 1)
+        assert y.dtype == f32 and gx.dtype == f32
+
+        for shape in ((4, 3), (2, 3, 5, 5)):
+            x = rng.standard_normal(shape).astype(f32)
+            gamma, beta = np.ones(3, f32), np.zeros(3, f32)
+            rm, rv = np.zeros(3, f32), np.ones(3, f32)
+            y, cache = ops.batch_norm(x, gamma, beta, rm, rv, "train")
+            gx, dgamma, dbeta = ops.batch_norm_backward(np.ones_like(y), cache)
+            arrays = [y, rm, rv, gx, dgamma, dbeta, *cache]
+            assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
+
+        x = rng.standard_normal((3, 8)).astype(f32)
+        w = rng.standard_normal((6, 4)).astype(f32)
+        grads = ops.fully_connected_backward(np.ones((3, 6), f32), x, w, 2, True)
+        assert [a.dtype for a in grads] == [f32] * 3
 
 
 class TestDeterminism:
