@@ -290,14 +290,6 @@ def fully_connected_backward(grad_out, x, weight, groups=1, has_bias=False):
 # ---------------------------------------------------------------------------
 
 
-def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
-    if x.ndim == 4:
-        return (0, 2, 3)
-    if x.ndim == 2:
-        return (0,)
-    raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
-
-
 def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
     return v[None, :, None, None] if ndim == 4 else v[None, :]
 
@@ -311,25 +303,36 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
     buffers as-is. Freshly initialized buffers (mean 0, var 1) make eval mode
     before any training a plain affine map.
 
+    Train mode works on an [N, C, L] view for rank 2 and rank 4 alike: each
+    statistic is reduced over L, then over N, and the centred input is
+    scaled in place into x̂, so the forward allocates two input-sized
+    arrays, x̂ and y.
+
     Returns (y, cache); cache is needed by batch_norm_backward and is None in
     eval mode.
     """
-    axes = _bn_axes(x)
-    nd = x.ndim
+    if x.ndim not in (2, 4):
+        raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
     if mode == "train":
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        m = x.size // x.shape[1]
+        n, c = x.shape[:2]
+        x3 = x.reshape(n, c, -1)
+        m = n * x3.shape[2]
+        mean = x3.sum(axis=2).sum(axis=0) / m
+        xhat = x3 - mean[:, None]
+        buf = np.multiply(xhat, xhat)
+        var = buf.sum(axis=2).sum(axis=0) / m
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - _bn_expand(mean, nd)) * _bn_expand(inv_std, nd)
+        xhat *= inv_std[:, None]
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         # unbiased variance in the running buffer, matching common practice
         running_var += momentum * (var * m / max(m - 1, 1))
-        y = _bn_expand(gamma, nd) * xhat + _bn_expand(beta, nd)
-        return y, (xhat, inv_std, gamma)
+        y = np.multiply(xhat, gamma[:, None], out=buf)
+        y += beta[:, None]
+        return y.reshape(x.shape), (xhat, inv_std, gamma)
     if mode == "eval":
+        nd = x.ndim
         inv_std = 1.0 / np.sqrt(running_var + eps)
         y = _bn_expand(gamma * inv_std, nd) * (x - _bn_expand(running_mean, nd))
         return y + _bn_expand(beta, nd), None
@@ -339,7 +342,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
 def batch_norm_backward(grad_out, cache):
     """Train-mode gradients w.r.t. (x, gamma, beta) from the forward cache."""
     xhat, inv_std, gamma = cache
-    axes = _bn_axes(grad_out)
+    xhat = xhat.reshape(grad_out.shape)
+    axes = (0,) if grad_out.ndim == 2 else (0, 2, 3)
     nd = grad_out.ndim
     m = grad_out.size // grad_out.shape[1]
     dgamma = (grad_out * xhat).sum(axis=axes)
