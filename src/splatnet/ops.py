@@ -340,21 +340,21 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
 
 
 def batch_norm_backward(grad_out, cache):
-    """Train-mode gradients w.r.t. (x, gamma, beta) from the forward cache."""
+    """Train-mode gradients w.r.t. (x, gamma, beta) from the forward cache.
+
+    Ioffe & Szegedy's gradient, evaluated over the forward's [N, C, L] view
+    of x̂ as gx = (g - Σg/m - x̂·Σg·x̂/m)·gamma/σ, where Σg is dbeta and
+    Σg·x̂ is dgamma.
+    """
     xhat, inv_std, gamma = cache
-    xhat = xhat.reshape(grad_out.shape)
-    axes = (0,) if grad_out.ndim == 2 else (0, 2, 3)
-    nd = grad_out.ndim
-    m = grad_out.size // grad_out.shape[1]
-    dgamma = (grad_out * xhat).sum(axis=axes)
-    dbeta = grad_out.sum(axis=axes)
-    gxhat = grad_out * _bn_expand(gamma, nd)
-    gx = (
-        gxhat
-        - _bn_expand(gxhat.sum(axis=axes) / m, nd)
-        - xhat * _bn_expand((gxhat * xhat).sum(axis=axes) / m, nd)
-    ) * _bn_expand(inv_std, nd)
-    return gx, dgamma, dbeta
+    g3 = grad_out.reshape(xhat.shape)
+    m = xhat.shape[0] * xhat.shape[2]
+    dbeta = g3.sum(axis=2).sum(axis=0)
+    dgamma = np.einsum("ncl,ncl->c", g3, xhat)
+    gx = g3 - (dbeta / m)[:, None]
+    gx -= xhat * (dgamma / m)[:, None]
+    gx *= (gamma * inv_std)[:, None]
+    return gx.reshape(grad_out.shape), dgamma, dbeta
 
 
 def batch_norm_eval_backward(grad_out, gamma, running_var, eps=1e-5):

@@ -121,7 +121,7 @@ PINS = {
             -0.0007851505649287062, -0.0004517876050186652, 0.0002482400999222397,
             -0.0021717510566545994,
         ],
-        param_grads="84b43861b578b9a70a1d7526c931b4f537b6e4c3b5dbf0a4159839474a096ad1",
+        param_grads="54fb3b91a38b38fe6954a2148ae4553837d71400ea0e852f931780eda274c74c",
         param_grads_ref=[
             -0.4110725392362865, 0.03120486440548811, -0.06343220243184208,
             0.031770117544266875, -0.05654119444993179, 0.07830604251803308,
@@ -151,7 +151,7 @@ PINS = {
             0.00917153348821267, 0.001653695985365642, 0.0005041461305744349,
             0.0010600606365824092,
         ],
-        param_grads="004145adf199b4fa4d19e993fa95d6ad6b6fd445d1d844ff07542921146cbdb9",
+        param_grads="23a62b2ccc5dbea2ff3a8250622143788cc03cdf5fc7562de4638d042c8809de",
         param_grads_ref=[
             0.7243364199417393, -0.23944380058452946, 0.0514462965788038,
             -0.023987607810558184, 0.00343244209900068, 0.02571663502516752,
