@@ -152,18 +152,29 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
 
 
 def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, dtype):
-    """Per-window divisor for average pooling: window area or valid count."""
+    """Per-window divisor for average pooling: window area or valid count.
+
+    A window's valid count is the product of its in-bounds extents along
+    each axis, so the counts are the outer product of two per-axis vectors.
+    """
     ho = _out_extent(h, kh, sh, ph)
     wo = _out_extent(w, kw, sw, pw)
     if count_includes_pad or (ph == 0 and pw == 0):
         return np.full((ho, wo), float(kh * kw), dtype=dtype)
-    ones = np.ones((1, 1, h, w), dtype=dtype)
-    counts = _windows(_pad_spatial(ones, ph, pw), kh, kw, sh, sw).sum(axis=(-1, -2))
-    return counts[0, 0]
+
+    def extents(size, k, s, p, out):
+        start = np.arange(out) * s - p
+        return np.minimum(start + k, size) - np.maximum(start, 0)
+
+    return np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo)).astype(dtype)
 
 
 def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
-    """Mean over each window; zero padding, divisor excludes pad by default."""
+    """Mean over each window; zero padding, divisor excludes pad by default.
+
+    The kh*kw strided slices of the padded input, one per window offset,
+    are summed into one accumulator in window order, then divided.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride) if stride is not None else (kh, kw)
     ph, pw = _pair(padding)
@@ -172,9 +183,15 @@ def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
         raise ConfigurationError(
             f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
         )
-    win = _windows(_pad_spatial(x, ph, pw), kh, kw, sh, sw)
-    div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, x.dtype)
-    return win.sum(axis=(-1, -2)) / div
+    xp = _pad_spatial(x, ph, pw)
+    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+              for i in range(kh) for j in range(kw)]
+    out = slices[0].copy()
+    for s in slices[1:]:
+        out += s
+    out /= _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, x.dtype)
+    return out
 
 
 def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0,

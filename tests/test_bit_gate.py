@@ -103,7 +103,7 @@ def _assert_reference(got, want):
 
 PINS = {
     "toy": dict(
-        logits_f64="9c252529a3cfe9be7f7acdbfeba36b80f250f7ef28a64e9ddc2993106f0d653e",
+        logits_f64="2a95c481d683251bbe8c47597a438648f5d21ea85298595c1c0db0e534e4d45f",
         logits_f64_ref=[
             0.4586019222128632, 3.0271982285343597, 0.222871029635475, 2.964690179257354,
             0.3833067991554602, 3.0915647177116696, 0.2648386766699038,
@@ -111,8 +111,8 @@ PINS = {
             3.056334852631784, 0.30128455499859585, 2.9989671039270647,
             0.3787083666354438, 3.184185637881451,
         ],
-        logits_f32="75894f76a205984f5f7004a9be935af53293dbb6396ad797dad74def893147cc",
-        input_grad="ab93512569f751d207666a9c59c0dee3a1d02bfc02369fe68bd472be25163cd3",
+        logits_f32="9a5c768f96eaf5699e719a49b230561b32cffb55aed3df19d0228ca4b541cd95",
+        input_grad="0e8f97db7b74c839c982aebe83f5a39b3e1899681ad34b34a3e7205ae3f2f3a4",
         input_grad_ref=[
             -0.0007212439319378137, -0.0021491992166479943, -0.00400863090807843,
             0.00014678809760247365, 0.0003235963811343374, 0.0020672858286143654,
@@ -121,7 +121,7 @@ PINS = {
             -0.0007851505649287062, -0.0004517876050186652, 0.0002482400999222397,
             -0.0021717510566545994,
         ],
-        param_grads="54fb3b91a38b38fe6954a2148ae4553837d71400ea0e852f931780eda274c74c",
+        param_grads="c1c514a18bd3ec3e39b1f4d104700492faa9fd5332898a33c049c025cf3658d5",
         param_grads_ref=[
             -0.4110725392362865, 0.03120486440548811, -0.06343220243184208,
             0.031770117544266875, -0.05654119444993179, 0.07830604251803308,
@@ -132,7 +132,7 @@ PINS = {
         ],
     ),
     "2s2x40d": dict(
-        logits_f64="0a09c453d92c4302b6ef5334778f62d3f66e3c5621e271c2493f6dcd6445e06a",
+        logits_f64="2022b8dc099a65720f6ea17c0bd97fd2ce34d3c040dcc6c3db70a4a27c4ec53d",
         logits_f64_ref=[
             -1.0803063140043845, -1.637418741197834, -1.0124233682280503,
             -1.5628182856107231, -0.839265105491942, -1.0669946876797216,
@@ -141,8 +141,8 @@ PINS = {
             -1.1018637212446931, -1.576352955897769, -0.9637403567684646,
             -1.6266587816619542,
         ],
-        logits_f32="75790d4437bbdf27055c636cb4d7858624cb3f1527848662a1cfa14fb1529e32",
-        input_grad="3d4c9781d4174cce72e69d4f6118dedab8c3bdef46fe0291c3e015d85ab6ccf9",
+        logits_f32="fab5816cb8ec9393aae58c9f802dd68555e87cfe282f090d7267ed6294455e1c",
+        input_grad="c7585b139c1afa0217210c5ad4dd672615154e666f3aee56c67469c5e56d70ce",
         input_grad_ref=[
             -0.0011440322146961455, -0.0056703255349605025, 0.0013110409387408898,
             -0.009271994695305815, -0.00407731738919959, 0.02678682404747576,
@@ -151,7 +151,7 @@ PINS = {
             0.00917153348821267, 0.001653695985365642, 0.0005041461305744349,
             0.0010600606365824092,
         ],
-        param_grads="23a62b2ccc5dbea2ff3a8250622143788cc03cdf5fc7562de4638d042c8809de",
+        param_grads="feb2f63af7d699e3c91b78386196554d651631162f48773a10bcc236b285df53",
         param_grads_ref=[
             0.7243364199417393, -0.23944380058452946, 0.0514462965788038,
             -0.023987607810558184, 0.00343244209900068, 0.02571663502516752,
