@@ -212,7 +212,14 @@ def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0,
 
 
 def max_pool2d(x, kernel, stride=None, padding=0):
-    """Max over each window; padding filled with -inf so it never wins."""
+    """Max over each window; padding filled with -inf so it never wins.
+
+    Returns (y, idx): idx is each window's argmax as a row-major offset
+    within the kh x kw window, its first occurrence on ties. The max is an
+    elementwise maximum over the kh*kw strided slices of the padded input;
+    the offsets come from a pass over the slices in descending order, so
+    the lowest matching offset is written last.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride) if stride is not None else (kh, kw)
     ph, pw = _pair(padding)
@@ -225,29 +232,39 @@ def max_pool2d(x, kernel, stride=None, padding=0):
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     else:
         xp = x
-    win = _windows(xp, kh, kw, sh, sw)
-    flat = win.reshape(*win.shape[:4], kh * kw)
-    idx = flat.argmax(axis=-1)
-    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+              for i in range(kh) for j in range(kw)]
+    best = slices[0].copy()
+    for s in slices[1:]:
+        np.maximum(best, s, out=best)
+    idx = np.zeros(best.shape, dtype=np.intp)
+    for k in range(kh * kw - 1, -1, -1):
+        idx[slices[k] == best] = k
+    return best, idx
 
 
 def max_pool2d_backward(grad_out, idx, x_shape, kernel, stride=None, padding=0):
-    """Routes each window's gradient to its (first) argmax position."""
+    """Routes each window's gradient to its (first) argmax position.
+
+    Each window's argmax becomes a flat offset into the padded input, and
+    ``np.bincount`` sums the gradients per offset in window order. It
+    accumulates in float64; the result is cast back to grad_out's dtype.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride) if stride is not None else (kh, kw)
     ph, pw = _pair(padding)
     n, c, h, w = x_shape
     ho, wo = grad_out.shape[2], grad_out.shape[3]
-    gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
+    hp, wp = h + 2 * ph, w + 2 * pw
     ki, kj = np.divmod(idx, kw)  # offsets within each window
-    oy = np.arange(ho)[None, None, :, None] * sh
-    ox = np.arange(wo)[None, None, None, :] * sw
-    rows = (oy + ki).ravel()
-    cols = (ox + kj).ravel()
-    nn = np.repeat(np.arange(n), c * ho * wo)
-    cc = np.tile(np.repeat(np.arange(c), ho * wo), n)
-    np.add.at(gxp, (nn, cc, rows, cols), grad_out.ravel())
-    return gxp[:, :, ph : ph + h, pw : pw + w]
+    rows = np.arange(ho)[:, None] * sh + ki
+    cols = np.arange(wo) * sw + kj
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
+    flat = (planes + rows * wp + cols).ravel()
+    gxp = np.bincount(flat, weights=grad_out.ravel(), minlength=n * c * hp * wp)
+    gxp = gxp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w]
+    return gxp.astype(grad_out.dtype, copy=False)
 
 
 def global_avg_pool(x):
