@@ -308,13 +308,19 @@ def fully_connected(x, weight, bias=None, groups=1):
 
 
 def fully_connected_backward(grad_out, x, weight, groups=1, has_bias=False):
+    """Gradients of fully_connected w.r.t. (x, weight, bias).
+
+    One GEMM per group for each of the weight and input gradients, on
+    transposed views as in the forward, so nothing weight-sized is
+    allocated beyond the returned weight gradient.
+    """
     n, f = x.shape
     o = weight.shape[0]
-    xg = x.reshape(n, groups, f // groups)
+    xg = x.reshape(n, groups, f // groups).transpose(1, 0, 2)
     wg = weight.reshape(groups, o // groups, f // groups)
-    gg = grad_out.reshape(n, groups, o // groups)
-    grad_w = np.einsum("ngo,ngf->gof", gg, xg, optimize=True).reshape(weight.shape)
-    grad_x = np.einsum("ngo,gof->ngf", gg, wg, optimize=True).reshape(n, f)
+    gg = grad_out.reshape(n, groups, o // groups).transpose(1, 0, 2)
+    grad_w = np.matmul(gg.transpose(0, 2, 1), xg).reshape(weight.shape)
+    grad_x = np.matmul(gg, wg).transpose(1, 0, 2).reshape(n, f)
     grad_b = grad_out.sum(axis=0) if has_bias else None
     return grad_x, grad_w, grad_b
 

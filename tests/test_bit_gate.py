@@ -142,7 +142,7 @@ PINS = {
             -1.6266587816619542,
         ],
         logits_f32="fab5816cb8ec9393aae58c9f802dd68555e87cfe282f090d7267ed6294455e1c",
-        input_grad="c7585b139c1afa0217210c5ad4dd672615154e666f3aee56c67469c5e56d70ce",
+        input_grad="299d59c51578d0e9fb88ded014f074f79301e2b65a8eb0d16785b42e964eff00",
         input_grad_ref=[
             -0.0011440322146961455, -0.0056703255349605025, 0.0013110409387408898,
             -0.009271994695305815, -0.00407731738919959, 0.02678682404747576,
@@ -151,7 +151,7 @@ PINS = {
             0.00917153348821267, 0.001653695985365642, 0.0005041461305744349,
             0.0010600606365824092,
         ],
-        param_grads="feb2f63af7d699e3c91b78386196554d651631162f48773a10bcc236b285df53",
+        param_grads="00d1834b5f26de23fcb4934045c070cc5d98d20bf59bc4721354a1ade562ad28",
         param_grads_ref=[
             0.7243364199417393, -0.23944380058452946, 0.0514462965788038,
             -0.023987607810558184, 0.00343244209900068, 0.02571663502516752,

@@ -1,6 +1,8 @@
 """Kernel tests: every forward against an independent oracle, every backward
 against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -495,6 +497,38 @@ class TestFullyConnected:
             ops.fully_connected(np.zeros((1, 5)), np.zeros((4, 2)), groups=2)
         with pytest.raises(ConfigurationError, match="out_features"):
             ops.fully_connected(np.zeros((1, 4)), np.zeros((5, 2)), groups=2)
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_backward_against_einsum(self, groups):
+        rng = make_rng(31)
+        n, f, o = 5, 16, 12
+        x = rng.standard_normal((n, f))
+        w = rng.standard_normal((o, f // groups))
+        g = rng.standard_normal((n, o))
+        gx, gw, gb = ops.fully_connected_backward(g, x, w, groups, True)
+        xg = x.reshape(n, groups, -1)
+        gg = g.reshape(n, groups, -1)
+        wg = w.reshape(groups, o // groups, -1)
+        npt.assert_allclose(gw, np.einsum("ngo,ngf->gof", gg, xg).reshape(w.shape),
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(gx, np.einsum("ngo,gof->ngf", gg, wg).reshape(x.shape),
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(gb, g.sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_backward_allocates_only_the_weight_gradient(self):
+        # a 2048x1000 classifier at batch 1: the 16.4 MB weight gradient is
+        # the only large allocation
+        rng = make_rng(32)
+        x = rng.standard_normal((1, 2048))
+        w = rng.standard_normal((1000, 2048))
+        g = rng.standard_normal((1, 1000))
+        tracemalloc.start()
+        try:
+            _, gw, _ = ops.fully_connected_backward(g, x, w, 1, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * gw.nbytes
 
     def test_backward_fd(self):
         rng = make_rng(13)
