@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +33,6 @@ from .configio import (
 from .data import make_toy_dataset
 from .network import build_network
 from .params import ConfigurationError, make_rng, spawn_rng
-from .splat import (
-    RADIX_TO_CARDINALITY,
-    SplatConfig,
-    SplitAttentionUnit,
-    permute_params,
-    splat_forward_cardinality_major,
-)
 from .training import (
     LossConfig,
     MixupConfig,
@@ -107,41 +99,12 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _bench_layout_paths(seed: int) -> str:
-    """Median time of each layout on a small unit (reported, not asserted)."""
-    rng = make_rng(seed)
-    cfg = SplatConfig(in_channels=16, channels=32, radix=2, cardinality=2)
-    unit = SplitAttentionUnit(cfg, rng=rng)
-    params = unit.state_dict()
-    card = permute_params(params, cfg, RADIX_TO_CARDINALITY)
-    x = rng.standard_normal((4, 16, 16, 16))
-
-    def timed(fn, reps=11):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[len(times) // 2]
-
-    unit.forward(x, mode="eval")  # warmup
-    t_radix = timed(lambda: unit.forward(x, mode="eval"))
-    t_card = timed(lambda: splat_forward_cardinality_major(x, cfg, card))
-    return (
-        f"layout paths on R=2 K=2 C=32 unit: radix-major {t_radix * 1e3:.2f} ms, "
-        f"cardinality-major {t_card * 1e3:.2f} ms "
-        f"(ratio {t_radix / t_card:.2f}, machine local)"
-    )
-
-
 def cmd_bench(args) -> int:
     _, _, net = _build(args)
     shape = (args.batch, net.cfg.input_channels, args.input_size, args.input_size)
     result = analysis.bench_forward(net, shape, reps=args.reps, warmup=args.warmup,
                                     seed=args.seed)
     print(result.text())
-    if args.layout_compare:
-        print(_bench_layout_paths(args.seed))
     return 0
 
 
@@ -231,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-size", type=int, default=64)
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--layout-compare", action="store_true",
-                   help="also time both unit layouts")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="deterministic toy training run")
