@@ -30,10 +30,10 @@ def _out_extent(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=value)
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -151,6 +151,23 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
 # ---------------------------------------------------------------------------
 
 
+def _pool_window(x_shape, kernel, stride, padding):
+    """(kh, kw, sh, sw, ph, pw, ho, wo) of a pooling window over x_shape.
+
+    The stride defaults to the kernel; a kernel larger than the padded
+    input is an error.
+    """
+    kh, kw = _pair(kernel)
+    sh, sw = _pair(stride) if stride is not None else (kh, kw)
+    ph, pw = _pair(padding)
+    h, w = x_shape[2], x_shape[3]
+    if h + 2 * ph < kh or w + 2 * pw < kw:
+        raise ConfigurationError(
+            f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
+        )
+    return kh, kw, sh, sw, ph, pw, _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+
+
 def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, dtype):
     """Per-window divisor for average pooling: window area or valid count.
 
@@ -175,16 +192,9 @@ def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
     The kh*kw strided slices of the padded input, one per window offset,
     are summed into one accumulator in window order, then divided.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
     n, c, h, w = x.shape
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ConfigurationError(
-            f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
-        )
     xp = _pad_spatial(x, ph, pw)
-    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
     slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
               for i in range(kh) for j in range(kw)]
     out = slices[0].copy()
@@ -197,11 +207,8 @@ def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
 def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0,
                         count_includes_pad=False, dtype=np.float64):
     """Distributes each window's gradient uniformly over its contributors."""
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
     n, c, h, w = x_shape
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
     div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, grad_out.dtype)
     g = grad_out / div
     gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
@@ -220,19 +227,8 @@ def max_pool2d(x, kernel, stride=None, padding=0):
     the offsets come from a pass over the slices in descending order, so
     the lowest matching offset is written last.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    n, c, h, w = x.shape
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ConfigurationError(
-            f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
-        )
-    if ph or pw:
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    else:
-        xp = x
-    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
+    xp = _pad_spatial(x, ph, pw, -np.inf)
     slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
               for i in range(kh) for j in range(kw)]
     best = slices[0].copy()
@@ -251,11 +247,8 @@ def max_pool2d_backward(grad_out, idx, x_shape, kernel, stride=None, padding=0):
     ``np.bincount`` sums the gradients per offset in window order. It
     accumulates in float64; the result is cast back to grad_out's dtype.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
     n, c, h, w = x_shape
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
     hp, wp = h + 2 * ph, w + 2 * pw
     ki, kj = np.divmod(idx, kw)  # offsets within each window
     rows = np.arange(ho)[:, None] * sh + ki
