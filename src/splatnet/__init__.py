@@ -12,7 +12,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckReport, grad_check
 from .splat import SplatConfig, SplitAttentionUnit, permute_params
 from .network import Network, NetworkConfig, build_network
-from .analysis import CostReport, bench_forward, block_cost_parity, count_flops, count_params
+from .analysis import CostReport, bench_forward, block_cost_parity, count_flops
 from .training import (
     LossConfig,
     MixupConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "block_cost_parity",
     "build_network",
     "count_flops",
-    "count_params",
     "grad_check",
     "label_smooth_ce",
     "load_checkpoint",

@@ -119,7 +119,7 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
     return rows
 
 
-def cost_report(network: Network, input_hw: tuple[int, int] = (224, 224)) -> CostReport:
+def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> CostReport:
     """Per-layer parameter and MAC accounting for one input image.
 
     Raises ``ConfigurationError`` for an input size the forward rejects.
@@ -131,24 +131,14 @@ def cost_report(network: Network, input_hw: tuple[int, int] = (224, 224)) -> Cos
         f"deep_stem={cfg.deep_stem} stem_width={cfg.stem_width} "
         f"avg_down={cfg.avg_down} fast={cfg.fast} classes={cfg.num_classes}"
     )
-    return CostReport(rows, echo, input_hw)
-
-
-def count_params(network: Network) -> CostReport:
-    """Parameter accounting only (input-size independent)."""
-    report = cost_report(network, (224, 224))
+    report = CostReport(rows, echo, input_hw)
     # ground truth cross-check: every parameter counted exactly once
-    direct = sum(p.value.size for p in network.parameters())
+    direct = _nparams(network)
     if direct != report.total_params:
         raise AssertionError(
             f"cost trace saw {report.total_params} params, network holds {direct}"
         )
     return report
-
-
-def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> CostReport:
-    """MAC accounting for the given input size (per image)."""
-    return cost_report(network, input_hw)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +218,7 @@ def block_cost_parity(splat_spec: BottleneckSpec, standard_spec: BottleneckSpec,
 class ReferenceVariant:
     label: str
     params: float
-    gmacs: float | None
+    gmacs: float
     param_tol: float
     mac_tol: float
     match: dict
@@ -261,19 +251,15 @@ def reference_comparison(cfg, total_params: int, total_macs: int) -> str | None:
     for ref in REFERENCE_VARIANTS:
         if ref.matches(cfg):
             p_dev = total_params / ref.params - 1.0
-            line = (
+            m_dev = total_macs / ref.gmacs - 1.0
+            return (
                 f"reference {ref.label}: params {ref.params / 1e6:.1f}M "
                 f"(ours {total_params / 1e6:.3f}M, {p_dev:+.2%}, tol ±{ref.param_tol:.0%}) "
                 f"{'MATCH' if abs(p_dev) <= ref.param_tol else 'MISMATCH'}"
+                f"; gmacs {ref.gmacs / 1e9:.2f} (ours {total_macs / 1e9:.3f}, "
+                f"{m_dev:+.2%}, tol ±{ref.mac_tol:.0%}) "
+                f"{'MATCH' if abs(m_dev) <= ref.mac_tol else 'MISMATCH'}"
             )
-            if ref.gmacs is not None:
-                m_dev = total_macs / ref.gmacs - 1.0
-                line += (
-                    f"; gmacs {ref.gmacs / 1e9:.2f} (ours {total_macs / 1e9:.3f}, "
-                    f"{m_dev:+.2%}, tol ±{ref.mac_tol:.0%}) "
-                    f"{'MATCH' if abs(m_dev) <= ref.mac_tol else 'MISMATCH'}"
-                )
-            return line
     return None
 
 
@@ -326,6 +312,8 @@ def bench_forward(network, batch_shape, reps: int = 30, warmup: int = 5,
     """
     if reps < 1:
         raise ConfigurationError("bench needs at least one repetition")
+    if batch_shape[0] < 1:
+        raise ConfigurationError(f"bench needs a batch of at least 1, got {batch_shape[0]}")
     from .params import make_rng
 
     rng = make_rng(seed)

@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
     ts = train_settings(settings)
     if "seed" not in settings:
         ts.seed = args.seed  # missing seed key: fall back to the global flag (default 0)
+    if ts.batch < 1:
+        raise ConfigurationError(f"batch must be >= 1, got {ts.batch}")
     # one seed drives initialization, data, and the step loop
     net = build_network(cfg, spawn_rng(ts.seed, 0), dtype=_DTYPES[args.precision])
     dataset = make_toy_dataset(args.samples, size=args.image_size,
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigurationError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

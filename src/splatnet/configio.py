@@ -87,7 +87,11 @@ TRAIN_KEYS = {
 def read_config_file(path) -> dict[str, str]:
     """Parse a key=value file into raw strings (no schema applied yet)."""
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -117,28 +121,12 @@ def parse_settings(raw: dict[str, str], allow_training: bool) -> dict:
     return parsed
 
 
-_NETWORK_FIELD_BY_KEY = {
-    "depth": "depth",
-    "stage_blocks": "stage_blocks",
-    "radix": "radix",
-    "cardinality": "cardinality",
-    "base_width": "base_width",
-    "fast": "fast",
-    "avg_down": "avg_down",
-    "deep_stem": "deep_stem",
-    "stem_width": "stem_width",
-    "dropout": "dropout",
-    "classes": "num_classes",
-    "input_channels": "input_channels",
-    "base_planes": "base_planes",
-}
-
-
 def network_config(settings: dict) -> NetworkConfig:
+    # config key ``classes`` is the field ``num_classes``; the rest match
     kwargs = {
-        _NETWORK_FIELD_BY_KEY[k]: v
+        "num_classes" if k == "classes" else k: v
         for k, v in settings.items()
-        if k in _NETWORK_FIELD_BY_KEY
+        if k in NETWORK_KEYS
     }
     return NetworkConfig(**kwargs)
 

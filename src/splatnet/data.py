@@ -23,7 +23,6 @@ from .params import make_rng
 class ToyDataset:
     images: np.ndarray  # [M, 1, size, size]
     labels: np.ndarray  # [M] int64
-    seed: int
 
 
 def _bars(size: int, spacing: int, phase: int, sign: float) -> np.ndarray:
@@ -55,4 +54,4 @@ def make_toy_dataset(n: int, size: int = 32, noise: float = 0.6,
         labels[i] = label
     # fixed shuffle so classes interleave irregularly but reproducibly
     order = rng.permutation(n)
-    return ToyDataset(images[order], labels[order], seed)
+    return ToyDataset(images[order], labels[order])

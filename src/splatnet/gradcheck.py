@@ -24,10 +24,6 @@ class GradCheckEntry:
     analytic: float
     numeric: float
 
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.max_rel_err)
-
 
 @dataclass
 class GradCheckReport:

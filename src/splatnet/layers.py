@@ -195,25 +195,22 @@ class AddReLU(Module):
 
 
 class AvgPool2d(Module):
-    def __init__(self, kernel, stride=None, padding=0, count_includes_pad=False):
+    def __init__(self, kernel, stride=None, padding=0):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.count_includes_pad = count_includes_pad
         self._x_shape = None
 
     def forward(self, x, mode="train", rng=None):
         self._x_shape = x.shape
-        return ops.avg_pool2d(x, self.kernel, self.stride, self.padding,
-                              self.count_includes_pad)
+        return ops.avg_pool2d(x, self.kernel, self.stride, self.padding)
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
         return ops.avg_pool2d_backward(grad_out, self._x_shape, self.kernel,
-                                       self.stride, self.padding,
-                                       self.count_includes_pad)
+                                       self.stride, self.padding)
 
 
 class MaxPool2d(Module):

@@ -65,9 +65,9 @@ class NetworkConfig:
             self.stage_blocks = STAGE_LAYOUTS[self.depth]
         else:
             self.stage_blocks = tuple(int(b) for b in self.stage_blocks)
-            if len(self.stage_blocks) != 4:
+            if len(self.stage_blocks) != 4 or min(self.stage_blocks) < 1:
                 raise ConfigurationError(
-                    f"stage_blocks needs 4 entries, got {len(self.stage_blocks)}"
+                    f"stage_blocks needs 4 entries of at least 1, got {self.stage_blocks}"
                 )
         if self.depth in STAGE_LAYOUTS:
             # conv-layer identity for the named variants: 3 per bottleneck
@@ -80,6 +80,8 @@ class NetworkConfig:
                 )
         if self.radix < 0:
             raise ConfigurationError(f"radix must be >= 0, got {self.radix}")
+        if self.cardinality < 1:
+            raise ConfigurationError(f"cardinality must be >= 1, got {self.cardinality}")
         if self.stem_width is None:
             self.stem_width = 32 if self.depth <= 50 else 64
         if self.dropout is None:
@@ -120,8 +122,6 @@ class BottleneckSpec:
 
 class Bottleneck(Module):
     """Residual bottleneck, split-attention interior when radix >= 1."""
-
-    expansion = 4
 
     def __init__(self, spec: BottleneckSpec, rng=None, dtype=np.float64):
         self.spec = spec
@@ -282,7 +282,6 @@ class Network(Module):
         self.fc = Linear(in_ch, cfg.num_classes, bias=True, dtype=dtype)
         if rng is not None:
             self.fc.weight.value[...] = rng.standard_normal(self.fc.weight.shape) * 0.01
-        self.feature_channels = in_ch
         self._dropblock_masks: list | None = None
         self.assign_names()
 
@@ -347,10 +346,6 @@ class Network(Module):
                 x = ops.relu(block.shortcut_forward(x, mode=mode))
         feats = self.gap.forward(x, mode=mode)
         return self.fc.forward(feats, mode=mode)
-
-    def layer_signature(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Structural fingerprint: (path, shape) of every parameter in order."""
-        return [(name, tuple(p.value.shape)) for name, p in self.named_parameters()]
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator,

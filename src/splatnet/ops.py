@@ -168,15 +168,15 @@ def _pool_window(x_shape, kernel, stride, padding):
     return kh, kw, sh, sw, ph, pw, _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
 
 
-def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, dtype):
-    """Per-window divisor for average pooling: window area or valid count.
+def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
+    """Per-window divisor for average pooling: the count of in-bounds positions.
 
-    A window's valid count is the product of its in-bounds extents along
-    each axis, so the counts are the outer product of two per-axis vectors.
+    A window's count is the product of its in-bounds extents along each
+    axis, so the counts are the outer product of two per-axis vectors.
     """
     ho = _out_extent(h, kh, sh, ph)
     wo = _out_extent(w, kw, sw, pw)
-    if count_includes_pad or (ph == 0 and pw == 0):
+    if ph == 0 and pw == 0:  # every window lies in bounds
         return np.full((ho, wo), float(kh * kw), dtype=dtype)
 
     def extents(size, k, s, p, out):
@@ -186,8 +186,8 @@ def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, dtype):
     return np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo)).astype(dtype)
 
 
-def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
-    """Mean over each window; zero padding, divisor excludes pad by default.
+def avg_pool2d(x, kernel, stride=None, padding=0):
+    """Mean over each window; zero padding, which the divisor does not count.
 
     The kh*kw strided slices of the padded input, one per window offset,
     are summed into one accumulator in window order, then divided.
@@ -200,16 +200,15 @@ def avg_pool2d(x, kernel, stride=None, padding=0, count_includes_pad=False):
     out = slices[0].copy()
     for s in slices[1:]:
         out += s
-    out /= _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, x.dtype)
+    out /= _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, x.dtype)
     return out
 
 
-def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0,
-                        count_includes_pad=False, dtype=np.float64):
+def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0):
     """Distributes each window's gradient uniformly over its contributors."""
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
     n, c, h, w = x_shape
-    div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, count_includes_pad, grad_out.dtype)
+    div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, grad_out.dtype)
     g = grad_out / div
     gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
     for i in range(kh):

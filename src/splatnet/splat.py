@@ -116,7 +116,7 @@ class SplatConfig:
 # ---------------------------------------------------------------------------
 
 
-def cardinal_fuse(u: np.ndarray, radix: int, cardinality: int) -> np.ndarray:
+def cardinal_fuse(u: np.ndarray, radix: int) -> np.ndarray:
     """Sum the radix splits of each cardinal group.
 
     ``u`` is radix-major [N, C*R, H, W]: channel r*C + k*c + j belongs to
@@ -136,15 +136,6 @@ def cardinal_fuse_backward(grad_out: np.ndarray, radix: int) -> np.ndarray:
         return grad_out
     n, c, h, w = grad_out.shape
     return np.broadcast_to(grad_out[:, None], (n, radix, c, h, w)).reshape(n, radix * c, h, w).copy()
-
-
-def channel_stats(fused: np.ndarray) -> np.ndarray:
-    """Per-channel spatial means, [N, C, H, W] -> [N, C].
-
-    With channels in cardinal-group order this equals pooling each cardinal
-    group separately and concatenating the results.
-    """
-    return ops.global_avg_pool(fused)
 
 
 def r_softmax(logits: np.ndarray, radix: int) -> np.ndarray:
@@ -208,12 +199,11 @@ def weighted_fuse_backward(grad_out: np.ndarray, u: np.ndarray, a: np.ndarray):
 class CardinalFuse(Module):
     """Sum of the radix splits: [N, C*R, H, W] -> [N, C, H, W]."""
 
-    def __init__(self, radix: int, cardinality: int):
+    def __init__(self, radix: int):
         self.radix = radix
-        self.cardinality = cardinality
 
     def forward(self, u):
-        return cardinal_fuse(u, self.radix, self.cardinality)
+        return cardinal_fuse(u, self.radix)
 
     def cost(self, x_shape, y_shape):
         return 0, prod(x_shape) - prod(y_shape)
@@ -229,19 +219,19 @@ class RSoftmax(Module):
         self.radix = radix
         self.cardinality = cardinality
         self.cardinal_width = cardinal_width
-        self._a = None
+        self.weights = None  # of the last forward
 
     def forward(self, logits):
         logits = logits.reshape(logits.shape[0], self.cardinality, self.radix,
                                 self.cardinal_width)
-        self._a = r_softmax(logits, self.radix)
-        return self._a
+        self.weights = r_softmax(logits, self.radix)
+        return self.weights
 
     def cost(self, x_shape, y_shape):
         return 0, 3 * prod(y_shape)
 
     def backward(self, grad_out):
-        g = r_softmax_backward(grad_out, self._a, self.radix)
+        g = r_softmax_backward(grad_out, self.weights, self.radix)
         return g.reshape(g.shape[0], -1)
 
 
@@ -299,11 +289,10 @@ class SplitAttentionUnit(Module):
         self.relu_att = ReLU()
         self.fc2 = Linear(c.attention_inner, c.channels * c.radix,
                           groups=c.cardinality, bias=True, rng=rng, dtype=dtype)
-        self.fuse = CardinalFuse(c.radix, c.cardinality)
+        self.fuse = CardinalFuse(c.radix)
         self.stats = GlobalAvgPool()
         self.assign = RSoftmax(c.radix, c.cardinality, c.cardinal_width)
         self.weighted_fuse = WeightedFuse()
-        self.last_attention: np.ndarray | None = None
 
     def transform(self, x, mode="train"):
         """Per-group transform stack only: x -> radix-major splits [N, C*R, ...]."""
@@ -322,7 +311,6 @@ class SplitAttentionUnit(Module):
         s = self.stats.forward(self.fuse.forward(u))
         h = self.relu_att.forward(self.bn_att.forward(self.fc1.forward(s), mode), mode)
         a = self.assign.forward(self.fc2.forward(h))
-        self.last_attention = a
         return self.weighted_fuse.forward(u, a)
 
     def backward(self, grad_out):
@@ -337,26 +325,6 @@ class SplitAttentionUnit(Module):
         if self.pool is not None and c.fast:
             gz = self.pool.backward(gz)
         return self.conv_in.backward(self.bn_in.backward(self.relu_in.backward(gz)))
-
-
-def splat_forward_radix_major(x, cfg: SplatConfig, params: dict[str, np.ndarray],
-                              mode="eval"):
-    """Functional radix-major forward from a plain parameter dict."""
-    unit = SplitAttentionUnit(cfg)
-    unit.load_state_dict(params)
-    return unit.forward(x, mode=mode)
-
-
-def split_transform(x, cfg: SplatConfig, params: dict[str, np.ndarray],
-                    mode="eval"):
-    """Just the per-group transform stack: [N, Cin, H, W] -> [N, C*R, H', W'].
-
-    Output channel block g*cardinal_width.. holds feature group g in
-    radix-major order (g = radix_index * cardinality + cardinal_index).
-    """
-    unit = SplitAttentionUnit(cfg)
-    unit.load_state_dict(params)
-    return unit.transform(x, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +412,14 @@ CARDINALITY_TO_RADIX = "cardinality_to_radix"
 
 
 def _group_perm(cardinality: int, radix: int, block: int, direction: str) -> np.ndarray:
-    """Index array reordering feature-group blocks between layouts."""
-    idx = np.empty(cardinality * radix * block, dtype=np.intp)
-    pos = 0
-    if direction == RADIX_TO_CARDINALITY:
-        # destination iterates cardinality-major, source block is radix-major
-        for k in range(cardinality):
-            for r in range(radix):
-                src = r * cardinality + k
-                idx[pos : pos + block] = np.arange(src * block, (src + 1) * block)
-                pos += block
-    elif direction == CARDINALITY_TO_RADIX:
-        for r in range(radix):
-            for k in range(cardinality):
-                src = k * radix + r
-                idx[pos : pos + block] = np.arange(src * block, (src + 1) * block)
-                pos += block
-    else:
+    """Index array reordering feature-group blocks between layouts: the source
+    blocks are the source layout's [R, K] or [K, R] grid read column-wise."""
+    grids = {RADIX_TO_CARDINALITY: (radix, cardinality),
+             CARDINALITY_TO_RADIX: (cardinality, radix)}
+    if direction not in grids:
         raise ConfigurationError(f"unknown permutation direction {direction!r}")
-    return idx
+    src = np.arange(radix * cardinality).reshape(grids[direction]).T.ravel()
+    return (src[:, None] * block + np.arange(block)).ravel()
 
 
 def permute_params(params: dict[str, np.ndarray], cfg: SplatConfig,

@@ -37,6 +37,8 @@ class ScheduleConfig:
     warmup_epochs: int = 5
 
     def __post_init__(self):
+        if self.warmup_epochs < 0:
+            raise ConfigurationError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.total_epochs <= self.warmup_epochs:
             raise ConfigurationError(
                 f"warmup ({self.warmup_epochs} epochs) must be shorter than the "
@@ -284,9 +286,6 @@ class EpochMetrics:
 class TrainResult:
     epochs: list[EpochMetrics] = field(default_factory=list)
     lr_trace: list[float] = field(default_factory=list)
-
-    def log_text(self) -> str:
-        return "".join(m.log_line() + "\n" for m in self.epochs)
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:

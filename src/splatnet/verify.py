@@ -60,14 +60,13 @@ def random_unit_params(cfg: SplatConfig, rng) -> dict[str, np.ndarray]:
     for name, arr in unit.named_state():
         if name.endswith("running_var"):
             params[name] = np.abs(rng.standard_normal(arr.shape)) + 0.5
-        elif name.endswith("weight"):
-            params[name] = rng.standard_normal(arr.shape) * 0.5
         else:
             params[name] = rng.standard_normal(arr.shape) * 0.5
     return params
 
 
-def _unit_forward(x, cfg, params, mode="eval"):
+def unit_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray], mode="eval"):
+    """Run ``x`` through a fresh unit loaded with ``params``; returns (y, unit)."""
     unit = SplitAttentionUnit(cfg)
     unit.load_state_dict(params)
     y = unit.forward(x, mode=mode)
@@ -89,7 +88,7 @@ def run_equivalence(seed: int = 0, in_channels: int = 6, spatial: int = 8,
                           radix=radix, cardinality=cardinality)
         params = random_unit_params(cfg, rng)
         x = rng.standard_normal((batch, in_channels, spatial, spatial))
-        y_radix, _ = _unit_forward(x, cfg, params)
+        y_radix, _ = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
         )
@@ -156,8 +155,8 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
                           cardinality=cardinality)
         params = random_unit_params(cfg, crng)
         x = crng.standard_normal((2, 5, 6, 6))
-        _, unit = _unit_forward(x, cfg, params)
-        a = unit.last_attention
+        _, unit = unit_forward(x, cfg, params)
+        a = unit.assign.weights
         if radix > 1:
             err = np.abs(a.sum(axis=2) - 1.0).max()
             results.append(
@@ -177,7 +176,7 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
                           cardinality=cardinality)
         params = random_unit_params(cfg, crng)
         x = crng.standard_normal((2, 4, 7, 7))
-        y_unit, _ = _unit_forward(x, cfg, params)
+        y_unit, _ = unit_forward(x, cfg, params)
         y_ref = se_reference_forward(x, cfg, params)
         results.append(
             _lt(f"squeeze-gate reduction K={cardinality} C={channels}",
@@ -188,8 +187,8 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
     cfg = SplatConfig(in_channels=4, channels=16, radix=2, cardinality=2)
     params = random_unit_params(cfg, rng)
     x = rng.standard_normal((3, 4, 6, 6))
-    _, unit = _unit_forward(x, cfg, params)
-    pair_err = np.abs(unit.last_attention.sum(axis=2) - 1.0).max()
+    _, unit = unit_forward(x, cfg, params)
+    pair_err = np.abs(unit.assign.weights.sum(axis=2) - 1.0).max()
     results.append(_lt("two-split pair weights sum to 1", pair_err, 1e-12))
 
     # scaling one split scales its contribution exactly

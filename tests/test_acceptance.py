@@ -21,7 +21,6 @@ from splatnet.params import make_rng, spawn_rng
 from splatnet.splat import (
     RADIX_TO_CARDINALITY,
     SplatConfig,
-    SplitAttentionUnit,
     permute_params,
     splat_forward_cardinality_major,
 )
@@ -37,7 +36,8 @@ from splatnet.training import (
     smooth_targets,
     train_toy,
 )
-from splatnet.verify import random_unit_params, se_reference_forward, splat_gradcheck
+from splatnet.verify import (random_unit_params, se_reference_forward, splat_gradcheck,
+                             unit_forward)
 from splatnet.gradcheck import grad_check
 
 GRID = [(r, k, c) for r in (1, 2, 4) for k in (1, 2, 4) for c in (8, 16, 32)]
@@ -60,14 +60,12 @@ def _grid_forwards(seed=0):
                           cardinality=cardinality)
         params = random_unit_params(cfg, rng)
         x = rng.standard_normal((2, 6, 8, 8))
-        unit = SplitAttentionUnit(cfg)
-        unit.load_state_dict(params)
-        y_radix = unit.forward(x, mode="eval")
+        y_radix, unit = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
         )
         out.append(((radix, cardinality, channels), y_radix, y_card,
-                    unit.last_attention))
+                    unit.assign.weights))
     return out
 
 
@@ -105,19 +103,15 @@ def test_criterion_3_se_sk_reduction():
                           cardinality=cardinality)
         params = random_unit_params(cfg, rng)
         x = rng.standard_normal((2, 4, 7, 7))
-        unit = SplitAttentionUnit(cfg)
-        unit.load_state_dict(params)
-        y_unit = unit.forward(x, mode="eval")
+        y_unit, _ = unit_forward(x, cfg, params)
         y_ref = se_reference_forward(x, cfg, params)
         worst = max(worst, float(np.abs(y_unit - y_ref).max()))
 
     rng = make_rng(33)
     cfg = SplatConfig(in_channels=5, channels=16, radix=2, cardinality=2)
     params = random_unit_params(cfg, rng)
-    unit = SplitAttentionUnit(cfg)
-    unit.load_state_dict(params)
-    unit.forward(rng.standard_normal((3, 5, 6, 6)), mode="eval")
-    pair = float(np.abs(unit.last_attention.sum(axis=2) - 1.0).max())
+    _, unit = unit_forward(rng.standard_normal((3, 5, 6, 6)), cfg, params)
+    pair = float(np.abs(unit.assign.weights.sum(axis=2) - 1.0).max())
     report(3, "squeeze-gate and two-branch reductions",
            worst < 1e-10 and pair < 1e-12,
            f"squeeze-gate diff {worst:.3e}, pair-sum err {pair:.3e}")

@@ -9,9 +9,7 @@ from splatnet.analysis import (
     REFERENCE_VARIANTS,
     bench_forward,
     block_cost_parity,
-    cost_report,
     count_flops,
-    count_params,
     reference_comparison,
 )
 from splatnet.network import BottleneckSpec, NetworkConfig, build_network
@@ -38,7 +36,7 @@ class TestCountParams:
         """Spreadsheet-style oracle: per-layer arithmetic for the radix-0
         micro network, summed by hand rules."""
         net = build({**MICRO, "radix": 0})
-        report = count_params(net)
+        report = count_flops(net)
 
         def conv(cout, cin, k):
             return cout * cin * k * k
@@ -58,13 +56,21 @@ class TestCountParams:
 
     def test_totals_equal_row_sum(self):
         net = build(MICRO)
-        report = count_params(net)
+        report = count_flops(net)
         assert report.total_params == sum(r.params for r in report.rows)
+
+    def test_parameter_the_forward_never_reaches_is_caught(self):
+        from splatnet.layers import Linear
+
+        net = build(MICRO)
+        net.unused = Linear(4, 4)  # holds parameters, never called
+        with pytest.raises(AssertionError, match="cost trace saw"):
+            count_flops(net, (32, 32))
 
     def test_invariant_to_input_size(self):
         net = build(MICRO)
-        p1 = cost_report(net, (64, 64)).total_params
-        p2 = cost_report(net, (224, 224)).total_params
+        p1 = count_flops(net, (64, 64)).total_params
+        p2 = count_flops(net, (224, 224)).total_params
         assert p1 == p2
 
     def test_cost_report_leaves_trained_network_untouched(self):
@@ -81,7 +87,7 @@ class TestCountParams:
         attrs = {path: dict(vars(m)) for path, m in net.named_modules()}
         state = {k: v.copy() for k, v in net.state_dict().items()}
 
-        cost_report(net, (64, 64))
+        count_flops(net, (64, 64))
 
         for path, m in net.named_modules():
             assert vars(m).keys() == attrs[path].keys(), path
@@ -99,13 +105,13 @@ class TestCountParams:
 
     def test_resnet50_baseline(self):
         net = build(dict(depth=50, radix=0, deep_stem=False, avg_down=False))
-        total = count_params(net).total_params
+        total = count_flops(net).total_params
         assert abs(total / 25.5e6 - 1.0) <= 0.01
         assert total == 25_557_032  # classic 50-layer bottleneck catalog
 
     def test_resnet_d_50(self):
         net = build(dict(depth=50, radix=0, deep_stem=True, avg_down=True))
-        total = count_params(net).total_params
+        total = count_flops(net).total_params
         assert abs(total / 25.6e6 - 1.0) <= 0.01
 
 

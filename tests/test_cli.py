@@ -126,6 +126,28 @@ def test_bench_rejects_zero_reps(capsys):
     assert "repetition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--radix", "0", "--cardinality", "0"],
+    ["analyze", "--stage-blocks", "0,0,0,0"],
+    ["bench", *MICRO_FLAGS, "--batch", "0", "--reps", "1"],
+    ["bench", *MICRO_FLAGS, "--batch", "-1", "--reps", "1"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--batch", "0"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "-1"],
+    ["analyze", "--config", "{tmp}"],
+    ["inspect-checkpoint", "{tmp}"],
+    ["analyze", "--config", "{tmp}/latin1.cfg"],
+], ids=["cardinality-0", "empty-stages", "bench-batch-0", "bench-batch-negative",
+        "train-batch-0", "negative-warmup", "config-is-directory",
+        "checkpoint-is-directory", "config-not-utf8"])
+def test_bad_input_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\ndepth = 50\n".encode("latin-1"))
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def _train_args(tmp_path, tag, extra=()):
     return [
         "train", *MICRO_FLAGS,

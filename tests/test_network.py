@@ -214,7 +214,7 @@ class TestNetwork:
                             num_classes=2, input_channels=1, stem_width=16,
                             dropout=0.0)
         net = build_network(cfg, make_rng(0))
-        got = net.layer_signature()
+        got = [(name, p.value.shape) for name, p in net.named_parameters()]
 
         want = []
         sw = 16

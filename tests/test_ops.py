@@ -94,7 +94,7 @@ def _pool_out_shape(x_shape, kernel, stride, padding):
     return n, c, ho, wo
 
 
-def avg_pool_oracle(x, kernel, stride, padding, count_includes_pad):
+def avg_pool_oracle(x, kernel, stride, padding):
     out = np.zeros(_pool_out_shape(x.shape, kernel, stride, padding), dtype=x.dtype)
     n, c, ho, wo = out.shape
     for b in range(n):
@@ -106,14 +106,12 @@ def avg_pool_oracle(x, kernel, stride, padding, count_includes_pad):
                                                      x.shape[2:]):
                         total += x[b, ch, y, z]
                         count += 1
-                    div = kernel[0] * kernel[1] if count_includes_pad else count
-                    out[b, ch, i, j] = total / div
+                    out[b, ch, i, j] = total / count
     return out
 
 
-def avg_pool_backward_oracle(grad_out, x_shape, kernel, stride, padding,
-                             count_includes_pad):
-    """Each window hands grad/divisor to every in-bounds position it covers."""
+def avg_pool_backward_oracle(grad_out, x_shape, kernel, stride, padding):
+    """Each window hands grad/count to every in-bounds position it covers."""
     gx = np.zeros(x_shape, dtype=grad_out.dtype)
     n, c, ho, wo = grad_out.shape
     for b in range(n):
@@ -122,9 +120,8 @@ def avg_pool_backward_oracle(grad_out, x_shape, kernel, stride, padding,
                 for j in range(wo):
                     pos = list(_window_positions(i, j, kernel, stride, padding,
                                                  x_shape[2:]))
-                    div = kernel[0] * kernel[1] if count_includes_pad else len(pos)
                     for _, y, z in pos:
-                        gx[b, ch, y, z] += grad_out[b, ch, i, j] / div
+                        gx[b, ch, y, z] += grad_out[b, ch, i, j] / len(pos)
     return gx
 
 
@@ -332,12 +329,11 @@ class TestPooling:
         y = ops.avg_pool2d(x, 2, stride=2)
         assert y.item() == 2.5
 
-    @pytest.mark.parametrize("count_includes_pad", [False, True])
-    def test_avg_against_oracle(self, count_includes_pad):
+    def test_avg_against_oracle(self):
         rng = make_rng(5)
         x = rng.standard_normal((2, 3, 7, 6))
-        got = ops.avg_pool2d(x, (3, 2), (2, 1), (1, 1), count_includes_pad)
-        want = avg_pool_oracle(x, (3, 2), (2, 1), (1, 1), count_includes_pad)
+        got = ops.avg_pool2d(x, (3, 2), (2, 1), (1, 1))
+        want = avg_pool_oracle(x, (3, 2), (2, 1), (1, 1))
         npt.assert_allclose(got, want, atol=1e-12)
 
     def test_mean_of_means_tiling(self):
@@ -358,8 +354,8 @@ class TestPooling:
         proj = rng.standard_normal((1, 2, 3, 3))
 
         def loss():
-            y = ops.avg_pool2d(x, 3, 2, 1, False)
-            gx = ops.avg_pool2d_backward(proj, x.shape, 3, 2, 1, False)
+            y = ops.avg_pool2d(x, 3, 2, 1)
+            gx = ops.avg_pool2d_backward(proj, x.shape, 3, 2, 1)
             return float((y * proj).sum()), {"x": gx}
 
         assert grad_check(loss, {"x": x}, tolerance=1e-8).passed
@@ -413,18 +409,18 @@ def pool_cases(draw):
     w = draw(st.integers(max(1, kw - 2 * pw), kw - 2 * pw + 4))
     return dict(n=draw(st.integers(1, 2)), c=draw(st.integers(1, 3)), kernel=(kh, kw),
                 stride=(draw(st.integers(1, 2)), draw(st.integers(1, 2))),
-                padding=(ph, pw), hw=(h, w), count_includes_pad=draw(st.booleans()),
+                padding=(ph, pw), hw=(h, w),
                 relu=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
 
 
 # one input position under a 3x3 window: eight of its nine entries are padding
 _MOSTLY_PADDING = dict(n=2, c=2, kernel=(3, 3), stride=(2, 2), padding=(1, 1),
-                       hw=(1, 1), count_includes_pad=False, relu=False, seed=0)
+                       hw=(1, 1), relu=False, seed=0)
 # the stem's 3x3/2 pad-1 max-pool on ReLU output, non-square map
 _STEM_TIES = dict(n=2, c=3, kernel=(3, 3), stride=(2, 2), padding=(1, 1),
-                  hw=(7, 6), count_includes_pad=True, relu=True, seed=1)
+                  hw=(7, 6), relu=True, seed=1)
 _NON_SQUARE = dict(n=1, c=2, kernel=(2, 3), stride=(1, 2), padding=(1, 1),
-                   hw=(3, 4), count_includes_pad=False, relu=True, seed=2)
+                   hw=(3, 4), relu=True, seed=2)
 
 
 class TestPoolingReference:
@@ -433,7 +429,7 @@ class TestPoolingReference:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(pool_cases())
     @example(_MOSTLY_PADDING)
-    @example(dict(_MOSTLY_PADDING, count_includes_pad=True, relu=True))
+    @example(dict(_MOSTLY_PADDING, relu=True))
     @example(_STEM_TIES)
     @example(_NON_SQUARE)
     def test_forward_and_backward(self, case):
@@ -442,14 +438,13 @@ class TestPoolingReference:
         if case["relu"]:
             x = np.maximum(x, 0.0)
         kernel, stride, padding = case["kernel"], case["stride"], case["padding"]
-        cip = case["count_includes_pad"]
 
-        y = ops.avg_pool2d(x, kernel, stride, padding, cip)
-        npt.assert_allclose(y, avg_pool_oracle(x, kernel, stride, padding, cip),
+        y = ops.avg_pool2d(x, kernel, stride, padding)
+        npt.assert_allclose(y, avg_pool_oracle(x, kernel, stride, padding),
                             rtol=0, atol=1e-14)
         grad_out = rng.standard_normal(y.shape)
-        gx = ops.avg_pool2d_backward(grad_out, x.shape, kernel, stride, padding, cip)
-        want = avg_pool_backward_oracle(grad_out, x.shape, kernel, stride, padding, cip)
+        gx = ops.avg_pool2d_backward(grad_out, x.shape, kernel, stride, padding)
+        want = avg_pool_backward_oracle(grad_out, x.shape, kernel, stride, padding)
         npt.assert_allclose(gx, want, rtol=0, atol=1e-14)
 
         y, idx = ops.max_pool2d(x, kernel, stride, padding)

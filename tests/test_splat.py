@@ -13,16 +13,13 @@ from splatnet.splat import (
     SplatConfig,
     SplitAttentionUnit,
     cardinal_fuse,
-    channel_stats,
     default_attention_inner,
     permute_params,
     r_softmax,
     splat_forward_cardinality_major,
-    splat_forward_radix_major,
-    split_transform,
     weighted_fuse,
 )
-from splatnet.verify import random_unit_params
+from splatnet.verify import random_unit_params, unit_forward
 
 
 def unit_with_random_state(cfg, seed):
@@ -55,19 +52,19 @@ class TestSplatConfig:
 class TestCardinalFuse:
     def test_radix_one_identity(self):
         u = make_rng(0).standard_normal((2, 6, 4, 4))
-        npt.assert_array_equal(cardinal_fuse(u, 1, 3), u)
+        npt.assert_array_equal(cardinal_fuse(u, 1), u)
 
     def test_cancellation(self):
         u = make_rng(1).standard_normal((2, 5, 3, 3))
         stacked = np.concatenate([u, -u], axis=1)
-        npt.assert_allclose(cardinal_fuse(stacked, 2, 1), 0.0, atol=1e-15)
+        npt.assert_allclose(cardinal_fuse(stacked, 2), 0.0, atol=1e-15)
 
     def test_index_arithmetic_oracle(self):
         rng = make_rng(2)
         radix, k, cw = 3, 2, 4
         c = k * cw
         u = rng.standard_normal((2, radix * c, 5, 5))
-        got = cardinal_fuse(u, radix, k)
+        got = cardinal_fuse(u, radix)
         want = np.zeros((2, c, 5, 5))
         for kk in range(k):
             for j in range(cw):
@@ -78,16 +75,16 @@ class TestCardinalFuse:
 
 class TestChannelStats:
     def test_constant(self):
-        npt.assert_allclose(channel_stats(np.full((2, 3, 4, 4), 1.25)), 1.25)
+        npt.assert_allclose(ops.global_avg_pool(np.full((2, 3, 4, 4), 1.25)), 1.25)
 
     def test_unit_spatial_identity(self):
         x = make_rng(3).standard_normal((2, 5, 1, 1))
-        npt.assert_array_equal(channel_stats(x), x[:, :, 0, 0])
+        npt.assert_array_equal(ops.global_avg_pool(x), x[:, :, 0, 0])
 
     def test_flat_mean_oracle(self):
         x = make_rng(4).standard_normal((3, 4, 6, 7))
         want = x.reshape(3, 4, -1).sum(axis=2) / 42.0
-        npt.assert_allclose(channel_stats(x), want, atol=1e-12)
+        npt.assert_allclose(ops.global_avg_pool(x), want, atol=1e-12)
 
 
 class TestRSoftmax:
@@ -155,7 +152,8 @@ class TestSplitTransform:
                           cardinality=cardinality)
         params, rng = unit_with_random_state(cfg, 31)
         x = rng.standard_normal((2, 5, 6, 6))
-        u = split_transform(x, cfg, params, mode="eval")
+        _, unit = unit_forward(x, cfg, params)
+        u = unit.transform(x, "eval")
 
         sw, cw = cfg.split_width, cfg.cardinal_width
         eps = 1e-5
@@ -179,7 +177,8 @@ class TestSplitTransform:
         cfg = SplatConfig(in_channels=3, channels=8, radix=1, cardinality=1)
         params, rng = unit_with_random_state(cfg, 32)
         x = rng.standard_normal((1, 3, 5, 5))
-        u = split_transform(x, cfg, params, mode="eval")
+        _, unit = unit_forward(x, cfg, params)
+        u = unit.transform(x, "eval")
         assert SplitAttentionUnit(cfg).conv_split.groups == 1
         assert u.shape == (1, 8, 5, 5)
 
@@ -193,7 +192,8 @@ class TestSplitTransform:
         params["bn_split.running_var"][:] = 1.0
         params["conv_split.weight"][8:] = 0.0  # second split (radix-major rows)
         x = rng.standard_normal((1, 3, 5, 5))
-        u = split_transform(x, cfg, params, mode="eval")
+        _, unit = unit_forward(x, cfg, params)
+        u = unit.transform(x, "eval")
         assert np.abs(u[:, 8:]).max() == 0.0
         assert np.abs(u[:, :8]).max() > 0.0
 
@@ -208,7 +208,7 @@ class TestLayoutEquivalence:
                           cardinality=cardinality)
         params, rng = unit_with_random_state(cfg, 40)
         x = rng.standard_normal((2, 6, 8, 8))
-        y_radix = splat_forward_radix_major(x, cfg, params, mode="eval")
+        y_radix, _ = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
         )
@@ -220,7 +220,7 @@ class TestLayoutEquivalence:
                           stride=2, fast=fast)
         params, rng = unit_with_random_state(cfg, 41)
         x = rng.standard_normal((2, 4, 8, 8))
-        y_radix = splat_forward_radix_major(x, cfg, params, mode="eval")
+        y_radix, _ = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
         )
@@ -255,6 +255,23 @@ class TestPermuteParams:
         npt.assert_array_equal(
             np.sort(moved["bn_in.gamma"]), np.sort(params["bn_in.gamma"])
         )
+
+    def test_index_arrays_against_nested_loops(self):
+        """Destination block (outer, inner) of the target layout reads the
+        source block holding the same (cardinal group, split)."""
+        from splatnet.splat import _group_perm
+
+        for k_ in (1, 2, 3, 4):
+            for r_ in (1, 2, 4):
+                for block in (1, 2, 5, 8):
+                    to_card = [(r * k_ + k) * block + e
+                               for k in range(k_) for r in range(r_) for e in range(block)]
+                    to_radix = [(k * r_ + r) * block + e
+                                for r in range(r_) for k in range(k_) for e in range(block)]
+                    npt.assert_array_equal(
+                        _group_perm(k_, r_, block, RADIX_TO_CARDINALITY), to_card)
+                    npt.assert_array_equal(
+                        _group_perm(k_, r_, block, CARDINALITY_TO_RADIX), to_radix)
 
     def test_unknown_direction(self):
         cfg = SplatConfig(in_channels=5, channels=16, radix=2, cardinality=4)
@@ -299,9 +316,7 @@ class TestUnitForward:
         cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=2)
         params, rng = unit_with_random_state(cfg, 52)
         x = rng.standard_normal((2, 3, 5, 5))
-        unit = SplitAttentionUnit(cfg)
-        unit.load_state_dict(params)
-        unit.forward(x, mode="eval")
-        a_eval = unit.last_attention
+        _, unit = unit_forward(x, cfg, params)
+        a_eval = unit.assign.weights
         assert a_eval.shape == (2, 2, 2, 4)
         assert np.isfinite(a_eval).all()

@@ -301,7 +301,7 @@ class TestTrainToy:
     def test_bit_reproducible(self):
         _, r1 = tiny_run(seed=3)
         _, r2 = tiny_run(seed=3)
-        assert r1.log_text() == r2.log_text()
+        assert [m.log_line() for m in r1.epochs] == [m.log_line() for m in r2.epochs]
         assert r1.lr_trace == r2.lr_trace
 
     def test_resume_matches_uninterrupted(self, tmp_path):
