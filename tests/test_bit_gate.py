@@ -4,7 +4,9 @@ A freshly built network computes only its shortcut chain (every
 ``bn3.gamma`` starts at zero), so the ``splatnet bench`` logits hash cannot
 see the split-attention branch. Here every batch-norm gamma, beta and
 running statistic is first drawn from a seeded stream, with no training, and
-the sha256 of four results is pinned for two small networks:
+the sha256 of four results is pinned for four small networks (the toy
+network, a 2s2x40d variant, a plain bottleneck with the classic stem, and a
+sigmoid-gated unit with the pool before its 3x3):
 
 * the eval-mode logits in float64 and in float32;
 * the input gradient of an eval-mode backward;
@@ -37,7 +39,14 @@ from splatnet.params import spawn_rng
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 # 64 pixels leave a 4x4 map in stage 3, so DropBlock drops whole 3x3 blocks
 BATCH, SIZE = 8, 64
-VARIANTS = {"toy": {}, "2s2x40d": dict(cardinality=2, base_width=40)}
+VARIANTS = {
+    "toy": {},
+    "2s2x40d": dict(cardinality=2, base_width=40),
+    # plain bottleneck, classic stem, strided 1x1 projection
+    "0s1x64d-classic": dict(radix=0, deep_stem=False, avg_down=False),
+    # sigmoid gate, pool before the 3x3
+    "1s2x32d-fast": dict(radix=1, cardinality=2, base_width=32, fast=True),
+}
 
 
 def _network(variant, dtype=np.float64):
@@ -159,6 +168,65 @@ PINS = {
             0.002491621657898609, -0.00758856156999171, -0.00025795066328301023,
             -0.002866375873846172, -0.0048754106983006145, -0.00260544219751377,
             0.0034848443692232956,
+        ],
+    ),
+    "0s1x64d-classic": dict(
+        logits_f64="38df644cf14940dddc19d15a4ffdd4b3df4ed6326b0a61f61c2219b26c417c0d",
+        logits_f64_ref=[
+            5.724191420012339, 3.630159399990702, 5.644065911735181, 4.026955238684506,
+            5.7727896201759386, 3.954068813257302, 6.1548491898086946,
+            4.556674988708921, 5.512839426122937, 4.064699727713645, 6.46454620507278,
+            4.609321323198878, 5.916186583522064, 3.5163930164891437,
+            4.9521182988953925, 3.7685651325474527,
+        ],
+        logits_f32="f3e29951067a75924b211c0185201b0fd6aabfc7a3a30fd8e76cf96aa878618c",
+        input_grad="187c69266f8519fcde35b1a1812680c975c66a4cd10cbb76be52fc1077c24fd8",
+        input_grad_ref=[
+            -0.0014470603848567272, -0.010825166527126898, 0.04421671243745839,
+            -0.01749158613562245, -0.03530255896460839, 0.023850487089141285,
+            -0.011174705448780634, -0.02499795593502461, 0.008318834143888367,
+            -0.0017079142178607022, -0.016653204559241987, -0.018431907555946196,
+            -0.032035731718024846, -0.013024228349387965, 0.011334142350561526,
+            -0.03265717556223811,
+        ],
+        param_grads="57880a7582c46ff5b54c090ceeaacb990c61447af7e439294ede1fb3b86fb1d2",
+        param_grads_ref=[
+            -0.19601290044353292, -0.08012836363916712, -0.01080209543261714,
+            -0.012598263600700838, 0.0038553831943480867, -0.015796412051539425,
+            0.07544206372232874, -0.015355217825388793, -0.0016644933078577722,
+            -0.0025098372812230457, 0.00615523596451087, 0.0023046751135006797,
+            0.01766514207446668, -0.0020069976887597124, 0.003059726592223468,
+            0.005532968269545641,
+        ],
+    ),
+    "1s2x32d-fast": dict(
+        logits_f64="7b3ceb131855aeb56df076bd61889d9e17768281539ae36ce176ee9e42abc335",
+        logits_f64_ref=[
+            -2.0943809906556634, -0.22344755804166316, -2.019499548013997,
+            -0.17061506321007586, -2.007728388347324, -0.13938749912455983,
+            -1.8122537940011827, 0.014121912092524058, -2.017557484161238,
+            -0.05013450293777924, -1.978277888872192, -0.025940704103542656,
+            -1.86078570877032, -0.045163634146843185, -1.861614965211202,
+            -0.07145049277166599,
+        ],
+        logits_f32="80670f65da319019be1890acc2155d72badeea3dd1c19e5a68bea87d2fa5cd5b",
+        input_grad="48f300386038db3877c310d72777a3a19826f7990555628df7ccdb80d49dfa67",
+        input_grad_ref=[
+            0.0003903630040409708, 0.0009612483789470773, 0.000299303860223478,
+            0.00023812170386795694, -0.0006688889533628524, -0.0005462101353651373,
+            4.5152170637044734e-05, -0.001888165429810932, -9.909646940240647e-05,
+            -0.0012862252573207248, 0.0003302680465044357, -0.0014279784510716417,
+            0.00701316000386461, -0.00028608806497512754, -0.0009044644374484154,
+            0.0011390150462630311,
+        ],
+        param_grads="39a80e79548dbfbc1688ff099709833e71f4fd4c5f01da051e146ce274e1a506",
+        param_grads_ref=[
+            1.7069877398769557, 0.005927755697858646, -0.06608245702037988,
+            -0.0379371376983331, -0.0006901743624889357, 0.11646406710112157,
+            -0.01342091470528255, -0.002835038849425011, 0.007441774547968963,
+            -0.002664756329284262, -0.004478550619378614, 0.0022285715075881737,
+            0.0012663789703187365, -0.04003299759481383, -0.00015549952702170007,
+            -5.9460595493764817e-05,
         ],
     ),
 }

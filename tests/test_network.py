@@ -240,16 +240,27 @@ class TestNetwork:
         want += [("fc.weight", (2, 512)), ("fc.bias", (2,))]
         assert got == want
 
-    def test_micro_gradcheck(self):
-        net = micro_net()
+    @pytest.mark.parametrize("overrides, names", [
+        ({}, ("stem.conv1.weight", "stage3.block0.splat.fc2.bias",
+              "stage4.block0.conv3.weight", "fc.weight")),
+        # plain bottleneck, classic stem, strided 1x1 projection
+        (dict(radix=0, deep_stem=False, avg_down=False),
+         ("stem.conv1.weight", "stage3.block0.conv2.weight",
+          "stage3.block0.down_conv.weight", "fc.weight")),
+        # sigmoid gate, pool before the 3x3
+        (dict(radix=1, cardinality=2, base_width=32, fast=True),
+         ("stem.conv1.weight", "stage3.block0.splat.conv_split.weight",
+          "stage3.block0.down_conv.weight", "fc.weight")),
+    ], ids=["2s1x64d", "0s1x64d-classic", "1s2x32d-fast"])
+    def test_micro_gradcheck(self, overrides, names):
+        net = micro_net(**overrides)
         rng = make_rng(6)
         x = rng.standard_normal((2, 1, 32, 32))
         proj = rng.standard_normal((2, 2))
         picked = {
-            name: p.value for name, p in net.named_parameters()
-            if name in ("stem.conv1.weight", "stage3.block0.splat.fc2.bias",
-                        "stage4.block0.conv3.weight", "fc.weight")
+            name: p.value for name, p in net.named_parameters() if name in names
         }
+        assert len(picked) == len(names)
 
         def loss():
             logits = net.forward(x, mode="train")
