@@ -1,9 +1,15 @@
-"""Stateful layer wrappers around the functional kernels.
+"""Stateful layer wrappers around the functional kernels, and the chain runner.
 
 Each layer caches whatever its backward pass needs during forward; a layer is
 therefore a one-slot tape: call ``forward`` then ``backward`` once, in that
 order. Each backward writes (replaces) its parameters' ``Parameter.grad``;
 an eval-mode batch-norm backward writes no gamma/beta gradient.
+
+A composite module names each of its chains once, as a list of layers in
+forward order (``None`` for a layer the configuration leaves out):
+:func:`run_forward` runs the list, :func:`run_backward` runs it in reverse.
+Only the joins of two paths (the residual sum, the attention-weighted
+fusion) route gradients by hand.
 
 Every layer also prices one image: ``cost(x_shape, y_shape)`` returns
 ``(macs, aux_ops)`` from the per-image shapes of its first input and its
@@ -18,6 +24,20 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module, Parameter, kaiming_normal
+
+
+def run_forward(layers, x, mode="train", rng=None):
+    for layer in layers:
+        if layer is not None:
+            x = layer.forward(x, mode, rng)
+    return x
+
+
+def run_backward(layers, grad):
+    for layer in reversed(layers):
+        if layer is not None:
+            grad = layer.backward(grad)
+    return grad
 
 
 class Conv2d(Module):
@@ -259,6 +279,33 @@ class Dropout(Module):
     def forward(self, x, mode="train", rng=None):
         y, self._mask = ops.dropout(x, self.p, rng, mode)
         return y
+
+    def cost(self, x_shape, y_shape):
+        return 0, 0  # the identity at inference
+
+    def backward(self, grad_out):
+        return ops.dropout_backward(grad_out, self._mask)
+
+
+class DropBlock(Module):
+    """DropBlock on [N, C, H, W] maps: a train forward zeroes contiguous
+    squares at rate ``p``; eval is the identity."""
+
+    def __init__(self, p, block_size):
+        self.p = p
+        self.block_size = block_size
+        self._mask = None
+
+    def forward(self, x, mode="train", rng=None):
+        self._mask = None
+        if mode != "train":
+            return x
+        # the block is clamped (and kept odd) when the map is smaller
+        size = min(self.block_size, x.shape[2], x.shape[3])
+        if size % 2 == 0:
+            size -= 1
+        self._mask = ops.dropblock_mask(x.shape, size, self.p, rng, dtype=x.dtype)
+        return x * self._mask
 
     def cost(self, x_shape, y_shape):
         return 0, 0  # the identity at inference

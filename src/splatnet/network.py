@@ -10,6 +10,12 @@ baseline the cost model calibrates against.
 
 The final normalization scale of every residual branch is initialized to
 zero, so a freshly built network computes only its shortcut chain.
+
+Each module names its chains once, in forward order: the stem's conv-BN-ReLU
+triples and max pool, a stage's blocks, a block's branch and shortcut, and
+the network's stem, stages, DropBlock layers and head. ``run_forward`` and
+``run_backward`` (:mod:`splatnet.layers`) run both passes from those lists;
+only the residual sum routes gradients by hand.
 """
 
 from __future__ import annotations
@@ -20,10 +26,9 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import (AddReLU, AvgPool2d, BatchNorm, Conv2d, Dropout, GlobalAvgPool, Linear,
-                     MaxPool2d, ReLU)
+from .layers import (AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout, GlobalAvgPool,
+                     Linear, MaxPool2d, ReLU, run_backward, run_forward)
 from .splat import SplatConfig, SplitAttentionUnit
-from .training import dropblock_mask
 
 STAGE_LAYOUTS: dict[int, tuple[int, int, int, int]] = {
     50: (3, 4, 6, 3),
@@ -161,39 +166,23 @@ class Bottleneck(Module):
             self.down_bn = None
         self.add_relu = AddReLU()
 
-    def branch_forward(self, x, mode="train", rng=None):
+    def branch(self):
         if self.spec.radix >= 1:
-            v = self.splat.forward(x, mode=mode, rng=rng)
-        else:
-            v = self.relu1.forward(self.bn1.forward(self.conv1.forward(x, mode), mode), mode)
-            v = self.relu2.forward(self.bn2.forward(self.conv2.forward(v, mode), mode), mode)
-        return self.bn3.forward(self.conv3.forward(v, mode), mode)
+            return [self.splat, self.conv3, self.bn3]
+        return [self.conv1, self.bn1, self.relu1, self.conv2, self.bn2, self.relu2,
+                self.conv3, self.bn3]
 
-    def shortcut_forward(self, x, mode="train"):
-        if self.down_conv is None:
-            return x
-        s = x if self.down_pool is None else self.down_pool.forward(x)
-        return self.down_bn.forward(self.down_conv.forward(s, mode), mode)
+    def shortcut(self):
+        """All ``None`` (the identity) when the block keeps its shape."""
+        return [self.down_pool, self.down_conv, self.down_bn]
 
     def forward(self, x, mode="train", rng=None):
-        v = self.branch_forward(x, mode=mode, rng=rng)
-        return self.add_relu.forward(v, self.shortcut_forward(x, mode=mode))
+        v = run_forward(self.branch(), x, mode, rng)
+        return self.add_relu.forward(v, run_forward(self.shortcut(), x, mode, rng))
 
     def backward(self, grad_out):
         g = self.add_relu.backward(grad_out)
-        gb = self.bn3.backward(g)
-        gb = self.conv3.backward(gb)
-        if self.spec.radix >= 1:
-            gx = self.splat.backward(gb)
-        else:
-            gb = self.conv2.backward(self.bn2.backward(self.relu2.backward(gb)))
-            gx = self.conv1.backward(self.bn1.backward(self.relu1.backward(gb)))
-        if self.down_conv is None:
-            return gx + g
-        gs = self.down_conv.backward(self.down_bn.backward(g))
-        if self.down_pool is not None:
-            gs = self.down_pool.backward(gs)
-        return gx + gs
+        return run_backward(self.branch(), g) + run_backward(self.shortcut(), g)
 
 
 class Stage(Module):
@@ -201,53 +190,37 @@ class Stage(Module):
         self.block = blocks
 
     def forward(self, x, mode="train", rng=None):
-        for b in self.block:
-            x = b.forward(x, mode=mode, rng=rng)
-        return x
+        return run_forward(self.block, x, mode, rng)
 
     def backward(self, grad_out):
-        for b in reversed(self.block):
-            grad_out = b.backward(grad_out)
-        return grad_out
+        return run_backward(self.block, grad_out)
 
 
 class Stem(Module):
+    """Conv-BN-ReLU triples ``conv<i>, bn<i>, relu<i>`` then a max pool."""
+
     def __init__(self, cfg: NetworkConfig, rng=None, dtype=np.float64):
-        sw = cfg.stem_width
-        if cfg.deep_stem:
-            self.conv1 = Conv2d(cfg.input_channels, sw, 3, stride=2, padding=1,
-                                rng=rng, dtype=dtype)
-            self.bn1 = BatchNorm(sw, dtype=dtype)
-            self.relu1 = ReLU()
-            self.conv2 = Conv2d(sw, sw, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-            self.bn2 = BatchNorm(sw, dtype=dtype)
-            self.relu2 = ReLU()
-            self.conv3 = Conv2d(sw, 2 * sw, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-            self.bn3 = BatchNorm(2 * sw, dtype=dtype)
-            self.relu3 = ReLU()
-            self.out_channels = 2 * sw
-        else:
-            self.conv1 = Conv2d(cfg.input_channels, 64, 7, stride=2, padding=3,
-                                rng=rng, dtype=dtype)
-            self.bn1 = BatchNorm(64, dtype=dtype)
-            self.relu1 = ReLU()
-            self.out_channels = 64
-        self.deep = cfg.deep_stem
+        ic, sw = cfg.input_channels, cfg.stem_width
+        # (in, out, kernel, stride, padding) of each triple's convolution
+        convs = ([(ic, sw, 3, 2, 1), (sw, sw, 3, 1, 1), (sw, 2 * sw, 3, 1, 1)]
+                 if cfg.deep_stem else [(ic, 64, 7, 2, 3)])
+        for i, (cin, cout, k, s, p) in enumerate(convs, start=1):
+            setattr(self, f"conv{i}", Conv2d(cin, cout, k, stride=s, padding=p,
+                                             rng=rng, dtype=dtype))
+            setattr(self, f"bn{i}", BatchNorm(cout, dtype=dtype))
+            setattr(self, f"relu{i}", ReLU())
+        self.out_channels = cout
         self.maxpool = MaxPool2d(3, stride=2, padding=1)
 
+    def layers(self):
+        """The children in the order they were built, which is forward order."""
+        return [child for _, child in self._children()]
+
     def forward(self, x, mode="train", rng=None):
-        x = self.relu1.forward(self.bn1.forward(self.conv1.forward(x, mode), mode), mode)
-        if self.deep:
-            x = self.relu2.forward(self.bn2.forward(self.conv2.forward(x, mode), mode), mode)
-            x = self.relu3.forward(self.bn3.forward(self.conv3.forward(x, mode), mode), mode)
-        return self.maxpool.forward(x)
+        return run_forward(self.layers(), x, mode, rng)
 
     def backward(self, grad_out):
-        g = self.maxpool.backward(grad_out)
-        if self.deep:
-            g = self.conv3.backward(self.bn3.backward(self.relu3.backward(g)))
-            g = self.conv2.backward(self.bn2.backward(self.relu2.backward(g)))
-        return self.conv1.backward(self.bn1.backward(self.relu1.backward(g)))
+        return run_backward(self.layers(), grad_out)
 
 
 class Network(Module):
@@ -277,16 +250,24 @@ class Network(Module):
                 in_ch = spec.out_channels
             stages.append(Stage(blocks))
         self.stage1, self.stage2, self.stage3, self.stage4 = stages
+        # structured dropout after the last two stages only
+        self.dropblock3, self.dropblock4 = (
+            [DropBlock(cfg.dropblock_prob, cfg.dropblock_size) for _ in range(2)]
+            if cfg.dropblock_prob > 0 else [None, None]
+        )
         self.gap = GlobalAvgPool()
         self.head_dropout = Dropout(cfg.dropout) if cfg.dropout > 0 else None
         self.fc = Linear(in_ch, cfg.num_classes, bias=True, dtype=dtype)
         if rng is not None:
             self.fc.weight.value[...] = rng.standard_normal(self.fc.weight.shape) * 0.01
-        self._dropblock_masks: list | None = None
         self.assign_names()
 
     def stages(self) -> list[Stage]:
         return [self.stage1, self.stage2, self.stage3, self.stage4]
+
+    def layers(self):
+        return [self.stem, self.stage1, self.stage2, self.stage3, self.dropblock3,
+                self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]
 
     def forward(self, x, mode="train", rng=None):
         n, c, h, w = x.shape
@@ -299,40 +280,10 @@ class Network(Module):
                 f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
                 f"required by the stride chain"
             )
-        x = self.stem.forward(x, mode=mode, rng=rng)
-        self._dropblock_masks = []
-        for i, stage in enumerate(self.stages()):
-            x = stage.forward(x, mode=mode, rng=rng)
-            # structured dropout on the last two stages only; block size is
-            # clamped (and kept odd) when the map is smaller than configured
-            if i >= 2 and self.cfg.dropblock_prob > 0 and mode == "train":
-                eff = min(self.cfg.dropblock_size, x.shape[2], x.shape[3])
-                if eff % 2 == 0:
-                    eff -= 1
-                mask = dropblock_mask(
-                    x.shape, eff, self.cfg.dropblock_prob, rng, mode=mode,
-                    dtype=x.dtype,
-                )
-                x = x * mask
-                self._dropblock_masks.append(mask)
-            else:
-                self._dropblock_masks.append(None)
-        feats = self.gap.forward(x, mode=mode)
-        if self.head_dropout is not None:
-            feats = self.head_dropout.forward(feats, mode=mode, rng=rng)
-        return self.fc.forward(feats, mode=mode)
+        return run_forward(self.layers(), x, mode, rng)
 
     def backward(self, grad_logits):
-        g = self.fc.backward(grad_logits)
-        if self.head_dropout is not None:
-            g = self.head_dropout.backward(g)
-        g = self.gap.backward(g)
-        for i in (3, 2, 1, 0):
-            mask = self._dropblock_masks[i] if self._dropblock_masks else None
-            if mask is not None:
-                g = g * mask
-            g = self.stages()[i].backward(g)
-        return self.stem.backward(g)
+        return run_backward(self.layers(), grad_logits)
 
     def shortcut_only_forward(self, x, mode="eval"):
         """Forward with every residual branch bypassed (shortcut chain only).
@@ -343,7 +294,7 @@ class Network(Module):
         x = self.stem.forward(x, mode=mode)
         for stage in self.stages():
             for block in stage.block:
-                x = ops.relu(block.shortcut_forward(x, mode=mode))
+                x = ops.relu(run_forward(block.shortcut(), x, mode))
         feats = self.gap.forward(x, mode=mode)
         return self.fc.forward(feats, mode=mode)
 

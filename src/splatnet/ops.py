@@ -2,8 +2,9 @@
 
 All kernels are pure functions of ndarray inputs (NCHW layout for rank-4
 activations) and are deterministic given their arguments. Each forward has a
-matching ``*_backward`` that returns exact analytic gradients; there is no
-graph engine here, callers compose backwards by hand in reverse order.
+matching ``*_backward`` that returns exact analytic gradients. There is no
+graph engine: :mod:`splatnet.layers` wraps each kernel in a layer, and a
+composite module runs its backward over the same layer list as its forward.
 
 Conventions:
     * convolution is cross-correlation (no kernel flip), zero padding only;
@@ -435,7 +436,7 @@ def softmax_backward(grad_out, y, axis=-1):
 
 
 # ---------------------------------------------------------------------------
-# Dropout
+# Dropout and DropBlock
 # ---------------------------------------------------------------------------
 
 
@@ -458,3 +459,38 @@ def dropout(x, p, rng=None, mode="train"):
 
 def dropout_backward(grad_out, mask):
     return grad_out if mask is None else grad_out * mask
+
+
+def dropblock_mask(shape, block_size: int, drop_prob: float,
+                   rng: np.random.Generator | None = None, mode: str = "train",
+                   dtype=np.float64):
+    """Multiplicative mask zeroing contiguous block_size^2 squares.
+
+    Seed positions are Bernoulli draws over the valid top-left region at rate
+    gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
+    expected zeroed fraction is about drop_prob. Survivors are rescaled per
+    feature map by total/kept. Eval mode (or drop_prob 0) is all-ones. The
+    mask takes the activations' ``dtype`` so it keeps their precision.
+    """
+    n, c, h, w = shape
+    if block_size % 2 == 0 or block_size < 1:
+        raise ConfigurationError(f"block_size must be odd and positive, got {block_size}")
+    if block_size > min(h, w):
+        raise ConfigurationError(
+            f"block_size {block_size} exceeds feature map {h}x{w}"
+        )
+    if mode == "eval" or drop_prob == 0.0:
+        return np.ones(shape, dtype)
+    if rng is None:
+        raise ConfigurationError("dropblock in train mode requires an rng")
+    hv, wv = h - block_size + 1, w - block_size + 1
+    gamma = drop_prob * (h * w) / (block_size * block_size * hv * wv)
+    seeds = rng.random((n, c, hv, wv)) < gamma
+    covered = np.zeros((n, c, h, w), dtype=bool)
+    for i in range(block_size):
+        for j in range(block_size):
+            covered[:, :, i : i + hv, j : j + wv] |= seeds
+    mask = (~covered).astype(dtype)
+    kept = mask.sum(axis=(2, 3), keepdims=True)
+    scale = (h * w) / np.maximum(kept, 1.0)
+    return mask * scale

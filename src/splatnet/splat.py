@@ -40,7 +40,8 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU
+from .layers import (AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU, run_backward,
+                     run_forward)
 
 
 def _round_up(v: int, mult: int) -> int:
@@ -202,7 +203,7 @@ class CardinalFuse(Module):
     def __init__(self, radix: int):
         self.radix = radix
 
-    def forward(self, u):
+    def forward(self, u, mode="train", rng=None):
         return cardinal_fuse(u, self.radix)
 
     def cost(self, x_shape, y_shape):
@@ -221,7 +222,7 @@ class RSoftmax(Module):
         self.cardinal_width = cardinal_width
         self.weights = None  # of the last forward
 
-    def forward(self, logits):
+    def forward(self, logits, mode="train", rng=None):
         logits = logits.reshape(logits.shape[0], self.cardinality, self.radix,
                                 self.cardinal_width)
         self.weights = r_softmax(logits, self.radix)
@@ -294,37 +295,29 @@ class SplitAttentionUnit(Module):
         self.assign = RSoftmax(c.radix, c.cardinality, c.cardinal_width)
         self.weighted_fuse = WeightedFuse()
 
+    def transform_layers(self):
+        """x -> radix-major splits [N, C*R, H', W']."""
+        fast = self.cfg.fast
+        return [self.conv_in, self.bn_in, self.relu_in, self.pool if fast else None,
+                self.conv_split, self.bn_split, self.relu_split, None if fast else self.pool]
+
+    def attention_layers(self):
+        """Splits -> per-split weights [N, K, R, c]."""
+        return [self.fuse, self.stats, self.fc1, self.bn_att, self.relu_att, self.fc2,
+                self.assign]
+
     def transform(self, x, mode="train"):
-        """Per-group transform stack only: x -> radix-major splits [N, C*R, ...]."""
-        c = self.cfg
-        z = self.relu_in.forward(self.bn_in.forward(self.conv_in.forward(x, mode), mode), mode)
-        if self.pool is not None and c.fast:
-            z = self.pool.forward(z)
-        u = self.conv_split.forward(z, mode)
-        u = self.relu_split.forward(self.bn_split.forward(u, mode), mode)
-        if self.pool is not None and not c.fast:
-            u = self.pool.forward(u)
-        return u
+        return run_forward(self.transform_layers(), x, mode)
 
     def forward(self, x, mode="train", rng=None):
         u = self.transform(x, mode)
-        s = self.stats.forward(self.fuse.forward(u))
-        h = self.relu_att.forward(self.bn_att.forward(self.fc1.forward(s), mode), mode)
-        a = self.assign.forward(self.fc2.forward(h))
+        a = run_forward(self.attention_layers(), u, mode, rng)
         return self.weighted_fuse.forward(u, a)
 
     def backward(self, grad_out):
-        c = self.cfg
         gu, ga = self.weighted_fuse.backward(grad_out)
-        gh = self.fc2.backward(self.assign.backward(ga))
-        gs = self.fc1.backward(self.bn_att.backward(self.relu_att.backward(gh)))
-        gu = gu + self.fuse.backward(self.stats.backward(gs))
-        if self.pool is not None and not c.fast:
-            gu = self.pool.backward(gu)
-        gz = self.conv_split.backward(self.bn_split.backward(self.relu_split.backward(gu)))
-        if self.pool is not None and c.fast:
-            gz = self.pool.backward(gz)
-        return self.conv_in.backward(self.bn_in.backward(self.relu_in.backward(gz)))
+        gu = gu + run_backward(self.attention_layers(), ga)
+        return run_backward(self.transform_layers(), gu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Training-recipe mathematics and a deterministic desk-scale trainer.
 
 Covers the learning-rate schedule (linear warmup into cosine decay with
-batch-size scaled peak), label-smoothed cross entropy, mixup, DropBlock
-masks, and momentum SGD with selective weight decay. ``train_toy`` wires
+batch-size scaled peak), label-smoothed cross entropy, mixup, and momentum
+SGD with selective weight decay. ``train_toy`` wires
 them into a small, fully seeded training loop over a synthetic two-class
 image task; given (seed, config) a run is bit-reproducible, including across
 an interrupt/resume at an epoch boundary.
@@ -201,46 +201,6 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float,
     x_mixed = lx * x + (1.0 - lx) * x[::-1]
     y_mixed = ly * y + (1.0 - ly) * y[::-1]
     return x_mixed, y_mixed
-
-
-# ---------------------------------------------------------------------------
-# DropBlock
-# ---------------------------------------------------------------------------
-
-
-def dropblock_mask(shape, block_size: int, drop_prob: float,
-                   rng: np.random.Generator | None = None, mode: str = "train",
-                   dtype=np.float64):
-    """Multiplicative mask zeroing contiguous block_size^2 squares.
-
-    Seed positions are Bernoulli draws over the valid top-left region at rate
-    gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
-    expected zeroed fraction is about drop_prob. Survivors are rescaled per
-    feature map by total/kept. Eval mode (or drop_prob 0) is all-ones. The
-    mask takes the activations' ``dtype`` so it keeps their precision.
-    """
-    n, c, h, w = shape
-    if block_size % 2 == 0 or block_size < 1:
-        raise ConfigurationError(f"block_size must be odd and positive, got {block_size}")
-    if block_size > min(h, w):
-        raise ConfigurationError(
-            f"block_size {block_size} exceeds feature map {h}x{w}"
-        )
-    if mode == "eval" or drop_prob == 0.0:
-        return np.ones(shape, dtype)
-    if rng is None:
-        raise ConfigurationError("dropblock in train mode requires an rng")
-    hv, wv = h - block_size + 1, w - block_size + 1
-    gamma = drop_prob * (h * w) / (block_size * block_size * hv * wv)
-    seeds = rng.random((n, c, hv, wv)) < gamma
-    covered = np.zeros((n, c, h, w), dtype=bool)
-    for i in range(block_size):
-        for j in range(block_size):
-            covered[:, :, i : i + hv, j : j + wv] |= seeds
-    mask = (~covered).astype(dtype)
-    kept = mask.sum(axis=(2, 3), keepdims=True)
-    scale = (h * w) / np.maximum(kept, 1.0)
-    return mask * scale
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import Conv2d
+from splatnet.layers import Conv2d, DropBlock
 from splatnet.params import ConfigurationError, Parameter, make_rng
 
 
@@ -307,12 +307,12 @@ class TestNetwork:
         net = micro_net(dropblock_prob=0.3, dropblock_size=3)
         rng = make_rng(12)
         x = rng.standard_normal((2, 1, 32, 32))
+        drop = [path for path, m in net.named_modules() if isinstance(m, DropBlock)]
+        assert drop == ["dropblock3", "dropblock4"]
         net.forward(x, mode="train", rng=rng)
-        masks = net._dropblock_masks
-        assert masks[0] is None and masks[1] is None
-        assert masks[2] is not None and masks[3] is not None
+        assert net.dropblock3._mask is not None and net.dropblock4._mask is not None
         net.forward(x, mode="eval")
-        assert all(m is None for m in net._dropblock_masks)
+        assert net.dropblock3._mask is None and net.dropblock4._mask is None
 
 
 class TestGradientContract:

@@ -9,6 +9,7 @@ from splatnet.checkpoint import load_checkpoint
 from splatnet.data import make_toy_dataset
 from splatnet.gradcheck import grad_check
 from splatnet.network import NetworkConfig, build_network
+from splatnet.ops import dropblock_mask
 from splatnet.params import ConfigurationError, Parameter, make_rng, spawn_rng
 from splatnet.training import (
     LossConfig,
@@ -18,7 +19,6 @@ from splatnet.training import (
     TrainingDiverged,
     beta_samples,
     cross_entropy_soft,
-    dropblock_mask,
     label_smooth_ce,
     lr_at,
     mixup_batch,
