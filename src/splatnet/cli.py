@@ -126,8 +126,7 @@ def cmd_train(args) -> int:
                            steps_per_epoch=steps, base_lr=ts.base_lr,
                            warmup_epochs=ts.warmup_epochs)
     loss_cfg = LossConfig(num_classes=cfg.num_classes, smoothing=ts.smoothing)
-    mix = MixupConfig(alpha=ts.mixup_alpha if ts.mixup_alpha > 0 else 0.2,
-                      enabled=ts.mixup_alpha > 0)
+    mix = MixupConfig(alpha=ts.mixup_alpha, enabled=ts.mixup_alpha != 0)
     opt = OptimizerConfig(momentum=ts.momentum, weight_decay=ts.weight_decay)
 
     lines = [

@@ -85,14 +85,17 @@ class NetworkConfig:
                 )
         if self.radix < 0:
             raise ConfigurationError(f"radix must be >= 0, got {self.radix}")
-        if self.cardinality < 1:
-            raise ConfigurationError(f"cardinality must be >= 1, got {self.cardinality}")
         if self.stem_width is None:
             self.stem_width = 32 if self.depth <= 50 else 64
         if self.dropout is None:
             self.dropout = 0.2 if self.depth > 200 else 0.0
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
+        for key in ("cardinality", "num_classes", "input_channels", "base_planes",
+                    "base_width", "stem_width", "dropblock_size"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("dropout", "dropblock_prob"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigurationError(f"{key} must be in [0, 1), got {getattr(self, key)}")
 
     @property
     def variant_name(self) -> str:

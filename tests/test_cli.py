@@ -136,9 +136,15 @@ def test_bench_rejects_zero_reps(capsys):
     ["analyze", "--config", "{tmp}"],
     ["inspect-checkpoint", "{tmp}"],
     ["analyze", "--config", "{tmp}/latin1.cfg"],
+    ["analyze", "--classes", "0"],
+    ["analyze", "--classes", "-3"],
+    ["analyze", "--radix", "0", "--base-width", "-8"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "0",
+     "--mixup-alpha", "-1"],
 ], ids=["cardinality-0", "empty-stages", "bench-batch-0", "bench-batch-negative",
         "train-batch-0", "negative-warmup", "config-is-directory",
-        "checkpoint-is-directory", "config-not-utf8"])
+        "checkpoint-is-directory", "config-not-utf8", "classes-0", "classes-negative",
+        "base-width-negative", "mixup-alpha-negative"])
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\ndepth = 50\n".encode("latin-1"))
     rc = main([a.format(tmp=tmp_path) for a in argv])

@@ -53,6 +53,15 @@ class TestConfig:
         assert NetworkConfig(depth=50).dropout == 0.0
         assert NetworkConfig(depth=269).dropout == 0.2
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 0), ("input_channels", 0), ("base_planes", 0), ("base_width", 0),
+        ("stem_width", 0), ("dropblock_size", 0), ("dropblock_prob", 1.0),
+        ("dropblock_prob", -0.1),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            NetworkConfig(depth=50, **{field: value})
+
     def test_variant_name(self):
         cfg = NetworkConfig(depth=50, radix=2, cardinality=8, base_width=14)
         assert cfg.variant_name == "2s8x14d"
