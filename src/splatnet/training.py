@@ -2,10 +2,10 @@
 
 Covers the learning-rate schedule (linear warmup into cosine decay with
 batch-size scaled peak), label-smoothed cross entropy, mixup, and momentum
-SGD with selective weight decay. ``train_toy`` wires
-them into a small, fully seeded training loop over a synthetic two-class
-image task; given (seed, config) a run is bit-reproducible, including across
-an interrupt/resume at an epoch boundary.
+SGD with selective weight decay. ``train_toy`` wires them into a small,
+fully seeded training loop over a synthetic two-class image task; given
+(seed, config) a run is bit-reproducible, including across an
+interrupt/resume at an epoch boundary.
 """
 
 from __future__ import annotations
