@@ -238,19 +238,20 @@ class MaxPool2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self._x_shape = None
-        self._idx = None
+        self._x = None
+        self._y = None
 
     def forward(self, x, mode="train", rng=None):
-        self._x_shape = x.shape
-        y, self._idx = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-        return y
+        # the backward finds each window's argmax from the input and output
+        self._x = x
+        self._y = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
+        return self._y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
-        return ops.max_pool2d_backward(grad_out, self._idx, self._x_shape,
+        return ops.max_pool2d_backward(grad_out, self._x, self._y,
                                        self.kernel, self.stride, self.padding)
 
 

@@ -34,7 +34,10 @@ def _out_extent(size: int, kernel: int, stride: int, pad: int) -> int:
 def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=value)
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), value, dtype=x.dtype)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    return xp
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -114,12 +117,14 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
 
     cols are the columns of the forward (``conv2d``'s second output, or
     ``im2col`` of its input) and x_shape is the input's shape. The batch is
-    folded into the GEMMs: with grad_out as go = [groups, Cout/groups,
-    N*Ho*Wo], the weight gradient go @ colsᵀ and the column gradient
-    Wᵀ @ go are one GEMM per group each. The column gradient is summed back
-    onto the padded input (col2im) on a contiguous [Cin, N, Hp, Wp] canvas,
-    transposed to NCHW once; for a 1x1 stride-1 unpadded conv it already is
-    the input gradient.
+    folded into the GEMMs, one per group each for the weight gradient
+    go @ colsᵀ (go = grad_out as [groups, Cout/groups, N*Ho*Wo], summed over
+    m in the columns' (N, Ho, Wo) order) and the column gradient Wᵀ @ go.
+    For a 1x1 stride-1 unpadded conv the column gradient is the input
+    gradient. Otherwise it is taken with the batch innermost,
+    [Cin*kh*kw, Ho, Wo, N], and each window offset is added in (ki, kj)
+    order onto a zeroed [Cin, Hp, Wp, N] canvas (col2im), so every add runs
+    over Wo*N contiguous elements. Returns C-contiguous NCHW arrays.
     """
     n, cin, h, w = x_shape
     cout, cing, kh, kw = weight.shape
@@ -131,17 +136,18 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
     grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
     grad_w = grad_w.reshape(weight.shape)
 
-    wg = weight.reshape(groups, cout // groups, ckk)
-    gcols = np.matmul(wg.transpose(0, 2, 1), go).reshape(cin, kh, kw, n, ho, wo)
+    wgt = weight.reshape(groups, cout // groups, ckk).transpose(0, 2, 1)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        gx = gcols[:, 0, 0]
+        gx = np.matmul(wgt, go).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
     else:
-        gx = np.zeros((cin, n, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
+        go = grad_out.transpose(1, 2, 3, 0).reshape(groups, cout // groups, m)
+        gcols = np.matmul(wgt, go).reshape(cin, kh, kw, ho, wo, n)
+        gx = np.zeros((cin, h + 2 * ph, w + 2 * pw, n), dtype=gcols.dtype)
         for i in range(kh):
             for j in range(kw):
-                gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, i, j]
-        gx = gx[:, :, ph : ph + h, pw : pw + w]
-    grad_x = np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
+                gx[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, i, j]
+        gx = gx[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
+    grad_x = np.ascontiguousarray(gx)
 
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
     return grad_x, grad_w, grad_b
@@ -187,6 +193,13 @@ def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
     return np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo)).astype(dtype)
 
 
+def _window_slices(xp, kh, kw, sh, sw, ho, wo):
+    """The kh*kw strided views [N, C, Ho, Wo] of a padded input, one per
+    window offset, in row-major offset order."""
+    return [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+            for i in range(kh) for j in range(kw)]
+
+
 def avg_pool2d(x, kernel, stride=None, padding=0):
     """Mean over each window; zero padding, which the divisor does not count.
 
@@ -195,9 +208,7 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
     """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
     n, c, h, w = x.shape
-    xp = _pad_spatial(x, ph, pw)
-    slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-              for i in range(kh) for j in range(kw)]
+    slices = _window_slices(_pad_spatial(x, ph, pw), kh, kw, sh, sw, ho, wo)
     out = slices[0].copy()
     for s in slices[1:]:
         out += s
@@ -206,51 +217,68 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
 
 
 def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0):
-    """Distributes each window's gradient uniformly over its contributors."""
+    """Distributes each window's gradient uniformly over its contributors.
+
+    The gradient is divided into a batch-innermost [C, Ho, Wo, N] array and
+    added, one window offset at a time in row-major order, onto a zeroed
+    [C, Hp, Wp, N] canvas, so every add runs over Wo*N contiguous elements.
+    Returns a C-contiguous NCHW array of grad_out's dtype.
+    """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
     n, c, h, w = x_shape
     div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, grad_out.dtype)
-    g = grad_out / div
-    gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
+    g = np.divide(grad_out.transpose(1, 2, 3, 0), div[:, :, None], order="C")
+    gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=grad_out.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += g
-    return gxp[:, :, ph : ph + h, pw : pw + w]
+            gxp[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += g
+    return np.ascontiguousarray(gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2))
 
 
 def max_pool2d(x, kernel, stride=None, padding=0):
     """Max over each window; padding filled with -inf so it never wins.
 
-    Returns (y, idx): idx is each window's argmax as a row-major offset
-    within the kh x kw window, its first occurrence on ties. The max is an
-    elementwise maximum over the kh*kw strided slices of the padded input;
-    the offsets come from a pass over the slices in descending order, so
-    the lowest matching offset is written last.
+    An elementwise maximum over the kh*kw strided slices of the padded
+    input. Which position won is left to ``max_pool2d_argmax``, which only
+    the backward needs.
     """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    xp = _pad_spatial(x, ph, pw, -np.inf)
-    slices = [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-              for i in range(kh) for j in range(kw)]
+    slices = _window_slices(_pad_spatial(x, ph, pw, -np.inf), kh, kw, sh, sw, ho, wo)
     best = slices[0].copy()
     for s in slices[1:]:
         np.maximum(best, s, out=best)
-    idx = np.zeros(best.shape, dtype=np.intp)
+    return best
+
+
+def max_pool2d_argmax(x, y, kernel, stride=None, padding=0):
+    """Each window's argmax as a row-major offset within the kh x kw window.
+
+    y is ``max_pool2d``'s output for x. On ties the first occurrence wins:
+    the slices are compared with y in descending offset order, so the
+    lowest matching offset is written last.
+    """
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
+    slices = _window_slices(_pad_spatial(x, ph, pw, -np.inf), kh, kw, sh, sw, ho, wo)
+    idx = np.zeros(y.shape, dtype=np.intp)
     for k in range(kh * kw - 1, -1, -1):
-        idx[slices[k] == best] = k
-    return best, idx
+        idx[slices[k] == y] = k
+    return idx
 
 
-def max_pool2d_backward(grad_out, idx, x_shape, kernel, stride=None, padding=0):
+def max_pool2d_backward(grad_out, x, y, kernel, stride=None, padding=0):
     """Routes each window's gradient to its (first) argmax position.
 
-    Each window's argmax becomes a flat offset into the padded input, and
-    ``np.bincount`` sums the gradients per offset in window order. It
-    accumulates in float64; the result is cast back to grad_out's dtype.
+    x and y are the forward's input and output; the argmax is found here
+    (``max_pool2d_argmax``), so a forward that no backward follows does no
+    index work. Each window's argmax becomes a flat offset into the padded
+    input, and ``np.bincount`` sums the gradients per offset in window
+    order. It accumulates in float64; the result is cast back to grad_out's
+    dtype.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
-    n, c, h, w = x_shape
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
+    n, c, h, w = x.shape
     hp, wp = h + 2 * ph, w + 2 * pw
-    ki, kj = np.divmod(idx, kw)  # offsets within each window
+    ki, kj = np.divmod(max_pool2d_argmax(x, y, kernel, stride, padding), kw)
     rows = np.arange(ho)[:, None] * sh + ki
     cols = np.arange(wo) * sw + kj
     planes = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
@@ -367,8 +395,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
     if mode == "eval":
         nd = x.ndim
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        y = _bn_expand(gamma * inv_std, nd) * (x - _bn_expand(running_mean, nd))
-        return y + _bn_expand(beta, nd), None
+        y = np.subtract(x, _bn_expand(running_mean, nd))
+        y *= _bn_expand(gamma * inv_std, nd)
+        y += _bn_expand(beta, nd)
+        return y, None
     raise ConfigurationError(f"unknown batch_norm mode {mode!r}")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from splatnet import ops
 from splatnet.gradcheck import grad_check
+from splatnet.layers import MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -363,7 +364,7 @@ class TestPooling:
     def test_max_pool_and_backward(self):
         rng = make_rng(8)
         x = rng.standard_normal((2, 3, 7, 7))
-        y, idx = ops.max_pool2d(x, 3, 2, 1)
+        y = ops.max_pool2d(x, 3, 2, 1)
         # oracle via explicit windows
         for b in range(2):
             for c in range(3):
@@ -379,11 +380,23 @@ class TestPooling:
         proj = rng.standard_normal(y.shape)
 
         def loss():
-            yy, ii = ops.max_pool2d(x, 3, 2, 1)
-            gx = ops.max_pool2d_backward(proj, ii, x.shape, 3, 2, 1)
+            yy = ops.max_pool2d(x, 3, 2, 1)
+            gx = ops.max_pool2d_backward(proj, x, yy, 3, 2, 1)
             return float((yy * proj).sum()), {"x": gx}
 
         assert grad_check(loss, {"x": x}, tolerance=1e-8).passed
+
+    def test_max_pool_layer_backward_after_eval_forward(self):
+        # the layer finds the argmax in its backward, whichever mode ran forward
+        rng = make_rng(31)
+        x = np.maximum(rng.standard_normal((2, 3, 7, 6)), 0.0)
+        grad_out = rng.standard_normal((2, 3, 4, 3))
+        grads = []
+        for mode in ("train", "eval"):
+            pool = MaxPool2d(3, 2, 1)
+            pool.forward(x, mode)
+            grads.append(pool.backward(grad_out))
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_global_avg_pool(self):
         rng = make_rng(9)
@@ -446,13 +459,14 @@ class TestPoolingReference:
         gx = ops.avg_pool2d_backward(grad_out, x.shape, kernel, stride, padding)
         want = avg_pool_backward_oracle(grad_out, x.shape, kernel, stride, padding)
         npt.assert_allclose(gx, want, rtol=0, atol=1e-14)
+        assert gx.flags.c_contiguous and gx.dtype == grad_out.dtype
 
-        y, idx = ops.max_pool2d(x, kernel, stride, padding)
+        y = ops.max_pool2d(x, kernel, stride, padding)
         want_y, want_idx = max_pool_oracle(x, kernel, stride, padding)
         npt.assert_array_equal(y, want_y)
-        npt.assert_array_equal(idx, want_idx)
-        gx = ops.max_pool2d_backward(grad_out, idx, x.shape, kernel, stride, padding)
-        want = max_pool_backward_oracle(grad_out, idx, x.shape, kernel, stride, padding)
+        npt.assert_array_equal(ops.max_pool2d_argmax(x, y, kernel, stride, padding), want_idx)
+        gx = ops.max_pool2d_backward(grad_out, x, y, kernel, stride, padding)
+        want = max_pool_backward_oracle(grad_out, want_idx, x.shape, kernel, stride, padding)
         npt.assert_array_equal(gx, want)
 
 
@@ -738,9 +752,14 @@ class TestFloat32:
         g = rng.standard_normal(y.shape).astype(f32)
         gx = ops.avg_pool2d_backward(g, x.shape, 3, 2, 1)
         assert y.dtype == f32 and gx.dtype == f32
-        y, idx = ops.max_pool2d(x, 3, 2, 1)
-        gx = ops.max_pool2d_backward(g, idx, x.shape, 3, 2, 1)
+        y = ops.max_pool2d(x, 3, 2, 1)
+        gx = ops.max_pool2d_backward(g, x, y, 3, 2, 1)
         assert y.dtype == f32 and gx.dtype == f32
+
+        w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
+        y, cols = ops.conv2d(x, w, None, 2, 1)
+        gx, gw, _ = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 2, 1)
+        assert [a.dtype for a in (y, cols, gx, gw)] == [f32] * 4
 
         for shape in ((4, 3), (2, 3, 5, 5)):
             x = rng.standard_normal(shape).astype(f32)
@@ -750,6 +769,8 @@ class TestFloat32:
             gx, dgamma, dbeta = ops.batch_norm_backward(np.ones_like(y), cache)
             arrays = [y, rm, rv, gx, dgamma, dbeta, *cache]
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
+            y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
+            assert y.dtype == f32, shape
 
         x = rng.standard_normal((3, 8)).astype(f32)
         w = rng.standard_normal((6, 4)).astype(f32)
