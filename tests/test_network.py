@@ -14,8 +14,8 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import Conv2d, DropBlock
-from splatnet.params import ConfigurationError, Parameter, make_rng
+from splatnet.layers import BatchNorm, Conv2d, DropBlock
+from splatnet.params import ConfigurationError, Parameter, make_rng, spawn_rng
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -281,6 +281,55 @@ class TestNetwork:
         report = grad_check(loss, picked, tolerance=1e-5,
                             max_entries_per_param=4, rng=rng)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("overrides, names", [
+        ({}, ("stem.conv2.weight", "stage2.block0.splat.conv_split.weight",
+              "stage3.block0.splat.fc2.bias", "stage4.block0.conv3.weight")),
+        (dict(radix=0, deep_stem=False, avg_down=False),
+         ("stem.conv1.weight", "stage1.block0.conv1.weight",
+          "stage2.block0.down_conv.weight", "stage3.block0.conv2.weight")),
+        (dict(radix=1, cardinality=2, base_width=32, fast=True),
+         ("stem.conv3.weight", "stage2.block0.conv3.weight",
+          "stage3.block0.splat.conv_split.weight",
+          "stage4.block0.splat.conv_split.weight")),
+    ], ids=["2s1x64d", "0s1x64d-classic", "1s2x32d-fast"])
+    def test_micro_gradcheck_eval_branches(self, overrides, names):
+        # random batch-norm statistics (as in the bit gate) give every bn3 a
+        # nonzero gamma, so the residual branches reach the logits
+        net = micro_net(**overrides)
+        stats = spawn_rng(0, 1)
+        for _, module in net.named_modules():
+            if isinstance(module, BatchNorm):
+                c = module.num_features
+                module.gamma.value[...] = stats.normal(1.0, 0.5, c)
+                module.beta.value[...] = stats.normal(0.0, 0.2, c)
+                module.running_mean[...] = stats.normal(0.0, 0.5, c)
+                module.running_var[...] = stats.uniform(0.5, 2.0, c)
+        rng = make_rng(6)
+        x = rng.standard_normal((2, 1, 32, 32))
+        proj = rng.standard_normal((2, 2))
+        picked = {
+            name: p.value for name, p in net.named_parameters() if name in names
+        }
+        assert len(picked) == len(names)
+        start = {name: v.copy() for name, v in picked.items()}
+        checked = {name: set() for name in picked}  # entries grad_check perturbs
+
+        def loss():
+            for name, v in picked.items():
+                checked[name].update(np.flatnonzero(v != start[name]).tolist())
+            logits = net.forward(x, mode="eval")
+            net.backward(proj)
+            grads = {name: p.grad.copy() for name, p in net.named_parameters()
+                     if name in picked}
+            return float((logits * proj).sum()), grads
+
+        analytic = loss()[1]
+        report = grad_check(loss, picked, tolerance=1e-5,
+                            max_entries_per_param=4, rng=rng)
+        assert report.passed, report.summary()
+        for name, entries in checked.items():
+            assert entries and analytic[name].ravel()[sorted(entries)].any(), name
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         net = micro_net(seed=9)
