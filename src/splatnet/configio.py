@@ -6,7 +6,8 @@ keys are hard errors so typos never pass silently.
 
 Network keys:
     depth, stage_blocks, radix, cardinality, base_width, fast, avg_down,
-    deep_stem, stem_width, dropout, classes, input_channels, base_planes
+    deep_stem, stem_width, dropout, dropblock_prob, dropblock_size, classes,
+    input_channels, base_planes
 
 Training keys (train command only):
     epochs, batch, base_lr, warmup_epochs, mixup_alpha, smoothing,
@@ -66,6 +67,8 @@ NETWORK_KEYS = {
     "deep_stem": _parse_bool,
     "stem_width": _parse_int,
     "dropout": _parse_float,
+    "dropblock_prob": _parse_float,
+    "dropblock_size": _parse_int,
     "classes": _parse_int,
     "input_channels": _parse_int,
     "base_planes": _parse_int,

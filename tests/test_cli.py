@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from splatnet import training
 from splatnet.cli import main
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
 
@@ -141,10 +142,14 @@ def test_bench_rejects_zero_reps(capsys):
     ["analyze", "--radix", "0", "--base-width", "-8"],
     ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "0",
      "--mixup-alpha", "-1"],
+    ["analyze", "--dropblock-prob", "1.5"],
+    ["analyze", "--dropblock-size", "0"],
+    ["analyze", "--dropblock-size", "three"],
 ], ids=["cardinality-0", "empty-stages", "bench-batch-0", "bench-batch-negative",
         "train-batch-0", "negative-warmup", "config-is-directory",
         "checkpoint-is-directory", "config-not-utf8", "classes-0", "classes-negative",
-        "base-width-negative", "mixup-alpha-negative"])
+        "base-width-negative", "mixup-alpha-negative", "dropblock-prob-1.5",
+        "dropblock-size-0", "dropblock-size-not-int"])
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\ndepth = 50\n".encode("latin-1"))
     rc = main([a.format(tmp=tmp_path) for a in argv])
@@ -204,6 +209,42 @@ def test_train_resume_restores_bit_exact(tmp_path, capsys):
     assert list(a) == list(b)
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
+
+
+# 64 pixels leave a 4x4 map in stage 3, so DropBlock drops whole 3x3 blocks
+DROPBLOCK_FLAGS = ("--dropblock-prob", "0.2", "--dropblock-size", "3", "--image-size", "64")
+
+
+def test_train_dropblock_byte_identical_and_resumable(tmp_path, capsys, monkeypatch):
+    def rows(tag):
+        return [l for l in (tmp_path / f"{tag}.log").read_text().splitlines()
+                if not l.startswith("#")]
+
+    for tag in ("r1", "r2"):
+        assert main(_train_args(tmp_path, tag, DROPBLOCK_FLAGS)) == 0
+    assert main(_train_args(tmp_path, "plain", DROPBLOCK_FLAGS[4:])) == 0
+    ck = (tmp_path / "r1.ckpt").read_bytes()
+    assert (tmp_path / "r2.log").read_bytes() == (tmp_path / "r1.log").read_bytes()
+    assert (tmp_path / "r2.ckpt").read_bytes() == ck
+    assert (tmp_path / "plain.ckpt").read_bytes() != ck  # the masks took effect
+
+    # interrupted right after the first epoch's checkpoint, then resumed
+    class Interrupt(Exception):
+        pass
+
+    def save_then_interrupt(path, tensors):
+        save_checkpoint(path, tensors)
+        raise Interrupt
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_interrupt)
+    with pytest.raises(Interrupt):
+        main(_train_args(tmp_path, "part", DROPBLOCK_FLAGS))
+    monkeypatch.undo()
+    resume = ("--resume", str(tmp_path / "part.ckpt"))
+    assert main(_train_args(tmp_path, "resumed", DROPBLOCK_FLAGS + resume)) == 0
+    capsys.readouterr()
+    assert rows("resumed") == rows("r1")[1:]
+    assert (tmp_path / "resumed.ckpt").read_bytes() == ck
 
 
 @pytest.mark.parametrize("shape", [(5,), (1,)])

@@ -75,6 +75,15 @@ def test_classes_maps_to_num_classes(tmp_path):
     assert cfg.num_classes == 10
 
 
+def test_dropblock_keys_reach_the_network(tmp_path):
+    raw = read_config_file(write(tmp_path, "dropblock_prob = 0.1\ndropblock_size = 5\n"))
+    cfg = network_config(parse_settings(raw, allow_training=False))
+    assert cfg.dropblock_prob == 0.1 and cfg.dropblock_size == 5
+    raw = read_config_file(write(tmp_path, "dropblock_size = 2.5\n"))
+    with pytest.raises(ConfigurationError, match="dropblock_size"):
+        parse_settings(raw, allow_training=False)
+
+
 def test_train_settings_defaults():
     ts = train_settings({})
     assert ts.seed == 0
