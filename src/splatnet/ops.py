@@ -140,8 +140,8 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
         gx = np.matmul(wgt, go).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
     else:
-        go = grad_out.transpose(1, 2, 3, 0).reshape(groups, cout // groups, m)
-        gcols = np.matmul(wgt, go).reshape(cin, kh, kw, ho, wo, n)
+        go_last = grad_out.transpose(1, 2, 3, 0).reshape(groups, cout // groups, m)
+        gcols = np.matmul(wgt, go_last).reshape(cin, kh, kw, ho, wo, n)
         gx = np.zeros((cin, h + 2 * ph, w + 2 * pw, n), dtype=gcols.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -367,7 +367,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
     Train mode works on an [N, C, L] view for rank 2 and rank 4 alike: each
     statistic is reduced over L, then over N, and the centred input is
     scaled in place into x̂, so the forward allocates two input-sized
-    arrays, x̂ and y.
+    arrays, x̂ and y. Eval mode computes y = (x - mean)·(gamma/σ) + beta
+    in place in one input-sized array.
 
     Returns (y, cache); cache is needed by batch_norm_backward and is None in
     eval mode.

@@ -212,7 +212,8 @@ def test_train_resume_restores_bit_exact(tmp_path, capsys):
 
 
 # 64 pixels leave a 4x4 map in stage 3, so DropBlock drops whole 3x3 blocks
-DROPBLOCK_FLAGS = ("--dropblock-prob", "0.2", "--dropblock-size", "3", "--image-size", "64")
+AT_64 = ("--image-size", "64")
+DROPBLOCK_FLAGS = ("--dropblock-prob", "0.2", "--dropblock-size", "3", *AT_64)
 
 
 def test_train_dropblock_byte_identical_and_resumable(tmp_path, capsys, monkeypatch):
@@ -222,7 +223,7 @@ def test_train_dropblock_byte_identical_and_resumable(tmp_path, capsys, monkeypa
 
     for tag in ("r1", "r2"):
         assert main(_train_args(tmp_path, tag, DROPBLOCK_FLAGS)) == 0
-    assert main(_train_args(tmp_path, "plain", DROPBLOCK_FLAGS[4:])) == 0
+    assert main(_train_args(tmp_path, "plain", AT_64)) == 0
     ck = (tmp_path / "r1.ckpt").read_bytes()
     assert (tmp_path / "r2.log").read_bytes() == (tmp_path / "r1.log").read_bytes()
     assert (tmp_path / "r2.ckpt").read_bytes() == ck
