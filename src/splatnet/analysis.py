@@ -45,7 +45,7 @@ class CostRow:
 class CostReport:
     rows: list[CostRow]
     config: str
-    input_hw: tuple[int, int] | None = None
+    input_hw: tuple[int, int]
 
     @property
     def total_params(self) -> int:
@@ -61,9 +61,7 @@ class CostReport:
 
     def text(self) -> str:
         width = max((len(r.path) for r in self.rows), default=10)
-        lines = [f"config: {self.config}"]
-        if self.input_hw:
-            lines.append(f"input: {self.input_hw[0]}x{self.input_hw[1]}")
+        lines = [f"config: {self.config}", f"input: {self.input_hw[0]}x{self.input_hw[1]}"]
         lines.append(f"{'layer':<{width}}  {'out shape':>18}  {'params':>12}  {'macs':>14}  {'aux ops':>12}")
         for r in self.rows:
             shape = "x".join(str(s) for s in r.out_shape)
@@ -124,6 +122,8 @@ def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> Cos
 
     Raises ``ConfigurationError`` for an input size the forward rejects.
     """
+    if min(input_hw) < 1:
+        raise ConfigurationError(f"input size must be >= 1, got {input_hw[0]}x{input_hw[1]}")
     cfg = network.cfg
     rows = _trace_rows(network, (cfg.input_channels, *input_hw))
     echo = (
@@ -171,14 +171,6 @@ class ParityReport:
     @property
     def conv_mac_ratio(self) -> float:
         return (self.splat_macs - self.attention_macs) / self.standard_macs
-
-    def text(self) -> str:
-        return (
-            f"params: splat {self.splat_params} / standard {self.standard_params} "
-            f"= {self.param_ratio:.4f} (attention excluded: {self.conv_param_ratio:.4f})\n"
-            f"macs:   splat {self.splat_macs} / standard {self.standard_macs} "
-            f"= {self.mac_ratio:.4f} (attention excluded: {self.conv_mac_ratio:.4f})"
-        )
 
 
 def _block_rows(spec: BottleneckSpec, input_hw) -> list[CostRow]:
@@ -312,8 +304,11 @@ def bench_forward(network, batch_shape, reps: int = 30, warmup: int = 5,
     """
     if reps < 1:
         raise ConfigurationError("bench needs at least one repetition")
-    if batch_shape[0] < 1:
-        raise ConfigurationError(f"bench needs a batch of at least 1, got {batch_shape[0]}")
+    if min(batch_shape) < 1:
+        raise ConfigurationError(f"bench needs a batch and input size of at least 1, "
+                                 f"got batch shape {tuple(batch_shape)}")
+    if warmup < 0:
+        raise ConfigurationError(f"bench warmup must be >= 0, got {warmup}")
     from .params import make_rng
 
     rng = make_rng(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import make_rng
+from .params import ConfigurationError, make_rng
 
 
 @dataclass
@@ -40,6 +40,8 @@ def _checkerboard(size: int, cell: int, phase: int, sign: float) -> np.ndarray:
 def make_toy_dataset(n: int, size: int = 32, noise: float = 0.6,
                      seed: int = 0, dtype=np.float64) -> ToyDataset:
     """Balanced two-class set of n images; deterministic in (n, size, noise, seed)."""
+    if n < 1 or size < 1:
+        raise ConfigurationError(f"toy dataset needs samples and image size >= 1, got {n}, {size}")
     rng = make_rng(seed)
     images = np.empty((n, 1, size, size), dtype=dtype)
     labels = np.empty(n, dtype=np.int64)

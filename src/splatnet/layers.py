@@ -42,7 +42,7 @@ def run_backward(layers, grad):
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0,
-                 groups=1, bias=False, rng=None, dtype=np.float64):
+                 groups=1, rng=None, dtype=np.float64):
         kh, kw = ops._pair(kernel)
         if in_channels % groups or out_channels % groups:
             raise ConfigurationError(
@@ -62,14 +62,12 @@ class Conv2d(Module):
         else:
             w = kaiming_normal(rng, shape, fan_in, dtype)
         self.weight = Parameter(w, decay_eligible=True)
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), decay_eligible=False) if bias else None
         self._x = None
         self._cols = None
 
     def forward(self, x, mode="train", rng=None):
         self._x = x
-        b = self.bias.value if self.bias is not None else None
-        y, cols = ops.conv2d(x, self.weight.value, b, self.stride, self.padding, self.groups)
+        y, cols = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
         # the columns are kh*kw times the input: only a train-mode forward keeps them
         self._cols = cols if mode == "train" else None
         return y
@@ -77,20 +75,16 @@ class Conv2d(Module):
     def cost(self, x_shape, y_shape):
         kh, kw = self.kernel
         macs = prod(y_shape) * (self.in_channels // self.groups) * kh * kw
-        return macs, prod(y_shape) if self.bias is not None else 0
+        return macs, 0
 
     def backward(self, grad_out):
         cols = self._cols
         if cols is None:  # after an eval-mode forward
             cols = ops.im2col(self._x, self.kernel, self.stride, self.padding)
         self._cols = None
-        gx, gw, gb = ops.conv2d_backward(
-            grad_out, cols, self._x.shape, self.weight.value, self.stride,
-            self.padding, self.groups, has_bias=self.bias is not None,
-        )
+        gx, gw = ops.conv2d_backward(grad_out, cols, self._x.shape, self.weight.value,
+                                     self.stride, self.padding, self.groups)
         self.weight.set_grad(gw)
-        if self.bias is not None:
-            self.bias.set_grad(gb)
         return gx
 
 
@@ -137,12 +131,10 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Per-channel batch norm for rank-2 or rank-4 inputs."""
+    """Per-channel batch norm for rank-2 or rank-4 inputs (``ops.BN_*`` constants)."""
 
-    def __init__(self, num_features, momentum=0.1, eps=1e-5, dtype=np.float64):
+    def __init__(self, num_features, dtype=np.float64):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=dtype), decay_eligible=False)
         self.beta = Parameter(np.zeros(num_features, dtype=dtype), decay_eligible=False)
         self.running_mean = np.zeros(num_features, dtype=dtype)
@@ -155,11 +147,8 @@ class BatchNorm(Module):
 
     def forward(self, x, mode="train", rng=None):
         self._mode = mode
-        y, cache = ops.batch_norm(
-            x, self.gamma.value, self.beta.value,
-            self.running_mean, self.running_var,
-            mode=mode, momentum=self.momentum, eps=self.eps,
-        )
+        y, cache = ops.batch_norm(x, self.gamma.value, self.beta.value,
+                                  self.running_mean, self.running_var, mode)
         self._cache = cache
         return y
 
@@ -169,8 +158,7 @@ class BatchNorm(Module):
     def backward(self, grad_out):
         if self._mode != "train":
             # eval mode: input gradient only; gamma/beta grads stay as they were
-            return ops.batch_norm_eval_backward(grad_out, self.gamma.value,
-                                                self.running_var, self.eps)
+            return ops.batch_norm_eval_backward(grad_out, self.gamma.value, self.running_var)
         gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, self._cache)
         self.gamma.set_grad(dgamma)
         self.beta.set_grad(dbeta)

@@ -74,15 +74,6 @@ class NetworkConfig:
                 raise ConfigurationError(
                     f"stage_blocks needs 4 entries of at least 1, got {self.stage_blocks}"
                 )
-        if self.depth in STAGE_LAYOUTS:
-            # conv-layer identity for the named variants: 3 per bottleneck
-            # plus stem (counted as one) plus the classifier
-            expected = 3 * sum(STAGE_LAYOUTS[self.depth]) + 2
-            if self.stage_blocks == STAGE_LAYOUTS[self.depth] and expected != self.depth:
-                raise ConfigurationError(
-                    f"stage layout {self.stage_blocks} gives {expected} layers, "
-                    f"not {self.depth}"
-                )
         if self.radix < 0:
             raise ConfigurationError(f"radix must be >= 0, got {self.radix}")
         if self.stem_width is None:

@@ -76,10 +76,10 @@ def im2col(x, kernel, stride=1, padding=0):
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n, ho, wo)
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
+def conv2d(x, weight, stride=1, padding=0, groups=1):
     """Grouped 2-D convolution (cross-correlation) as im2col plus GEMMs.
 
-    x: [N, Cin, H, W]; weight: [Cout, Cin/groups, kh, kw]; bias: [Cout] or None.
+    x: [N, Cin, H, W]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch norm follows).
     Output group g (rows g*Cout/g ..) reads only input channel group g.
     Returns (y, cols): y is [N, Cout, Ho, Wo] and cols are the ``im2col``
     columns, which ``conv2d_backward`` takes so a train step builds them
@@ -106,14 +106,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     colsg = cols.reshape(groups, cing * kh * kw, n, ho * wo).transpose(2, 0, 1, 3)
     wg = weight.reshape(groups, cout // groups, cing * kh * kw)
     out = np.matmul(wg, colsg).reshape(n, cout, ho, wo)  # [N, g, Cout/g, L]
-    if bias is not None:
-        out = out + bias[None, :, None, None]
     return out, cols
 
 
-def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups=1,
-                    has_bias=False):
-    """Gradients of conv2d w.r.t. (input, weight, bias).
+def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups=1):
+    """Gradients of conv2d w.r.t. (input, weight).
 
     cols are the columns of the forward (``conv2d``'s second output, or
     ``im2col`` of its input) and x_shape is the input's shape. The batch is
@@ -147,10 +144,7 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
             for j in range(kw):
                 gx[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, i, j]
         gx = gx[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
-    grad_x = np.ascontiguousarray(gx)
-
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
-    return grad_x, grad_w, grad_b
+    return np.ascontiguousarray(gx), grad_w
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +345,16 @@ def fully_connected_backward(grad_out, x, weight, groups=1, has_bias=False):
 # ---------------------------------------------------------------------------
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
     return v[None, :, None, None] if ndim == 4 else v[None, :]
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
-               momentum=0.1, eps=1e-5):
+               momentum=BN_MOMENTUM, eps=BN_EPS):
     """Per-channel batch normalization over all non-channel axes.
 
     Train mode normalizes with batch statistics and updates the running
@@ -421,7 +419,7 @@ def batch_norm_backward(grad_out, cache):
     return gx.reshape(grad_out.shape), dgamma, dbeta
 
 
-def batch_norm_eval_backward(grad_out, gamma, running_var, eps=1e-5):
+def batch_norm_eval_backward(grad_out, gamma, running_var, eps=BN_EPS):
     """Eval-mode input gradient: a fixed per-channel scale."""
     nd = grad_out.ndim
     return grad_out * _bn_expand(gamma / np.sqrt(running_var + eps), nd)
@@ -493,15 +491,14 @@ def dropout_backward(grad_out, mask):
 
 
 def dropblock_mask(shape, block_size: int, drop_prob: float,
-                   rng: np.random.Generator | None = None, mode: str = "train",
-                   dtype=np.float64):
+                   rng: np.random.Generator | None = None, dtype=np.float64):
     """Multiplicative mask zeroing contiguous block_size^2 squares.
 
     Seed positions are Bernoulli draws over the valid top-left region at rate
     gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
     expected zeroed fraction is about drop_prob. Survivors are rescaled per
-    feature map by total/kept. Eval mode (or drop_prob 0) is all-ones. The
-    mask takes the activations' ``dtype`` so it keeps their precision.
+    feature map by total/kept, so drop_prob 0 gives all ones. The mask takes
+    the activations' ``dtype`` so it keeps their precision.
     """
     n, c, h, w = shape
     if block_size % 2 == 0 or block_size < 1:
@@ -510,10 +507,8 @@ def dropblock_mask(shape, block_size: int, drop_prob: float,
         raise ConfigurationError(
             f"block_size {block_size} exceeds feature map {h}x{w}"
         )
-    if mode == "eval" or drop_prob == 0.0:
-        return np.ones(shape, dtype)
     if rng is None:
-        raise ConfigurationError("dropblock in train mode requires an rng")
+        raise ConfigurationError("dropblock requires an rng")
     hv, wv = h - block_size + 1, w - block_size + 1
     gamma = drop_prob * (h * w) / (block_size * block_size * hv * wv)
     seeds = rng.random((n, c, hv, wv)) < gamma

@@ -63,7 +63,6 @@ class SplatConfig:
     channels: int
     radix: int = 2
     cardinality: int = 1
-    attention_inner: int | None = None
     stride: int = 1
     fast: bool = False  # downsample before (True) or after (False) the 3x3 conv
 
@@ -81,15 +80,11 @@ class SplatConfig:
             raise ConfigurationError(
                 f"channels {self.channels} not divisible by cardinality {self.cardinality}"
             )
-        if self.attention_inner is None:
-            self.attention_inner = default_attention_inner(
-                self.channels, self.radix, self.cardinality
-            )
-        if self.attention_inner % self.cardinality != 0:
-            raise ConfigurationError(
-                f"attention_inner {self.attention_inner} not divisible by "
-                f"cardinality {self.cardinality}"
-            )
+
+    @property
+    def attention_inner(self) -> int:
+        """Hidden width of the attention bottleneck."""
+        return default_attention_inner(self.channels, self.radix, self.cardinality)
 
     @property
     def groups(self) -> int:
@@ -325,8 +320,7 @@ class SplitAttentionUnit(Module):
 # ---------------------------------------------------------------------------
 
 
-def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice,
-                 eps=1e-5):
+def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice):
     """Eval-mode batch norm over channels ``sl`` of the ``prefix`` layer.
 
     Coded straight from the parameter dict, without ``ops.batch_norm``, so
@@ -334,7 +328,7 @@ def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice,
     """
     shape = (1, -1) + (1,) * (x.ndim - 2)
     mean = params[f"{prefix}.running_mean"][sl].reshape(shape)
-    inv = 1.0 / np.sqrt(params[f"{prefix}.running_var"][sl] + eps)
+    inv = 1.0 / np.sqrt(params[f"{prefix}.running_var"][sl] + ops.BN_EPS)
     scale = (params[f"{prefix}.gamma"][sl] * inv).reshape(shape)
     return (x - mean) * scale + params[f"{prefix}.beta"][sl].reshape(shape)
 

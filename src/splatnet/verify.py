@@ -260,7 +260,7 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
 
     def conv_loss():
         y, cols = ops.conv2d(x, w, stride=1, padding=1, groups=2)
-        gx, gw, _ = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 1, 1, 2)
+        gx, gw = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 1, 1, 2)
         return float(y.sum()), {"x": gx, "w": gw}
 
     rep = grad_check(conv_loss, params, tolerance=1e-7)

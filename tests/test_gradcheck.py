@@ -56,7 +56,7 @@ class TestHarness:
 
         def loss():
             y, cols = ops.conv2d(x, w, padding=1)
-            gx, gw, _ = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 1, 1, 1)
+            gx, gw = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 1, 1, 1)
             return float(y.sum()), {"x": gx, "w": gw}
 
         report = grad_check(loss, {"x": x, "w": w}, tolerance=1e-7)

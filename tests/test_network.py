@@ -369,6 +369,12 @@ class TestNetwork:
         assert drop == ["dropblock3", "dropblock4"]
         net.forward(x, mode="train", rng=rng)
         assert net.dropblock3._mask is not None and net.dropblock4._mask is not None
+        for layer in (net.dropblock3, net.dropblock4):
+            # eval mode is the identity both ways and leaves no mask behind
+            v = rng.standard_normal((2, 3, 4, 4))
+            assert layer.forward(v, mode="eval") is v
+            assert layer._mask is None
+            assert layer.backward(v) is v
         net.forward(x, mode="eval")
         assert net.dropblock3._mask is None and net.dropblock4._mask is None
 
@@ -425,13 +431,12 @@ class TestColumnCache:
 
     def test_eval_backward_rebuilds_columns(self):
         rng = make_rng(4)
-        conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, bias=True, rng=rng)
+        conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=rng)
         x = rng.standard_normal((3, 4, 7, 7))
         g = rng.standard_normal((3, 6, 4, 4))
         conv.forward(x, mode="train")
         gx_train = conv.backward(g)
-        gw_train, gb_train = conv.weight.grad, conv.bias.grad
+        gw_train = conv.weight.grad
         conv.forward(x, mode="eval")
         assert conv.backward(g).tobytes() == gx_train.tobytes()
         assert conv.weight.grad.tobytes() == gw_train.tobytes()
-        assert conv.bias.grad.tobytes() == gb_train.tobytes()

@@ -20,7 +20,7 @@ from splatnet.params import ConfigurationError, make_rng
 # ---------------------------------------------------------------------------
 
 
-def conv2d_oracle(x, w, bias, stride, padding, groups):
+def conv2d_oracle(x, w, stride, padding, groups):
     """Direct 7-nested-loop cross-correlation."""
     n, cin, h, wd = x.shape
     cout, cing, kh, kw = w.shape
@@ -45,7 +45,7 @@ def conv2d_oracle(x, w, bias, stride, padding, groups):
                                     xp[b, g * cing + c, i * sh + ki, j * sw + kj]
                                     * w[o, c, ki, kj]
                                 )
-                    out[b, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
+                    out[b, o, i, j] = acc
     return out
 
 
@@ -74,7 +74,7 @@ def conv2d_backward_oracle(grad_out, x, w, stride, padding, groups):
                                 pos = (b, g * cing + c, i * sh + ki, j * sw + kj)
                                 gxp[pos] += go * w[o, c, ki, kj]
                                 gw[o, c, ki, kj] += go * xp[pos]
-    return gxp[:, :, ph : ph + h, pw : pw + wd], gw, grad_out.sum(axis=(0, 2, 3))
+    return gxp[:, :, ph : ph + h, pw : pw + wd], gw
 
 
 def _window_positions(i, j, kernel, stride, padding, hw):
@@ -203,9 +203,8 @@ class TestConv2d:
         rng = make_rng(1)
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((8, 4 // groups, 3, 3))
-        b = rng.standard_normal(8)
-        got, _ = ops.conv2d(x, w, b, stride, padding, groups)
-        want = conv2d_oracle(x, w, b, stride, padding, groups)
+        got, _ = ops.conv2d(x, w, stride, padding, groups)
+        want = conv2d_oracle(x, w, stride, padding, groups)
         npt.assert_allclose(got, want, atol=1e-12)
 
     def test_groups_equal_concatenated_slices(self):
@@ -245,15 +244,14 @@ class TestConv2d:
         rng = make_rng(4)
         x = rng.standard_normal((2, 4, 5, 5))
         w = rng.standard_normal((6, 2, 3, 3))
-        b = rng.standard_normal(6)
         proj = rng.standard_normal((2, 6, 3, 3))
 
         def loss():
-            y, cols = ops.conv2d(x, w, b, (2, 2), (1, 1), 2)
-            gx, gw, gb = ops.conv2d_backward(proj, cols, x.shape, w, (2, 2), (1, 1), 2, True)
-            return float((y * proj).sum()), {"x": gx, "w": gw, "b": gb}
+            y, cols = ops.conv2d(x, w, (2, 2), (1, 1), 2)
+            gx, gw = ops.conv2d_backward(proj, cols, x.shape, w, (2, 2), (1, 1), 2)
+            return float((y * proj).sum()), {"x": gx, "w": gw}
 
-        report = grad_check(loss, {"x": x, "w": w, "b": b}, tolerance=1e-6)
+        report = grad_check(loss, {"x": x, "w": w}, tolerance=1e-6)
         assert report.passed, report.summary()
 
 
@@ -270,13 +268,13 @@ def conv_cases(draw):
     return dict(n=draw(st.integers(1, 3)), groups=draw(st.integers(1, 3)),
                 cin_g=draw(st.integers(1, 3)), cout_g=draw(st.integers(1, 3)),
                 kernel=(kh, kw), stride=(sh, sw), padding=(ph, pw), hw=(h, w),
-                bias=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+                seed=draw(st.integers(0, 2**16)))
 
 
 _ONE_POSITION = dict(n=2, groups=2, cin_g=2, cout_g=3, kernel=(3, 3), stride=(2, 2),
-                     padding=(1, 1), hw=(1, 1), bias=True, seed=0)
+                     padding=(1, 1), hw=(1, 1), seed=0)
 _NO_CANVAS = dict(n=3, groups=1, cin_g=3, cout_g=2, kernel=(1, 1), stride=(1, 1),
-                  padding=(0, 0), hw=(3, 2), bias=False, seed=1)
+                  padding=(0, 0), hw=(3, 2), seed=1)
 
 
 class TestConv2dReference:
@@ -293,25 +291,19 @@ class TestConv2dReference:
         cin, cout = g * case["cin_g"], g * case["cout_g"]
         x = rng.standard_normal((case["n"], cin, *case["hw"]))
         w = rng.standard_normal((cout, case["cin_g"], *case["kernel"]))
-        b = rng.standard_normal(cout) if case["bias"] else None
         stride, padding = case["stride"], case["padding"]
 
-        y, cols = ops.conv2d(x, w, b, stride, padding, g)
-        npt.assert_allclose(y, conv2d_oracle(x, w, b, stride, padding, g), atol=1e-12)
+        y, cols = ops.conv2d(x, w, stride, padding, g)
+        npt.assert_allclose(y, conv2d_oracle(x, w, stride, padding, g), atol=1e-12)
         # an eval-mode backward rebuilds exactly the columns the forward returned
         assert ops.im2col(x, case["kernel"], stride, padding).tobytes() == cols.tobytes()
 
         grad_out = rng.standard_normal(y.shape)
-        gx, gw, gb = ops.conv2d_backward(grad_out, cols, x.shape, w, stride, padding, g,
-                                         has_bias=b is not None)
-        want_gx, want_gw, want_gb = conv2d_backward_oracle(grad_out, x, w, stride, padding, g)
+        gx, gw = ops.conv2d_backward(grad_out, cols, x.shape, w, stride, padding, g)
+        want_gx, want_gw = conv2d_backward_oracle(grad_out, x, w, stride, padding, g)
         assert gx.shape == x.shape and gx.flags.c_contiguous
         npt.assert_allclose(gx, want_gx, atol=1e-12)
         npt.assert_allclose(gw, want_gw, atol=1e-12)
-        if b is None:
-            assert gb is None
-        else:
-            npt.assert_allclose(gb, want_gb, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +749,8 @@ class TestFloat32:
         assert y.dtype == f32 and gx.dtype == f32
 
         w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
-        y, cols = ops.conv2d(x, w, None, 2, 1)
-        gx, gw, _ = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 2, 1)
+        y, cols = ops.conv2d(x, w, 2, 1)
+        gx, gw = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 2, 1)
         assert [a.dtype for a in (y, cols, gx, gw)] == [f32] * 4
 
         for shape in ((4, 3), (2, 3, 5, 5)):

@@ -186,10 +186,6 @@ class TestDropBlock:
         mask = dropblock_mask((2, 3, 8, 8), 3, 0.0, make_rng(0))
         npt.assert_array_equal(mask, 1.0)
 
-    def test_eval_all_ones(self):
-        mask = dropblock_mask((2, 3, 8, 8), 3, 0.5, make_rng(0), mode="eval")
-        npt.assert_array_equal(mask, 1.0)
-
     def test_block_size_one_is_plain_dropout_rate(self):
         rng = make_rng(9)
         mask = dropblock_mask((8, 8, 40, 40), 1, 0.2, rng)
