@@ -19,11 +19,17 @@ literal reference values stored beside each hash: 16 logits, or 16 evenly
 spaced entries of a gradient, within 1e-12 of the largest reference value.
 
 The digests hold for one BLAS build at one thread count (they were taken
-with OpenBLAS on two threads): a GEMM split over more threads may sum in
-another order. The literal references hold on any host.
+with OpenBLAS on two threads, which ``conftest.py`` pins): a GEMM split over
+more threads may sum in another order. The literal references hold on any
+host.
+
+A directional-derivative check covers the same residual branches in train
+mode at batch 16: the gradient of every parameter along one random unit
+direction must match a central difference of the loss.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,9 +55,9 @@ VARIANTS = {
 }
 
 
-def _network(variant, dtype=np.float64):
+def _network(variant, dtype=np.float64, dropout=0.2, dropblock_prob=0.1):
     settings = parse_settings(read_config_file(TOY_CONFIG), allow_training=True)
-    cfg = replace(network_config(settings), dropout=0.2, dropblock_prob=0.1,
+    cfg = replace(network_config(settings), dropout=dropout, dropblock_prob=dropblock_prob,
                   **VARIANTS[variant])
     net = build_network(cfg, spawn_rng(0, 0))
     rng = spawn_rng(0, 1)
@@ -252,3 +258,49 @@ class TestBitGate:
         grads = train_param_grads(variant)
         _assert_reference(grads, pins["param_grads_ref"])
         assert _sha256(grads) == pins["param_grads"]
+
+
+# the bit gate's networks without dropout, and the toy network with both
+DIRECTIONAL = {**{v: dict(variant=v, dropout=0.0, dropblock_prob=0.0) for v in VARIANTS},
+               "toy-dropblock-dropout": dict(variant="toy", dropout=0.1, dropblock_prob=0.1)}
+STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
+def directional_error(net, batch=16):
+    """Relative error of ⟨∇L, v⟩ against (L(θ+hv) − L(θ−hv))/2h, best over h.
+
+    L = Σ logits·proj of a train-mode forward; every forward gets a fresh
+    copy of the same rng, so the DropBlock and dropout masks repeat. v is one
+    random unit direction over all parameters.
+    """
+    rng = spawn_rng(0, 5)
+    x = rng.standard_normal((batch, 1, SIZE, SIZE))
+    proj = rng.standard_normal((batch, 2))
+    params = net.parameters()
+    v = [rng.standard_normal(p.value.shape) for p in params]
+    norm = math.sqrt(sum(float((d * d).sum()) for d in v))
+
+    def loss():
+        return float((net.forward(x, mode="train", rng=spawn_rng(0, 4)) * proj).sum())
+
+    loss()
+    net.backward(proj)
+    analytic = sum(float((p.grad * d).sum()) for p, d in zip(params, v)) / norm
+    start = [p.value.copy() for p in params]
+    errors = []
+    for h in STEPS:
+        sides = []
+        for sign in (1.0, -1.0):
+            for p, s, d in zip(params, start, v):
+                p.value[...] = s + (sign * h / norm) * d
+            sides.append(loss())
+        fd = (sides[0] - sides[1]) / (2.0 * h)
+        errors.append(abs(fd - analytic) / max(abs(fd), abs(analytic)))
+    for p, s in zip(params, start):
+        p.value[...] = s
+    return min(errors)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTIONAL))
+def test_train_directional_derivative(name):
+    assert directional_error(_network(**DIRECTIONAL[name])) < 1e-6
