@@ -1,7 +1,8 @@
 """Static cost model and micro-benchmark harness.
 
 The cost model runs the network's own eval-mode forward on an empty batch,
-``[0, C, H, W]``, and records every leaf-layer call in call order. Each call
+``[0, C, H, W]`` (``[C, H, W, 0]`` inside), and records every leaf-layer
+call in call order. Each call
 gives one row: the layer's dotted path, its per-image output shape, its
 parameter count (taken from the live parameter arrays, so every parameter is
 counted exactly once) and the ``(macs, aux_ops)`` its ``cost`` method returns
@@ -87,6 +88,9 @@ def _nparams(module) -> int:
 def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
     """One cost row per leaf-layer call of an empty-batch eval forward.
 
+    ``input_shape`` has a zero batch: NCHW for a network, [C, H, W, 0] for a
+    module inside one. Leaves see batch-last arrays: per image, ``shape[:-1]``.
+
     Recording wrappers go on the leaf instances; every module's attributes
     (wrappers and forward caches alike) are put back afterwards.
     """
@@ -97,8 +101,8 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
 
         def recorded(x, *args, **kwargs):
             y = forward(x, *args, **kwargs)
-            macs, aux = leaf.cost(x.shape[1:], y.shape[1:])
-            rows.append(CostRow(path, y.shape[1:], _nparams(leaf), macs, aux))
+            macs, aux = leaf.cost(x.shape[:-1], y.shape[:-1])
+            rows.append(CostRow(path, y.shape[:-1], _nparams(leaf), macs, aux))
             return y
         return recorded
 
@@ -109,7 +113,7 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
         for path, m in children:
             if next(m.named_modules(), None) is None:
                 m.forward = recording(path, m)
-        module.forward(np.zeros((0, *input_shape), dtype), mode="eval")
+        module.forward(np.zeros(input_shape, dtype), mode="eval")
     finally:
         for m, attrs in saved:
             vars(m).clear()
@@ -125,7 +129,7 @@ def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> Cos
     if min(input_hw) < 1:
         raise ConfigurationError(f"input size must be >= 1, got {input_hw[0]}x{input_hw[1]}")
     cfg = network.cfg
-    rows = _trace_rows(network, (cfg.input_channels, *input_hw))
+    rows = _trace_rows(network, (0, cfg.input_channels, *input_hw))
     echo = (
         f"depth={cfg.depth} {cfg.variant_name} stage_blocks={cfg.stage_blocks} "
         f"deep_stem={cfg.deep_stem} stem_width={cfg.stem_width} "
@@ -174,7 +178,7 @@ class ParityReport:
 
 
 def _block_rows(spec: BottleneckSpec, input_hw) -> list[CostRow]:
-    return _trace_rows(Bottleneck(spec), (spec.in_channels, *input_hw), "block.")
+    return _trace_rows(Bottleneck(spec), (spec.in_channels, *input_hw, 0), "block.")
 
 
 _ATTENTION_PARTS = (".fc1", ".bn_att", ".relu_att", ".fc2")

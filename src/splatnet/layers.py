@@ -11,8 +11,9 @@ forward order (``None`` for a layer the configuration leaves out):
 Only the joins of two paths (the residual sum, the attention-weighted
 fusion) route gradients by hand.
 
-Every layer also prices one image: ``cost(x_shape, y_shape)`` returns
-``(macs, aux_ops)`` from the per-image shapes of its first input and its
+Every layer takes [C, H, W, N] or [F, N] activations (:mod:`splatnet.ops`)
+and prices one image: ``cost(x_shape, y_shape)`` returns ``(macs, aux_ops)``
+from the per-image shapes (all axes but the last) of its first input and its
 output (conventions in :mod:`splatnet.analysis`).
 """
 
@@ -89,7 +90,7 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    """Grouped fully-connected layer on [N, F] inputs."""
+    """Grouped fully-connected layer on [F, N] inputs."""
 
     def __init__(self, in_features, out_features, groups=1, bias=True,
                  rng=None, dtype=np.float64):
@@ -189,8 +190,8 @@ class AddReLU(Module):
     def forward(self, x, shortcut):
         if x.shape != shortcut.shape:
             raise ConfigurationError(
-                f"residual/shortcut shape mismatch: {x.shape[1:]} vs "
-                f"{shortcut.shape[1:]} per image"
+                f"residual/shortcut shape mismatch: {x.shape[:-1]} vs "
+                f"{shortcut.shape[:-1]} per image"
             )
         self._x = x + shortcut
         return ops.relu(self._x)
@@ -226,20 +227,19 @@ class MaxPool2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self._x = None
+        self._xp = None
         self._y = None
 
     def forward(self, x, mode="train", rng=None):
-        # the backward finds each window's argmax from the input and output
-        self._x = x
-        self._y = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
+        # the backward finds each window's argmax from the padded input and output
+        self._y, self._xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
         return self._y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
-        return ops.max_pool2d_backward(grad_out, self._x, self._y,
+        return ops.max_pool2d_backward(grad_out, self._xp, self._y,
                                        self.kernel, self.stride, self.padding)
 
 
@@ -277,7 +277,7 @@ class Dropout(Module):
 
 
 class DropBlock(Module):
-    """DropBlock on [N, C, H, W] maps: a train forward zeroes contiguous
+    """DropBlock on [C, H, W, N] maps: a train forward zeroes contiguous
     squares at rate ``p``; eval is the identity."""
 
     def __init__(self, p, block_size):
@@ -290,7 +290,7 @@ class DropBlock(Module):
         if mode != "train":
             return x
         # the block is clamped (and kept odd) when the map is smaller
-        size = min(self.block_size, x.shape[2], x.shape[3])
+        size = min(self.block_size, x.shape[1], x.shape[2])
         if size % 2 == 0:
             size -= 1
         self._mask = ops.dropblock_mask(x.shape, size, self.p, rng, dtype=x.dtype)

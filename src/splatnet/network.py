@@ -16,6 +16,10 @@ triples and max pool, a stage's blocks, a block's branch and shortcut, and
 the network's stem, stages, DropBlock layers and head. ``run_forward`` and
 ``run_backward`` (:mod:`splatnet.layers`) run both passes from those lists;
 only the residual sum routes gradients by hand.
+
+Activations are NCHW only at the network's boundary, which converts once on
+the way in and once on the way out; every module inside takes [C, H, W, N]
+(or [F, N]) arrays (:mod:`splatnet.ops`).
 """
 
 from __future__ import annotations
@@ -264,6 +268,7 @@ class Network(Module):
                 self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]
 
     def forward(self, x, mode="train", rng=None):
+        """NCHW images -> logits [N, classes]."""
         n, c, h, w = x.shape
         if c != self.cfg.input_channels:
             raise ConfigurationError(
@@ -274,10 +279,11 @@ class Network(Module):
                 f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
                 f"required by the stride chain"
             )
-        return run_forward(self.layers(), x, mode, rng)
+        return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), mode, rng))
 
     def backward(self, grad_logits):
-        return run_backward(self.layers(), grad_logits)
+        """Gradient of the logits [N, classes] -> gradient of the NCHW input."""
+        return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
 
     def shortcut_only_forward(self, x, mode="eval"):
         """Forward with every residual branch bypassed (shortcut chain only).
@@ -285,12 +291,12 @@ class Network(Module):
         With freshly zero-initialized final normalization scales the real
         forward must agree with this one.
         """
-        x = self.stem.forward(x, mode=mode)
+        x = self.stem.forward(ops.to_chwn(x), mode=mode)
         for stage in self.stages():
             for block in stage.block:
                 x = ops.relu(run_forward(block.shortcut(), x, mode))
         feats = self.gap.forward(x, mode=mode)
-        return self.fc.forward(feats, mode=mode)
+        return ops.to_nchw(self.fc.forward(feats, mode=mode))
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator,

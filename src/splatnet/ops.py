@@ -1,7 +1,10 @@
 """Dense tensor kernels: forward and backward passes for every primitive.
 
-All kernels are pure functions of ndarray inputs (NCHW layout for rank-4
-activations) and are deterministic given their arguments. Each forward has a
+All kernels are pure functions of ndarray inputs and are deterministic given
+their arguments. Activations are batch-innermost: [C, H, W, N] at rank 4 and
+[F, N] at rank 2, so a channel's values for the whole batch form one
+contiguous row (cuda-convnet's layout). The network converts from and to
+NCHW once, at its boundary (``to_chwn``, ``to_nchw``). Each forward has a
 matching ``*_backward`` that returns exact analytic gradients. There is no
 graph engine: :mod:`splatnet.layers` wraps each kernel in a layer, and a
 composite module runs its backward over the same layer list as its forward.
@@ -31,27 +34,46 @@ def _out_extent(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+def to_chwn(x: np.ndarray) -> np.ndarray:
+    """NCHW (or [N, F]) -> a [C, H, W, N] (or [F, N]) view."""
+    return np.moveaxis(x, 0, -1)
+
+
+def to_nchw(x: np.ndarray) -> np.ndarray:
+    """[C, H, W, N] (or [F, N]) -> a C-contiguous NCHW (or [N, F]) copy."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
 def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), value, dtype=x.dtype)
-    xp[:, :, ph : ph + h, pw : pw + w] = x
+    c, h, w, n = x.shape
+    xp = np.full((c, h + 2 * ph, w + 2 * pw, n), value, dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x
     return xp
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Sliding-window view [N, C, Ho, Wo, kh, kw] over a padded input."""
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    sn, sc, sy, sx = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(sn, sc, sy * sh, sx * sw, sy, sx),
-        writeable=False,
-    )
+def _window_slices(xp, kh, kw, sh, sw, ho, wo):
+    """The kh*kw strided views [C, Ho, Wo, N] of a padded input, one per
+    window offset, in row-major offset order."""
+    return [xp[:, i : i + sh * ho : sh, j : j + sw * wo : sw]
+            for i in range(kh) for j in range(kw)]
+
+
+def _scatter_windows(part, x_shape, kh, kw, sh, sw, ph, pw, ho, wo, dtype):
+    """col2im, the backward of every windowed kernel: adds ``part(i, j)``, the
+    [C, Ho, Wo, N] gradient of window offset (i, j), onto a zeroed padded
+    canvas and returns its C-contiguous [C, H, W, N] interior. Offsets go in
+    descending order, so each input position sums its windows in window order.
+    """
+    c, h, w, n = x_shape
+    canvas = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dtype)
+    for i in reversed(range(kh)):
+        for j in reversed(range(kw)):
+            canvas[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += part(i, j)
+    if ph == 0 and pw == 0:
+        return canvas
+    return np.ascontiguousarray(canvas[:, ph : ph + h, pw : pw + w])
 
 
 # ---------------------------------------------------------------------------
@@ -60,33 +82,36 @@ def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
 
 
 def im2col(x, kernel, stride=1, padding=0):
-    """Input [N, C, H, W] -> columns [C*kh*kw, N, Ho, Wo] of the zero-padded input.
+    """Input [C, H, W, N] -> columns [C*kh*kw, Ho, Wo, N] of the zero-padded input.
 
-    Row order is (channel, ki, kj), so a grouped reshape along rows keeps
-    channel groups contiguous. The batch sits inside the columns: viewed as
-    [groups, C*kh*kw/groups, N*Ho*Wo], each group's columns for the whole
-    batch form one matrix. A copy, except for a 1x1 stride-1 unpadded
-    kernel on one image, where it is a view of the input.
+    Row order is (channel, ki, kj), so each channel group's rows form one
+    [C*kh*kw/groups, Ho*Wo*N] matrix. A copy, except for a 1x1 stride-1
+    unpadded kernel, where it is a view of a contiguous input.
     """
     kh, kw = _pair(kernel)
+    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    n, c = x.shape[:2]
-    win = _windows(_pad_spatial(x, ph, pw), kh, kw, *_pair(stride))  # [N, C, Ho, Wo, kh, kw]
-    ho, wo = win.shape[2], win.shape[3]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n, ho, wo)
+    xp = _pad_spatial(x, ph, pw)
+    c, hp, wp, n = xp.shape
+    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    sc, sy, sx, sn = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, kh, kw, ho, wo, n),
+        strides=(sc, sy, sx, sy * sh, sx * sw, sn), writeable=False,
+    )
+    return win.reshape(c * kh * kw, ho, wo, n)
 
 
 def conv2d(x, weight, stride=1, padding=0, groups=1):
-    """Grouped 2-D convolution (cross-correlation) as im2col plus GEMMs.
+    """Grouped 2-D convolution (cross-correlation) as im2col plus one GEMM per group.
 
-    x: [N, Cin, H, W]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch norm follows).
-    Output group g (rows g*Cout/g ..) reads only input channel group g.
-    Returns (y, cols): y is [N, Cout, Ho, Wo] and cols are the ``im2col``
-    columns, which ``conv2d_backward`` takes so a train step builds them
-    once. Each image and group is one GEMM over its slice of the columns,
-    so an output is the same dot product whatever the batch size.
+    x: [Cin, H, W, N]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch
+    norm follows). Output group g is W[Cout/g, Cin/g*kh*kw] @
+    cols[Cin/g*kh*kw, Ho*Wo*N], already in the [Cout, Ho, Wo, N] layout.
+    Returns (y, cols); ``conv2d_backward`` takes the ``im2col`` columns, so a
+    train step builds them once.
     """
-    n, cin, h, w = x.shape
+    cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
     ph, pw = _pair(padding)
     if cin % groups != 0:
@@ -102,49 +127,37 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
             f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
         )
     cols = im2col(x, (kh, kw), stride, padding)
-    ho, wo = cols.shape[2], cols.shape[3]
-    colsg = cols.reshape(groups, cing * kh * kw, n, ho * wo).transpose(2, 0, 1, 3)
-    wg = weight.reshape(groups, cout // groups, cing * kh * kw)
-    out = np.matmul(wg, colsg).reshape(n, cout, ho, wo)  # [N, g, Cout/g, L]
-    return out, cols
+    ho, wo = cols.shape[1], cols.shape[2]
+    colsg = cols.reshape(groups, cing * kh * kw, ho * wo * n)
+    out = np.matmul(weight.reshape(groups, cout // groups, cing * kh * kw), colsg)
+    return out.reshape(cout, ho, wo, n), cols
 
 
 def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups=1):
     """Gradients of conv2d w.r.t. (input, weight).
 
-    cols are the columns of the forward (``conv2d``'s second output, or
-    ``im2col`` of its input) and x_shape is the input's shape. The batch is
-    folded into the GEMMs, one per group each for the weight gradient
-    go @ colsᵀ (go = grad_out as [groups, Cout/groups, N*Ho*Wo], summed over
-    m in the columns' (N, Ho, Wo) order) and the column gradient Wᵀ @ go.
-    For a 1x1 stride-1 unpadded conv the column gradient is the input
-    gradient. Otherwise it is taken with the batch innermost,
-    [Cin*kh*kw, Ho, Wo, N], and each window offset is added in (ki, kj)
-    order onto a zeroed [Cin, Hp, Wp, N] canvas (col2im), so every add runs
-    over Wo*N contiguous elements. Returns C-contiguous NCHW arrays.
+    cols are the forward's columns and x_shape its input's shape. Per group,
+    with go = grad_out as [Cout/g, Ho*Wo*N], one GEMM gives the weight
+    gradient go @ colsᵀ. The column gradient Wᵀ @ go takes one GEMM per
+    window offset, each added onto the input by ``_scatter_windows`` as it
+    is made, so no kh*kw-times-input array is held. Returns C-contiguous arrays.
     """
-    n, cin, h, w = x_shape
+    cin, h, w, n = x_shape
     cout, cing, kh, kw = weight.shape
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
-    ckk, m = cing * kh * kw, n * ho * wo
-    go = grad_out.transpose(1, 0, 2, 3).reshape(groups, cout // groups, m)
+    ho, wo = grad_out.shape[1], grad_out.shape[2]
+    ckk, m = cing * kh * kw, ho * wo * n
+    go = grad_out.reshape(groups, cout // groups, m)
     grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
     grad_w = grad_w.reshape(weight.shape)
-
-    wgt = weight.reshape(groups, cout // groups, ckk).transpose(0, 2, 1)
+    # Wᵀ per window offset: [kh*kw, groups, Cin/g, Cout/g], contiguous for the GEMMs
+    wt = weight.reshape(groups, cout // groups, cing, kh * kw).transpose(3, 0, 2, 1).copy()
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        gx = np.matmul(wgt, go).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
-    else:
-        go_last = grad_out.transpose(1, 2, 3, 0).reshape(groups, cout // groups, m)
-        gcols = np.matmul(wgt, go_last).reshape(cin, kh, kw, ho, wo, n)
-        gx = np.zeros((cin, h + 2 * ph, w + 2 * pw, n), dtype=gcols.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += gcols[:, i, j]
-        gx = gx[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
-    return np.ascontiguousarray(gx), grad_w
+        return np.matmul(wt[0], go).reshape(x_shape), grad_w
+    gx = _scatter_windows(lambda i, j: np.matmul(wt[i * kw + j], go).reshape(cin, ho, wo, n),
+                          x_shape, kh, kw, sh, sw, ph, pw, ho, wo, grad_out.dtype)
+    return gx, grad_w
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +174,7 @@ def _pool_window(x_shape, kernel, stride, padding):
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride) if stride is not None else (kh, kw)
     ph, pw = _pair(padding)
-    h, w = x_shape[2], x_shape[3]
+    h, w = x_shape[1], x_shape[2]
     if h + 2 * ph < kh or w + 2 * pw < kw:
         raise ConfigurationError(
             f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
@@ -170,7 +183,7 @@ def _pool_window(x_shape, kernel, stride, padding):
 
 
 def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
-    """Per-window divisor for average pooling: the count of in-bounds positions.
+    """Per-window divisor [Ho, Wo, 1] for average pooling: in-bounds positions.
 
     A window's count is the product of its in-bounds extents along each
     axis, so the counts are the outer product of two per-axis vectors.
@@ -178,20 +191,14 @@ def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
     ho = _out_extent(h, kh, sh, ph)
     wo = _out_extent(w, kw, sw, pw)
     if ph == 0 and pw == 0:  # every window lies in bounds
-        return np.full((ho, wo), float(kh * kw), dtype=dtype)
+        return np.full((ho, wo, 1), float(kh * kw), dtype=dtype)
 
     def extents(size, k, s, p, out):
         start = np.arange(out) * s - p
         return np.minimum(start + k, size) - np.maximum(start, 0)
 
-    return np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo)).astype(dtype)
-
-
-def _window_slices(xp, kh, kw, sh, sw, ho, wo):
-    """The kh*kw strided views [N, C, Ho, Wo] of a padded input, one per
-    window offset, in row-major offset order."""
-    return [xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-            for i in range(kh) for j in range(kw)]
+    counts = np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo))
+    return counts[:, :, None].astype(dtype)
 
 
 def avg_pool2d(x, kernel, stride=None, padding=0):
@@ -201,7 +208,7 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
     are summed into one accumulator in window order, then divided.
     """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     slices = _window_slices(_pad_spatial(x, ph, pw), kh, kw, sh, sw, ho, wo)
     out = slices[0].copy()
     for s in slices[1:]:
@@ -213,83 +220,63 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
 def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0):
     """Distributes each window's gradient uniformly over its contributors.
 
-    The gradient is divided into a batch-innermost [C, Ho, Wo, N] array and
-    added, one window offset at a time in row-major order, onto a zeroed
-    [C, Hp, Wp, N] canvas, so every add runs over Wo*N contiguous elements.
-    Returns a C-contiguous NCHW array of grad_out's dtype.
+    Returns a C-contiguous array of grad_out's dtype.
     """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
-    n, c, h, w = x_shape
-    div = _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, grad_out.dtype)
-    g = np.divide(grad_out.transpose(1, 2, 3, 0), div[:, :, None], order="C")
-    gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=grad_out.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += g
-    return np.ascontiguousarray(gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2))
+    c, h, w, n = x_shape
+    g = grad_out / _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, grad_out.dtype)
+    return _scatter_windows(lambda i, j: g, x_shape, kh, kw, sh, sw, ph, pw, ho, wo,
+                            grad_out.dtype)
 
 
 def max_pool2d(x, kernel, stride=None, padding=0):
     """Max over each window; padding filled with -inf so it never wins.
 
     An elementwise maximum over the kh*kw strided slices of the padded
-    input. Which position won is left to ``max_pool2d_argmax``, which only
-    the backward needs.
+    input. Returns (y, xp); ``max_pool2d_backward`` takes the padded input
+    xp, so it does not pad again, and a forward does no index work.
     """
     kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    slices = _window_slices(_pad_spatial(x, ph, pw, -np.inf), kh, kw, sh, sw, ho, wo)
+    xp = _pad_spatial(x, ph, pw, -np.inf)
+    slices = _window_slices(xp, kh, kw, sh, sw, ho, wo)
     best = slices[0].copy()
     for s in slices[1:]:
         np.maximum(best, s, out=best)
-    return best
+    return best, xp
 
 
-def max_pool2d_argmax(x, y, kernel, stride=None, padding=0):
-    """Each window's argmax as a row-major offset within the kh x kw window.
+def max_pool2d_backward(grad_out, xp, y, kernel, stride=None, padding=0):
+    """Routes each window's gradient to its first argmax position.
 
-    y is ``max_pool2d``'s output for x. On ties the first occurrence wins:
-    the slices are compared with y in descending offset order, so the
-    lowest matching offset is written last.
+    xp and y are ``max_pool2d``'s padded input and output. A window hits at
+    the first offset, in row-major order, whose slice equals its maximum.
+    Each offset's hits take grad_out and the rest zero, added onto the input
+    by ``_scatter_windows``. Returns an array of grad_out's dtype.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    slices = _window_slices(_pad_spatial(x, ph, pw, -np.inf), kh, kw, sh, sw, ho, wo)
-    idx = np.zeros(y.shape, dtype=np.intp)
-    for k in range(kh * kw - 1, -1, -1):
-        idx[slices[k] == y] = k
-    return idx
-
-
-def max_pool2d_backward(grad_out, x, y, kernel, stride=None, padding=0):
-    """Routes each window's gradient to its (first) argmax position.
-
-    x and y are the forward's input and output; the argmax is found here
-    (``max_pool2d_argmax``), so a forward that no backward follows does no
-    index work. Each window's argmax becomes a flat offset into the padded
-    input, and ``np.bincount`` sums the gradients per offset in window
-    order. It accumulates in float64; the result is cast back to grad_out's
-    dtype.
-    """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    ki, kj = np.divmod(max_pool2d_argmax(x, y, kernel, stride, padding), kw)
-    rows = np.arange(ho)[:, None] * sh + ki
-    cols = np.arange(wo) * sw + kj
-    planes = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
-    flat = (planes + rows * wp + cols).ravel()
-    gxp = np.bincount(flat, weights=grad_out.ravel(), minlength=n * c * hp * wp)
-    gxp = gxp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w]
-    return gxp.astype(grad_out.dtype, copy=False)
+    ph, pw = _pair(padding)
+    c, hp, wp, n = xp.shape
+    x_shape = (c, hp - 2 * ph, wp - 2 * pw, n)
+    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
+    taken = np.zeros(y.shape, dtype=bool)
+    hits = []
+    for s in _window_slices(xp, kh, kw, sh, sw, ho, wo):
+        hit = s == y
+        np.greater(hit, taken, out=hit)  # not taken by an earlier offset
+        taken |= hit
+        hits.append(hit)
+    zero = np.zeros((), dtype=grad_out.dtype)
+    return _scatter_windows(lambda i, j: np.where(hits[i * kw + j], grad_out, zero),
+                            x_shape, kh, kw, sh, sw, ph, pw, ho, wo, grad_out.dtype)
 
 
 def global_avg_pool(x):
-    """[N, C, H, W] -> [N, C], mean over all spatial positions."""
-    return x.mean(axis=(2, 3))
+    """[C, H, W, N] -> [C, N], mean over all spatial positions."""
+    return x.mean(axis=(1, 2))
 
 
 def global_avg_pool_backward(grad_out, x_shape):
-    n, c, h, w = x_shape
-    return np.broadcast_to(grad_out[:, :, None, None] / (h * w), x_shape).copy()
+    c, h, w, n = x_shape
+    return np.broadcast_to(grad_out[:, None, None, :] / (h * w), x_shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +285,11 @@ def global_avg_pool_backward(grad_out, x_shape):
 
 
 def fully_connected(x, weight, bias=None, groups=1):
-    """Grouped affine map: x [N, F], weight [O, F/groups], bias [O].
+    """Grouped affine map y[O, N] = W @ x[F, N] (+ bias [O]); weight [O, F/groups].
 
     Output group i reads only input feature group i; groups=1 is dense.
     """
-    n, f = x.shape
+    f, n = x.shape
     o, fg = weight.shape
     if f % groups != 0:
         raise ConfigurationError(f"in_features {f} not divisible by groups {groups}")
@@ -312,13 +299,10 @@ def fully_connected(x, weight, bias=None, groups=1):
         raise ConfigurationError(
             f"weight expects {fg} features per group, input provides {f // groups}"
         )
-    xg = x.reshape(n, groups, f // groups)
-    wg = weight.reshape(groups, o // groups, fg)
-    # one GEMM per group on transposed views, so the weight is never copied
-    out = np.matmul(xg.transpose(1, 0, 2), wg.transpose(0, 2, 1)).transpose(1, 0, 2)
-    out = out.reshape(n, o)
+    out = np.matmul(weight.reshape(groups, o // groups, fg), x.reshape(groups, fg, n))
+    out = out.reshape(o, n)
     if bias is not None:
-        out = out + bias[None, :]
+        out += bias[:, None]
     return out
 
 
@@ -326,17 +310,17 @@ def fully_connected_backward(grad_out, x, weight, groups=1, has_bias=False):
     """Gradients of fully_connected w.r.t. (x, weight, bias).
 
     One GEMM per group for each of the weight and input gradients, on
-    transposed views as in the forward, so nothing weight-sized is
-    allocated beyond the returned weight gradient.
+    transposed views, so nothing weight-sized is allocated beyond the
+    returned weight gradient.
     """
-    n, f = x.shape
+    f, n = x.shape
     o = weight.shape[0]
-    xg = x.reshape(n, groups, f // groups).transpose(1, 0, 2)
+    gg = grad_out.reshape(groups, o // groups, n)
+    xg = x.reshape(groups, f // groups, n)
     wg = weight.reshape(groups, o // groups, f // groups)
-    gg = grad_out.reshape(n, groups, o // groups).transpose(1, 0, 2)
-    grad_w = np.matmul(gg.transpose(0, 2, 1), xg).reshape(weight.shape)
-    grad_x = np.matmul(gg, wg).transpose(1, 0, 2).reshape(n, f)
-    grad_b = grad_out.sum(axis=0) if has_bias else None
+    grad_w = np.matmul(gg, xg.transpose(0, 2, 1)).reshape(weight.shape)
+    grad_x = np.matmul(wg.transpose(0, 2, 1), gg).reshape(f, n)
+    grad_b = grad_out.sum(axis=1) if has_bias else None
     return grad_x, grad_w, grad_b
 
 
@@ -349,10 +333,6 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
-    return v[None, :, None, None] if ndim == 4 else v[None, :]
-
-
 def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
                momentum=BN_MOMENTUM, eps=BN_EPS):
     """Per-channel batch normalization over all non-channel axes.
@@ -362,25 +342,23 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
     buffers as-is. Freshly initialized buffers (mean 0, var 1) make eval mode
     before any training a plain affine map.
 
-    Train mode works on an [N, C, L] view for rank 2 and rank 4 alike: each
-    statistic is reduced over L, then over N, and the centred input is
-    scaled in place into x̂, so the forward allocates two input-sized
-    arrays, x̂ and y. Eval mode computes y = (x - mean)·(gamma/σ) + beta
-    in place in one input-sized array.
+    Rank 2 [F, N] and rank 4 [C, H, W, N] inputs alike are viewed as [C, M],
+    so each statistic reduces one contiguous channel row. Train mode scales
+    the centred input in place into x̂ and allocates x̂ and y; eval mode
+    computes y = (x - mean)·(gamma/σ) + beta in one input-sized array.
 
     Returns (y, cache); cache is needed by batch_norm_backward and is None in
     eval mode.
     """
     if x.ndim not in (2, 4):
         raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
+    x2 = x.reshape(x.shape[0], -1)
     if mode == "train":
-        n, c = x.shape[:2]
-        x3 = x.reshape(n, c, -1)
-        m = n * x3.shape[2]
-        mean = x3.sum(axis=2).sum(axis=0) / m
-        xhat = x3 - mean[:, None]
+        m = x2.shape[1]
+        mean = x2.sum(axis=1) / m
+        xhat = x2 - mean[:, None]
         buf = np.multiply(xhat, xhat)
-        var = buf.sum(axis=2).sum(axis=0) / m
+        var = buf.sum(axis=1) / m
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std[:, None]
         running_mean *= 1.0 - momentum
@@ -392,28 +370,27 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
         y += beta[:, None]
         return y.reshape(x.shape), (xhat, inv_std, gamma)
     if mode == "eval":
-        nd = x.ndim
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        y = np.subtract(x, _bn_expand(running_mean, nd))
-        y *= _bn_expand(gamma * inv_std, nd)
-        y += _bn_expand(beta, nd)
-        return y, None
+        y = np.subtract(x2, running_mean[:, None])
+        y *= (gamma * inv_std)[:, None]
+        y += beta[:, None]
+        return y.reshape(x.shape), None
     raise ConfigurationError(f"unknown batch_norm mode {mode!r}")
 
 
 def batch_norm_backward(grad_out, cache):
     """Train-mode gradients w.r.t. (x, gamma, beta) from the forward cache.
 
-    Ioffe & Szegedy's gradient, evaluated over the forward's [N, C, L] view
-    of x̂ as gx = (g - Σg/m - x̂·Σg·x̂/m)·gamma/σ, where Σg is dbeta and
-    Σg·x̂ is dgamma.
+    Ioffe & Szegedy's gradient, evaluated over the forward's [C, M] view of
+    x̂ as gx = (g - Σg/m - x̂·Σg·x̂/m)·gamma/σ, where Σg is dbeta and Σg·x̂ is
+    dgamma.
     """
     xhat, inv_std, gamma = cache
-    g3 = grad_out.reshape(xhat.shape)
-    m = xhat.shape[0] * xhat.shape[2]
-    dbeta = g3.sum(axis=2).sum(axis=0)
-    dgamma = np.einsum("ncl,ncl->c", g3, xhat)
-    gx = g3 - (dbeta / m)[:, None]
+    g2 = grad_out.reshape(xhat.shape)
+    m = xhat.shape[1]
+    dbeta = g2.sum(axis=1)
+    dgamma = np.einsum("cm,cm->c", g2, xhat)
+    gx = g2 - (dbeta / m)[:, None]
     gx -= xhat * (dgamma / m)[:, None]
     gx *= (gamma * inv_std)[:, None]
     return gx.reshape(grad_out.shape), dgamma, dbeta
@@ -421,8 +398,8 @@ def batch_norm_backward(grad_out, cache):
 
 def batch_norm_eval_backward(grad_out, gamma, running_var, eps=BN_EPS):
     """Eval-mode input gradient: a fixed per-channel scale."""
-    nd = grad_out.ndim
-    return grad_out * _bn_expand(gamma / np.sqrt(running_var + eps), nd)
+    scale = gamma / np.sqrt(running_var + eps)
+    return grad_out * scale.reshape(-1, *(1,) * (grad_out.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +449,8 @@ def softmax_backward(grad_out, y, axis=-1):
 def dropout(x, p, rng=None, mode="train"):
     """Inverted dropout: survivors are scaled by 1/(1-p) at train time.
 
+    x has its batch last; the draws are taken batch first, in NCHW (or
+    [N, F]) order, so a seed drops the same entries in either layout.
     Returns (y, mask); mask is None when the call is an identity (eval mode
     or p == 0).
     """
@@ -481,8 +460,8 @@ def dropout(x, p, rng=None, mode="train"):
         return x, None
     if rng is None:
         raise ConfigurationError("dropout in train mode requires an rng")
-    keep = rng.random(x.shape) >= p
-    mask = keep.astype(x.dtype) / (1.0 - p)
+    keep = rng.random((x.shape[-1], *x.shape[:-1])) >= p
+    mask = np.moveaxis(keep, 0, -1).astype(x.dtype, order="C") / (1.0 - p)
     return x * mask, mask
 
 
@@ -492,15 +471,16 @@ def dropout_backward(grad_out, mask):
 
 def dropblock_mask(shape, block_size: int, drop_prob: float,
                    rng: np.random.Generator | None = None, dtype=np.float64):
-    """Multiplicative mask zeroing contiguous block_size^2 squares.
+    """Multiplicative mask [C, H, W, N] zeroing contiguous block_size^2 squares.
 
     Seed positions are Bernoulli draws over the valid top-left region at rate
     gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
-    expected zeroed fraction is about drop_prob. Survivors are rescaled per
-    feature map by total/kept, so drop_prob 0 gives all ones. The mask takes
-    the activations' ``dtype`` so it keeps their precision.
+    expected zeroed fraction is about drop_prob. The draws are taken in NCHW
+    order, as ``dropout`` takes them. Survivors are rescaled per feature map
+    by total/kept, so drop_prob 0 gives all ones. The mask takes the
+    activations' ``dtype`` so it keeps their precision.
     """
-    n, c, h, w = shape
+    c, h, w, n = shape
     if block_size % 2 == 0 or block_size < 1:
         raise ConfigurationError(f"block_size must be odd and positive, got {block_size}")
     if block_size > min(h, w):
@@ -511,12 +491,12 @@ def dropblock_mask(shape, block_size: int, drop_prob: float,
         raise ConfigurationError("dropblock requires an rng")
     hv, wv = h - block_size + 1, w - block_size + 1
     gamma = drop_prob * (h * w) / (block_size * block_size * hv * wv)
-    seeds = rng.random((n, c, hv, wv)) < gamma
-    covered = np.zeros((n, c, h, w), dtype=bool)
+    seeds = np.moveaxis(rng.random((n, c, hv, wv)) < gamma, 0, -1)
+    covered = np.zeros(shape, dtype=bool)
     for i in range(block_size):
         for j in range(block_size):
-            covered[:, :, i : i + hv, j : j + wv] |= seeds
+            covered[:, i : i + hv, j : j + wv] |= seeds
     mask = (~covered).astype(dtype)
-    kept = mask.sum(axis=(2, 3), keepdims=True)
+    kept = mask.sum(axis=(1, 2), keepdims=True)
     scale = (h * w) / np.maximum(kept, 1.0)
     return mask * scale

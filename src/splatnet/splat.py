@@ -9,7 +9,7 @@ statistics, pushed through a two-layer bottleneck (grouped by cardinal
 group), and the resulting per-split weights recombine the splits into the
 unit output.
 
-Two memory layouts implement the same mathematics:
+Two channel orderings implement the same mathematics:
 
 * radix-major (class :class:`SplitAttentionUnit`): feature groups sharing a
   radix index are adjacent, so the whole unit runs as one 1x1 convolution,
@@ -115,74 +115,67 @@ class SplatConfig:
 def cardinal_fuse(u: np.ndarray, radix: int) -> np.ndarray:
     """Sum the radix splits of each cardinal group.
 
-    ``u`` is radix-major [N, C*R, H, W]: channel r*C + k*c + j belongs to
-    split r of cardinal group k. Returns [N, C, H, W].
+    ``u`` is radix-major [C*R, H, W, N]: channel r*C + k*c + j belongs to
+    split r of cardinal group k, so u is [R, C, H, W, N] and the fusion is a
+    sum over its leading axis. Returns [C, H, W, N].
     """
-    n, cr, h, w = u.shape
+    cr = u.shape[0]
     if cr % radix != 0:
         raise ConfigurationError(f"channels {cr} not divisible by radix {radix}")
-    c = cr // radix
-    if radix == 1:
-        return u
-    return u.reshape(n, radix, c, h, w).sum(axis=1)
+    return u.reshape(radix, cr // radix, *u.shape[1:]).sum(axis=0)
 
 
 def cardinal_fuse_backward(grad_out: np.ndarray, radix: int) -> np.ndarray:
-    if radix == 1:
-        return grad_out
-    n, c, h, w = grad_out.shape
-    return np.broadcast_to(grad_out[:, None], (n, radix, c, h, w)).reshape(n, radix * c, h, w).copy()
+    split = np.broadcast_to(grad_out, (radix, *grad_out.shape))
+    return split.reshape(radix * grad_out.shape[0], *grad_out.shape[1:])
 
 
 def r_softmax(logits: np.ndarray, radix: int) -> np.ndarray:
-    """Per-split assignment weights from logits [N, K, R, c].
+    """Per-split assignment weights from logits [K, R, c, N].
 
     Softmax across the radix axis when radix > 1 (weights of each
-    (sample, cardinal group, channel) sum to one); an elementwise sigmoid
+    (cardinal group, channel, sample) sum to one); an elementwise sigmoid
     gate when radix == 1.
     """
-    if logits.ndim != 4 or logits.shape[2] != radix:
+    if logits.ndim != 4 or logits.shape[1] != radix:
         raise ConfigurationError(
-            f"expected logits [N, K, R={radix}, c], got {logits.shape}"
+            f"expected logits [K, R={radix}, c, N], got {logits.shape}"
         )
     if radix > 1:
-        return ops.softmax(logits, axis=2)
+        return ops.softmax(logits, axis=1)
     return ops.sigmoid(logits)
 
 
 def r_softmax_backward(grad_out: np.ndarray, weights: np.ndarray, radix: int) -> np.ndarray:
     if radix > 1:
-        return ops.softmax_backward(grad_out, weights, axis=2)
+        return ops.softmax_backward(grad_out, weights, axis=1)
     return ops.sigmoid_backward(grad_out, weights)
 
 
 def weighted_fuse(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Attention-weighted combination of splits.
 
-    u: radix-major [N, K*R*c, H, W]; a: weights [N, K, R, c] broadcast over
-    space. Output channel (k, j) is sum over splits r of a[*, k, r, j] *
-    u[*, r*K*c + k*c + j].
+    u: radix-major [K*R*c, H, W, N]; a: weights [K, R, c, N] broadcast over
+    space. Output channel (k, j) is sum over splits r of a[k, r, j] *
+    u[r*K*c + k*c + j].
     """
-    n, k, r, c = a.shape
-    h, w = u.shape[2], u.shape[3]
-    if u.shape[1] != k * r * c:
+    k, r, c, n = a.shape
+    if u.shape[0] != k * r * c:
         raise ConfigurationError(
-            f"split tensor has {u.shape[1]} channels, weights imply {k * r * c}"
+            f"split tensor has {u.shape[0]} channels, weights imply {k * r * c}"
         )
-    ur = u.reshape(n, r, k, c, h, w)
-    ar = a.transpose(0, 2, 1, 3)  # [N, R, K, c]
-    v = (ur * ar[..., None, None]).sum(axis=1)
-    return v.reshape(n, k * c, h, w)
+    ur = u.reshape(r, k, c, *u.shape[1:])
+    ar = a.transpose(1, 0, 2, 3)[:, :, :, None, None]  # [R, K, c, 1, 1, N]
+    return (ur * ar).sum(axis=0).reshape(k * c, *u.shape[1:])
 
 
 def weighted_fuse_backward(grad_out: np.ndarray, u: np.ndarray, a: np.ndarray):
-    n, k, r, c = a.shape
-    h, w = u.shape[2], u.shape[3]
-    gv = grad_out.reshape(n, 1, k, c, h, w)
-    ur = u.reshape(n, r, k, c, h, w)
-    ar = a.transpose(0, 2, 1, 3)
-    gu = (gv * ar[..., None, None]).reshape(n, r * k * c, h, w)
-    ga = (gv * ur).sum(axis=(4, 5)).transpose(0, 2, 1, 3)  # back to [N, K, R, c]
+    k, r, c, n = a.shape
+    ur = u.reshape(r, k, c, *u.shape[1:])
+    ar = a.transpose(1, 0, 2, 3)[:, :, :, None, None]
+    gv = grad_out.reshape(1, k, c, *grad_out.shape[1:])
+    gu = (gv * ar).reshape(u.shape)
+    ga = (gv * ur).sum(axis=(3, 4)).transpose(1, 0, 2, 3)  # back to [K, R, c, N]
     return gu, ga
 
 
@@ -193,7 +186,7 @@ def weighted_fuse_backward(grad_out: np.ndarray, u: np.ndarray, a: np.ndarray):
 
 
 class CardinalFuse(Module):
-    """Sum of the radix splits: [N, C*R, H, W] -> [N, C, H, W]."""
+    """Sum of the radix splits: [C*R, H, W, N] -> [C, H, W, N]."""
 
     def __init__(self, radix: int):
         self.radix = radix
@@ -209,7 +202,7 @@ class CardinalFuse(Module):
 
 
 class RSoftmax(Module):
-    """Per-split weights [N, K, R, c] from the flat attention logits."""
+    """Per-split weights [K, R, c, N] from the flat attention logits [K*R*c, N]."""
 
     def __init__(self, radix: int, cardinality: int, cardinal_width: int):
         self.radix = radix
@@ -218,8 +211,8 @@ class RSoftmax(Module):
         self.weights = None  # of the last forward
 
     def forward(self, logits, mode="train", rng=None):
-        logits = logits.reshape(logits.shape[0], self.cardinality, self.radix,
-                                self.cardinal_width)
+        logits = logits.reshape(self.cardinality, self.radix, self.cardinal_width,
+                                logits.shape[1])
         self.weights = r_softmax(logits, self.radix)
         return self.weights
 
@@ -228,11 +221,11 @@ class RSoftmax(Module):
 
     def backward(self, grad_out):
         g = r_softmax_backward(grad_out, self.weights, self.radix)
-        return g.reshape(g.shape[0], -1)
+        return g.reshape(self.cardinality * self.radix * self.cardinal_width, g.shape[3])
 
 
 class WeightedFuse(Module):
-    """Splits [N, C*R, H, W] weighted by [N, K, R, c] -> [N, C, H, W]."""
+    """Splits [C*R, H, W, N] weighted by [K, R, c, N] -> [C, H, W, N]."""
 
     def __init__(self):
         self._u = None
@@ -256,7 +249,7 @@ class WeightedFuse(Module):
 
 
 class SplitAttentionUnit(Module):
-    """Radix-major split-attention unit: x [N, Cin, H, W] -> [N, C, H', W'].
+    """Radix-major split-attention unit: x [Cin, H, W, N] -> [C, H', W', N].
 
     Composition: unified 1x1 conv -> BN -> ReLU -> grouped 3x3 conv -> BN ->
     ReLU -> split fusion -> pooled statistics -> grouped FC bottleneck ->
@@ -291,13 +284,13 @@ class SplitAttentionUnit(Module):
         self.weighted_fuse = WeightedFuse()
 
     def transform_layers(self):
-        """x -> radix-major splits [N, C*R, H', W']."""
+        """x -> radix-major splits [C*R, H', W', N]."""
         fast = self.cfg.fast
         return [self.conv_in, self.bn_in, self.relu_in, self.pool if fast else None,
                 self.conv_split, self.bn_split, self.relu_split, None if fast else self.pool]
 
     def attention_layers(self):
-        """Splits -> per-split weights [N, K, R, c]."""
+        """Splits -> per-split weights [K, R, c, N]."""
         return [self.fuse, self.stats, self.fc1, self.bn_att, self.relu_att, self.fc2,
                 self.assign]
 
@@ -333,13 +326,25 @@ def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice):
     return (x - mean) * scale + params[f"{prefix}.beta"][sl].reshape(shape)
 
 
+def reference_conv(x, weight, padding=0):
+    """``ops.conv2d`` on an NCHW input, converting to and from its layout."""
+    return ops.to_nchw(ops.conv2d(ops.to_chwn(x), weight, padding=padding)[0])
+
+
+def reference_pool(x, stride):
+    """The unit's 3x3 pad-1 ``ops.avg_pool2d`` on an NCHW input."""
+    return ops.to_nchw(ops.avg_pool2d(ops.to_chwn(x), 3, stride=stride, padding=1))
+
+
 def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
     """Explicit per-group forward in cardinality-major parameter order.
 
-    Feature group (k, r) lives at block index k * radix + r: all splits of a
-    cardinal group are adjacent. Every transform is applied group by group
-    and every cardinal group gets its own dense FC pair; nothing is shared
-    with the radix-major path except the convolution kernel itself.
+    x is NCHW. Feature group (k, r) lives at block index k * radix + r: all
+    splits of a cardinal group are adjacent. Every transform is applied group
+    by group and every cardinal group gets its own dense FC pair; nothing is
+    shared with the radix-major path except the convolution and pooling
+    kernels, which run in their own [C, H, W, N] layout, so the
+    layout-equivalence check also compares the two activation layouts.
 
     Normalization uses the stored running statistics (eval behaviour), which
     is also what the layout-equivalence check runs.
@@ -356,14 +361,14 @@ def splat_forward_cardinality_major(x, cfg: SplatConfig, params: dict[str, np.nd
         splits = []
         for r in range(r_):
             g = k * r_ + r
-            z, _ = ops.conv2d(x, w_in[g * sw : (g + 1) * sw])
+            z = reference_conv(x, w_in[g * sw : (g + 1) * sw])
             z = np.maximum(reference_bn(z, params, "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
             if c.stride > 1 and c.fast:
-                z = ops.avg_pool2d(z, 3, stride=c.stride, padding=1)
-            u, _ = ops.conv2d(z, w_split[g * cw : (g + 1) * cw], stride=1, padding=1)
+                z = reference_pool(z, c.stride)
+            u = reference_conv(z, w_split[g * cw : (g + 1) * cw], padding=1)
             u = np.maximum(reference_bn(u, params, "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
             if c.stride > 1 and not c.fast:
-                u = ops.avg_pool2d(u, 3, stride=c.stride, padding=1)
+                u = reference_pool(u, c.stride)
             splits.append(u)
 
         fused = np.sum(splits, axis=0)

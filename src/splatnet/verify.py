@@ -24,6 +24,8 @@ from .splat import (
     SplitAttentionUnit,
     permute_params,
     reference_bn,
+    reference_conv,
+    reference_pool,
     splat_forward_cardinality_major,
 )
 
@@ -66,11 +68,12 @@ def random_unit_params(cfg: SplatConfig, rng) -> dict[str, np.ndarray]:
 
 
 def unit_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray], mode="eval"):
-    """Run ``x`` through a fresh unit loaded with ``params``; returns (y, unit)."""
+    """Run NCHW ``x`` through a fresh unit loaded with ``params``, converting
+    to and from the unit's [C, H, W, N] layout; returns (NCHW y, unit)."""
     unit = SplitAttentionUnit(cfg)
     unit.load_state_dict(params)
-    y = unit.forward(x, mode=mode)
-    return y, unit
+    y = unit.forward(ops.to_chwn(x), mode=mode)
+    return ops.to_nchw(y), unit
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +129,14 @@ def se_reference_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
     for k in range(k_):
         gsl = slice(k * sw, (k + 1) * sw)
         csl = slice(k * cw, (k + 1) * cw)
-        t, _ = ops.conv2d(x, params["conv_in.weight"][gsl])
+        t = reference_conv(x, params["conv_in.weight"][gsl])
         t = np.maximum(reference_bn(t, params, "bn_in", gsl), 0.0)
         if cfg.stride > 1 and cfg.fast:
-            t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
-        t, _ = ops.conv2d(t, params["conv_split.weight"][csl], padding=1)
+            t = reference_pool(t, cfg.stride)
+        t = reference_conv(t, params["conv_split.weight"][csl], padding=1)
         t = np.maximum(reference_bn(t, params, "bn_split", csl), 0.0)
         if cfg.stride > 1 and not cfg.fast:
-            t = ops.avg_pool2d(t, 3, stride=cfg.stride, padding=1)
+            t = reference_pool(t, cfg.stride)
         s = t.mean(axis=(2, 3))
         asl = slice(k * ai_k, (k + 1) * ai_k)
         h = s @ params["fc1.weight"][asl].T
@@ -158,7 +161,7 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
         _, unit = unit_forward(x, cfg, params)
         a = unit.assign.weights
         if radix > 1:
-            err = np.abs(a.sum(axis=2) - 1.0).max()
+            err = np.abs(a.sum(axis=1) - 1.0).max()
             results.append(
                 _lt(f"weight normalization R={radix} K={cardinality} C={channels}", err, 1e-12)
             )
@@ -188,33 +191,33 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
     params = random_unit_params(cfg, rng)
     x = rng.standard_normal((3, 4, 6, 6))
     _, unit = unit_forward(x, cfg, params)
-    pair_err = np.abs(unit.assign.weights.sum(axis=2) - 1.0).max()
+    pair_err = np.abs(unit.assign.weights.sum(axis=1) - 1.0).max()
     results.append(_lt("two-split pair weights sum to 1", pair_err, 1e-12))
 
     # scaling one split scales its contribution exactly
-    u = rng.standard_normal((2, 16 * 2, 5, 5))
-    a = splat.r_softmax(rng.standard_normal((2, 2, 2, 8)), 2)
+    u = rng.standard_normal((16 * 2, 5, 5, 2))
+    a = splat.r_softmax(rng.standard_normal((2, 2, 8, 2)), 2)
     v = splat.weighted_fuse(u, a)
     alpha = 3.5
     u2 = u.copy()
-    u2[:, :16] *= alpha  # split r=0 occupies the first channels block
+    u2[:16] *= alpha  # split r=0 occupies the first channels block
     v2 = splat.weighted_fuse(u2, a)
     contrib = v2 - v
     expected = (alpha - 1.0) * splat.weighted_fuse(
-        np.concatenate([u[:, :16], np.zeros_like(u[:, 16:])], axis=1), a
+        np.concatenate([u[:16], np.zeros_like(u[16:])], axis=0), a
     )
     results.append(
         _lt("split scale covariance", np.abs(contrib - expected).max(), 1e-12)
     )
 
     # permuting splits together with their logits leaves the output unchanged
-    logits = rng.standard_normal((2, 2, 4, 8))
-    u = rng.standard_normal((2, 16 * 4, 5, 5))
+    logits = rng.standard_normal((2, 4, 8, 2))
+    u = rng.standard_normal((16 * 4, 5, 5, 2))
     a = splat.r_softmax(logits, 4)
     v = splat.weighted_fuse(u, a)
     perm = np.array([2, 0, 3, 1])
-    ur = u.reshape(2, 4, 16, 5, 5)[:, perm].reshape(2, 64, 5, 5)
-    ap = splat.r_softmax(logits[:, :, perm, :], 4)
+    ur = u.reshape(4, 16, 5, 5, 2)[perm].reshape(64, 5, 5, 2)
+    ap = splat.r_softmax(logits[:, perm], 4)
     vp = splat.weighted_fuse(ur, ap)
     results.append(_lt("split permutation equivariance", np.abs(v - vp).max(), 1e-12))
     return results
@@ -230,8 +233,8 @@ def splat_gradcheck(seed: int = 0, h: float = 1e-5):
     rng = make_rng(seed + 23)
     cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=2)
     unit = SplitAttentionUnit(cfg, rng=rng)
-    x = rng.standard_normal((2, 3, 5, 5))
-    proj = rng.standard_normal((2, 8, 5, 5))  # fixed projection: scalar loss
+    x = rng.standard_normal((3, 5, 5, 2))  # [C, H, W, N]
+    proj = rng.standard_normal((8, 5, 5, 2))  # fixed projection: scalar loss
     params = {"input": x}
     params.update({name: p.value for name, p in unit.named_parameters()})
 
@@ -254,7 +257,7 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
     rng = make_rng(seed + 31)
 
     # single convolution
-    x = rng.standard_normal((1, 2, 5, 5))
+    x = rng.standard_normal((2, 5, 5, 1))  # [C, H, W, N]
     w = rng.standard_normal((4, 1, 3, 3))
     params = {"x": x, "w": w}
 

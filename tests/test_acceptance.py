@@ -87,7 +87,7 @@ def test_criterion_2_attention_normalization():
     range_ok = True
     for (r, k, c), _, _, a in _grid_forwards():
         if r > 1:
-            worst_sum = max(worst_sum, float(np.abs(a.sum(axis=2) - 1.0).max()))
+            worst_sum = max(worst_sum, float(np.abs(a.sum(axis=1) - 1.0).max()))
         else:
             range_ok &= bool((a > 0.0).all() and (a < 1.0).all())
     report(2, "attention weight normalization",
@@ -111,7 +111,7 @@ def test_criterion_3_se_sk_reduction():
     cfg = SplatConfig(in_channels=5, channels=16, radix=2, cardinality=2)
     params = random_unit_params(cfg, rng)
     _, unit = unit_forward(rng.standard_normal((3, 5, 6, 6)), cfg, params)
-    pair = float(np.abs(unit.assign.weights.sum(axis=2) - 1.0).max())
+    pair = float(np.abs(unit.assign.weights.sum(axis=1) - 1.0).max())
     report(3, "squeeze-gate and two-branch reductions",
            worst < 1e-10 and pair < 1e-12,
            f"squeeze-gate diff {worst:.3e}, pair-sum err {pair:.3e}")

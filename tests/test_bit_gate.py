@@ -118,7 +118,7 @@ def _assert_reference(got, want):
 
 PINS = {
     "toy": dict(
-        logits_f64="2a95c481d683251bbe8c47597a438648f5d21ea85298595c1c0db0e534e4d45f",
+        logits_f64="a93fa5045eb3ef5b747f0feadb9e1b7c8d402f52f30d88b60cac05af63c722a2",
         logits_f64_ref=[
             0.4586019222128632, 3.0271982285343597, 0.222871029635475, 2.964690179257354,
             0.3833067991554602, 3.0915647177116696, 0.2648386766699038,
@@ -126,8 +126,8 @@ PINS = {
             3.056334852631784, 0.30128455499859585, 2.9989671039270647,
             0.3787083666354438, 3.184185637881451,
         ],
-        logits_f32="9a5c768f96eaf5699e719a49b230561b32cffb55aed3df19d0228ca4b541cd95",
-        input_grad="0e8f97db7b74c839c982aebe83f5a39b3e1899681ad34b34a3e7205ae3f2f3a4",
+        logits_f32="b36893ac253abd7f09d63c254ba49b5e068d04156bb6593db1260e04f2794232",
+        input_grad="6348983ac3e9049981bfe46f8de3f6066d9af3d766cb551939baf412a3a1a222",
         input_grad_ref=[
             -0.0007212439319378137, -0.0021491992166479943, -0.00400863090807843,
             0.00014678809760247365, 0.0003235963811343374, 0.0020672858286143654,
@@ -136,7 +136,7 @@ PINS = {
             -0.0007851505649287062, -0.0004517876050186652, 0.0002482400999222397,
             -0.0021717510566545994,
         ],
-        param_grads="c1c514a18bd3ec3e39b1f4d104700492faa9fd5332898a33c049c025cf3658d5",
+        param_grads="54623ed62a0d7396935093a303906c46a7fe79dfee6dd6870f5331c3bfecf237",
         param_grads_ref=[
             -0.4110725392362865, 0.03120486440548811, -0.06343220243184208,
             0.031770117544266875, -0.05654119444993179, 0.07830604251803308,
@@ -147,7 +147,7 @@ PINS = {
         ],
     ),
     "2s2x40d": dict(
-        logits_f64="2022b8dc099a65720f6ea17c0bd97fd2ce34d3c040dcc6c3db70a4a27c4ec53d",
+        logits_f64="70b0de876befccf799f89b944ced95fbc6efe5d4867c26de721fe124ebf23bb4",
         logits_f64_ref=[
             -1.0803063140043845, -1.637418741197834, -1.0124233682280503,
             -1.5628182856107231, -0.839265105491942, -1.0669946876797216,
@@ -156,8 +156,8 @@ PINS = {
             -1.1018637212446931, -1.576352955897769, -0.9637403567684646,
             -1.6266587816619542,
         ],
-        logits_f32="fab5816cb8ec9393aae58c9f802dd68555e87cfe282f090d7267ed6294455e1c",
-        input_grad="299d59c51578d0e9fb88ded014f074f79301e2b65a8eb0d16785b42e964eff00",
+        logits_f32="cab2c235ee28f1dcb49794e5e81a9e49261004a688f4c35056543fa5d60c20cc",
+        input_grad="33b8abdc1eae30d4013eee6885eba012c335815fcecc578fd235abe174f74d0f",
         input_grad_ref=[
             -0.0011440322146961455, -0.0056703255349605025, 0.0013110409387408898,
             -0.009271994695305815, -0.00407731738919959, 0.02678682404747576,
@@ -166,7 +166,7 @@ PINS = {
             0.00917153348821267, 0.001653695985365642, 0.0005041461305744349,
             0.0010600606365824092,
         ],
-        param_grads="00d1834b5f26de23fcb4934045c070cc5d98d20bf59bc4721354a1ade562ad28",
+        param_grads="db74b9ffd118a35c217529a57764435c614ee3db3e512b5e0d6b74918ff21d6b",
         param_grads_ref=[
             0.7243364199417393, -0.23944380058452946, 0.0514462965788038,
             -0.023987607810558184, 0.00343244209900068, 0.02571663502516752,
@@ -177,7 +177,7 @@ PINS = {
         ],
     ),
     "0s1x64d-classic": dict(
-        logits_f64="38df644cf14940dddc19d15a4ffdd4b3df4ed6326b0a61f61c2219b26c417c0d",
+        logits_f64="c19af9dba750baa63d428dacfd49f5cb7eb1e1af6c24e1fc8e5e0a9e8bbef344",
         logits_f64_ref=[
             5.724191420012339, 3.630159399990702, 5.644065911735181, 4.026955238684506,
             5.7727896201759386, 3.954068813257302, 6.1548491898086946,
@@ -185,8 +185,8 @@ PINS = {
             4.609321323198878, 5.916186583522064, 3.5163930164891437,
             4.9521182988953925, 3.7685651325474527,
         ],
-        logits_f32="f3e29951067a75924b211c0185201b0fd6aabfc7a3a30fd8e76cf96aa878618c",
-        input_grad="187c69266f8519fcde35b1a1812680c975c66a4cd10cbb76be52fc1077c24fd8",
+        logits_f32="f19abf4b9710fe9010fa2b16df6101bbb025b330176eb5d340d848da334497c6",
+        input_grad="a64cb90fcf063ca28dad6a053899c5cd266f4ab78bf7cfe470c83e4751c769c7",
         input_grad_ref=[
             -0.0014470603848567272, -0.010825166527126898, 0.04421671243745839,
             -0.01749158613562245, -0.03530255896460839, 0.023850487089141285,
@@ -195,7 +195,7 @@ PINS = {
             -0.032035731718024846, -0.013024228349387965, 0.011334142350561526,
             -0.03265717556223811,
         ],
-        param_grads="57880a7582c46ff5b54c090ceeaacb990c61447af7e439294ede1fb3b86fb1d2",
+        param_grads="9b143697352315d107331f96229b58e44be08b694551e1340d36bd00af80809c",
         param_grads_ref=[
             -0.19601290044353292, -0.08012836363916712, -0.01080209543261714,
             -0.012598263600700838, 0.0038553831943480867, -0.015796412051539425,
@@ -206,7 +206,7 @@ PINS = {
         ],
     ),
     "1s2x32d-fast": dict(
-        logits_f64="7b3ceb131855aeb56df076bd61889d9e17768281539ae36ce176ee9e42abc335",
+        logits_f64="a4a56de6743fbdeaebb6c2e210b28ed99b2416fe23c4b1b325a9ea99abbc5287",
         logits_f64_ref=[
             -2.0943809906556634, -0.22344755804166316, -2.019499548013997,
             -0.17061506321007586, -2.007728388347324, -0.13938749912455983,
@@ -215,8 +215,8 @@ PINS = {
             -1.86078570877032, -0.045163634146843185, -1.861614965211202,
             -0.07145049277166599,
         ],
-        logits_f32="80670f65da319019be1890acc2155d72badeea3dd1c19e5a68bea87d2fa5cd5b",
-        input_grad="48f300386038db3877c310d72777a3a19826f7990555628df7ccdb80d49dfa67",
+        logits_f32="357ccf2038d2f2c4588d2298c707d2c27d0b903109d5dc0dd5fbc6f713b639c7",
+        input_grad="c270992b9d012170497412b85af89d0cec5475766477cf6062d6c19026e45ada",
         input_grad_ref=[
             0.0003903630040409708, 0.0009612483789470773, 0.000299303860223478,
             0.00023812170386795694, -0.0006688889533628524, -0.0005462101353651373,
@@ -225,7 +225,7 @@ PINS = {
             0.00701316000386461, -0.00028608806497512754, -0.0009044644374484154,
             0.0011390150462630311,
         ],
-        param_grads="39a80e79548dbfbc1688ff099709833e71f4fd4c5f01da051e146ce274e1a506",
+        param_grads="a276851cf19a705d42e098a4cdc31f2be4c6b092e47466bc584e3d00b14ed65d",
         param_grads_ref=[
             1.7069877398769557, 0.005927755697858646, -0.06608245702037988,
             -0.0379371376983331, -0.0006901743624889357, 0.11646406710112157,

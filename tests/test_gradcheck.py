@@ -51,7 +51,7 @@ class TestHarness:
         from splatnet import ops
 
         rng = make_rng(1)
-        x = rng.standard_normal((1, 2, 4, 4))
+        x = rng.standard_normal((2, 4, 4, 1))  # [C, H, W, N]
         w = rng.standard_normal((3, 2, 3, 3))
 
         def loss():

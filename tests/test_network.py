@@ -14,7 +14,8 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import BatchNorm, Conv2d, DropBlock
+from splatnet.layers import BatchNorm, Conv2d, DropBlock, Dropout
+from splatnet.ops import to_chwn
 from splatnet.params import ConfigurationError, Parameter, make_rng, spawn_rng
 
 
@@ -75,9 +76,9 @@ class TestConfig:
 class TestStem:
     def test_spatial_halving_to_quarter(self):
         stem = Stem(NetworkConfig(depth=50, stem_width=32), rng=make_rng(0))
-        x = make_rng(1).standard_normal((1, 3, 224, 224))
+        x = make_rng(1).standard_normal((3, 224, 224, 1))
         y = stem.forward(x, mode="eval")
-        assert y.shape == (1, 64, 56, 56)
+        assert y.shape == (64, 56, 56, 1)
 
     def test_output_channels_double_stem_width(self):
         stem = Stem(NetworkConfig(depth=50, stem_width=32), rng=make_rng(0))
@@ -92,8 +93,8 @@ class TestStem:
 
     def test_classic_stem(self):
         stem = Stem(NetworkConfig(depth=50, deep_stem=False), rng=make_rng(0))
-        x = make_rng(1).standard_normal((1, 3, 224, 224))
-        assert stem.forward(x, mode="eval").shape == (1, 64, 56, 56)
+        x = make_rng(1).standard_normal((3, 224, 224, 1))
+        assert stem.forward(x, mode="eval").shape == (64, 56, 56, 1)
         conv_params = stem.conv1.weight.value.size
         assert conv_params == 64 * 3 * 7 * 7
 
@@ -102,7 +103,7 @@ class TestBottleneck:
     def test_zeroed_branch_passes_shortcut(self):
         spec = BottleneckSpec(64, 16, 1, 2, 1, 64, True, False)
         block = Bottleneck(spec, rng=make_rng(0))
-        x = np.abs(make_rng(1).standard_normal((2, 64, 8, 8)))
+        x = np.abs(make_rng(1).standard_normal((64, 8, 8, 2)))
         # fresh block: final normalization scale is zero, so out = relu(x)
         npt.assert_allclose(block.forward(x, mode="eval"), np.maximum(x, 0.0),
                             atol=1e-12)
@@ -110,8 +111,8 @@ class TestBottleneck:
     def test_stride_two_shapes(self):
         spec = BottleneckSpec(64, 32, 2, 2, 1, 64, True, False)
         block = Bottleneck(spec, rng=make_rng(0))
-        y = block.forward(make_rng(1).standard_normal((2, 64, 16, 16)), mode="eval")
-        assert y.shape == (2, 128, 8, 8)
+        y = block.forward(make_rng(1).standard_normal((64, 16, 16, 2)), mode="eval")
+        assert y.shape == (128, 8, 8, 2)
 
     def test_avg_down_shortcut_structure(self):
         spec = BottleneckSpec(64, 32, 2, 2, 1, 64, True, False)
@@ -170,7 +171,7 @@ class TestNetwork:
     def test_stage_spatial_bookkeeping(self):
         net = build_network(NetworkConfig(depth=50, num_classes=10), make_rng(0))
         x = make_rng(1).standard_normal((1, 3, 224, 224))
-        h = net.stem.forward(x, mode="eval")
+        h = net.stem.forward(to_chwn(x), mode="eval")
         sizes = []
         for stage in net.stages():
             h = stage.forward(h, mode="eval")
@@ -371,12 +372,77 @@ class TestNetwork:
         assert net.dropblock3._mask is not None and net.dropblock4._mask is not None
         for layer in (net.dropblock3, net.dropblock4):
             # eval mode is the identity both ways and leaves no mask behind
-            v = rng.standard_normal((2, 3, 4, 4))
+            v = rng.standard_normal((3, 4, 4, 2))
             assert layer.forward(v, mode="eval") is v
             assert layer._mask is None
             assert layer.backward(v) is v
         net.forward(x, mode="eval")
         assert net.dropblock3._mask is None and net.dropblock4._mask is None
+
+
+def parent_dropblock_mask(shape, block_size, drop_prob, rng):
+    """The NCHW DropBlock mask kernel as it was before the [C, H, W, N] layout."""
+    n, c, h, w = shape
+    hv, wv = h - block_size + 1, w - block_size + 1
+    gamma = drop_prob * (h * w) / (block_size * block_size * hv * wv)
+    seeds = rng.random((n, c, hv, wv)) < gamma
+    covered = np.zeros(shape, dtype=bool)
+    for i in range(block_size):
+        for j in range(block_size):
+            covered[:, :, i : i + hv, j : j + wv] |= seeds
+    mask = (~covered).astype(np.float64)
+    return mask * ((h * w) / np.maximum(mask.sum(axis=(2, 3), keepdims=True), 1.0))
+
+
+class TestRngStreams:
+    """Masks are drawn in NCHW order whatever the activation layout, so a seed
+    drops exactly what it dropped before the layout change."""
+
+    def test_dropblock_mask_is_transposed_nchw_mask(self):
+        x = make_rng(13).standard_normal((5, 9, 9, 4))  # [C, H, W, N]
+        layer, rng = DropBlock(0.3, 3), make_rng(14)
+        y = layer.forward(x, mode="train", rng=rng)
+        want_rng = make_rng(14)
+        want = to_chwn(parent_dropblock_mask((4, 5, 9, 9), 3, 0.3, want_rng))
+        assert layer._mask.tobytes() == want.tobytes()
+        assert y.tobytes() == (x * want).tobytes()
+        assert rng.random() == want_rng.random()  # the same number of draws
+
+    def test_dropout_mask_is_transposed_nf_mask(self):
+        x = make_rng(15).standard_normal((12, 6))  # [F, N]
+        layer, rng = Dropout(0.4), make_rng(16)
+        y = layer.forward(x, mode="train", rng=rng)
+        want_rng = make_rng(16)
+        want = to_chwn((want_rng.random((6, 12)) >= 0.4).astype(np.float64) / 0.6)
+        assert layer._mask.tobytes() == want.tobytes()
+        assert y.tobytes() == (x * want).tobytes()
+        assert rng.random() == want_rng.random()
+
+
+class TestFloat32Network:
+    def test_train_forward_and_backward_stay_float32(self):
+        net = build_network(NetworkConfig(**{**MICRO, "dropblock_prob": 0.2, "dropout": 0.2}),
+                            make_rng(0), dtype=np.float32)
+        dtypes = []
+
+        def recording(path, method):
+            def recorded(*args, **kwargs):
+                out = method(*args, **kwargs)
+                dtypes.extend((path, a.dtype) for a in (out if isinstance(out, tuple) else (out,)))
+                return out
+            return recorded
+
+        for path, m in net.named_modules():
+            if next(m.named_modules(), None) is None:
+                m.forward = recording(path, m.forward)
+                m.backward = recording(path + " backward", m.backward)
+        x = make_rng(1).standard_normal((4, 1, 32, 32)).astype(np.float32)
+        logits = net.forward(x, mode="train", rng=make_rng(2))
+        gx = net.backward(np.ones_like(logits))
+        assert len(dtypes) > 100
+        assert [(p, d) for p, d in dtypes if d != np.float32] == []
+        assert logits.dtype == gx.dtype == np.float32
+        assert [p.name for p in net.parameters() if p.grad.dtype != np.float32] == []
 
 
 class TestGradientContract:
@@ -432,8 +498,8 @@ class TestColumnCache:
     def test_eval_backward_rebuilds_columns(self):
         rng = make_rng(4)
         conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=rng)
-        x = rng.standard_normal((3, 4, 7, 7))
-        g = rng.standard_normal((3, 6, 4, 4))
+        x = rng.standard_normal((4, 7, 7, 3))
+        g = rng.standard_normal((6, 4, 4, 3))
         conv.forward(x, mode="train")
         gx_train = conv.backward(g)
         gw_train = conv.weight.grad

@@ -1,5 +1,9 @@
 """Kernel tests: every forward against an independent oracle, every backward
-against central finite differences."""
+against central finite differences.
+
+The kernels take batch-innermost [C, H, W, N] and [F, N] arrays; the
+loop-based oracles index NCHW and [N, F] arrays, and the tests convert with
+``ops.to_chwn`` and ``ops.to_nchw``."""
 
 import tracemalloc
 
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splatnet import ops
+from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
 from splatnet.layers import MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
@@ -182,12 +187,12 @@ def fc_oracle(x, w, bias, groups):
 class TestConv2d:
     def test_identity_1x1(self):
         rng = make_rng(0)
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((3, 4, 4, 2))
         w = np.eye(3).reshape(3, 3, 1, 1)
         npt.assert_array_equal(ops.conv2d(x, w)[0], x)
 
     def test_constant_sum(self):
-        x = np.ones((1, 1, 3, 3))
+        x = np.ones((1, 3, 3, 1))
         w = np.ones((1, 1, 3, 3))
         y, _ = ops.conv2d(x, w)
         assert y.shape == (1, 1, 1, 1)
@@ -203,27 +208,28 @@ class TestConv2d:
         rng = make_rng(1)
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((8, 4 // groups, 3, 3))
-        got, _ = ops.conv2d(x, w, stride, padding, groups)
+        got, _ = ops.conv2d(to_chwn(x), w, stride, padding, groups)
         want = conv2d_oracle(x, w, stride, padding, groups)
+        got = to_nchw(got)
         npt.assert_allclose(got, want, atol=1e-12)
 
     def test_groups_equal_concatenated_slices(self):
         rng = make_rng(2)
         g = 3
-        x = rng.standard_normal((2, 6, 6, 6))
+        x = rng.standard_normal((6, 6, 6, 2))
         w = rng.standard_normal((9, 2, 3, 3))
         grouped, _ = ops.conv2d(x, w, stride=1, padding=1, groups=g)
         parts = [
-            ops.conv2d(x[:, 2 * i : 2 * (i + 1)], w[3 * i : 3 * (i + 1)],
+            ops.conv2d(x[2 * i : 2 * (i + 1)], w[3 * i : 3 * (i + 1)],
                        stride=1, padding=1)[0]
             for i in range(g)
         ]
-        npt.assert_array_equal(grouped, np.concatenate(parts, axis=1))
+        npt.assert_array_equal(grouped, np.concatenate(parts, axis=0))
 
     def test_linearity(self):
         rng = make_rng(3)
-        x = rng.standard_normal((1, 2, 5, 5))
-        y = rng.standard_normal((1, 2, 5, 5))
+        x = rng.standard_normal((2, 5, 5, 1))
+        y = rng.standard_normal((2, 5, 5, 1))
         w = rng.standard_normal((3, 2, 3, 3))
         a, b = 1.7, -0.4
         lhs, _ = ops.conv2d(a * x + b * y, w, padding=1)
@@ -231,20 +237,20 @@ class TestConv2d:
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_divisibility_errors(self):
-        x = np.zeros((1, 3, 4, 4))
+        x = np.zeros((3, 4, 4, 1))
         w = np.zeros((4, 1, 1, 1))
         with pytest.raises(ConfigurationError, match="in_channels 3"):
             ops.conv2d(x, w, groups=2)
         with pytest.raises(ConfigurationError, match="out_channels 5"):
-            ops.conv2d(np.zeros((1, 4, 4, 4)), np.zeros((5, 2, 1, 1)), groups=2)
+            ops.conv2d(np.zeros((4, 4, 4, 1)), np.zeros((5, 2, 1, 1)), groups=2)
         with pytest.raises(ConfigurationError, match="kernel"):
-            ops.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)))
+            ops.conv2d(np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 5, 5)))
 
     def test_backward_matches_finite_differences(self):
         rng = make_rng(4)
-        x = rng.standard_normal((2, 4, 5, 5))
+        x = rng.standard_normal((4, 5, 5, 2))
         w = rng.standard_normal((6, 2, 3, 3))
-        proj = rng.standard_normal((2, 6, 3, 3))
+        proj = rng.standard_normal((6, 3, 3, 2))
 
         def loss():
             y, cols = ops.conv2d(x, w, (2, 2), (1, 1), 2)
@@ -293,16 +299,17 @@ class TestConv2dReference:
         w = rng.standard_normal((cout, case["cin_g"], *case["kernel"]))
         stride, padding = case["stride"], case["padding"]
 
-        y, cols = ops.conv2d(x, w, stride, padding, g)
-        npt.assert_allclose(y, conv2d_oracle(x, w, stride, padding, g), atol=1e-12)
+        xc = to_chwn(x)
+        y, cols = ops.conv2d(xc, w, stride, padding, g)
+        npt.assert_allclose(to_nchw(y), conv2d_oracle(x, w, stride, padding, g), atol=1e-12)
         # an eval-mode backward rebuilds exactly the columns the forward returned
-        assert ops.im2col(x, case["kernel"], stride, padding).tobytes() == cols.tobytes()
+        assert ops.im2col(xc, case["kernel"], stride, padding).tobytes() == cols.tobytes()
 
         grad_out = rng.standard_normal(y.shape)
-        gx, gw = ops.conv2d_backward(grad_out, cols, x.shape, w, stride, padding, g)
-        want_gx, want_gw = conv2d_backward_oracle(grad_out, x, w, stride, padding, g)
-        assert gx.shape == x.shape and gx.flags.c_contiguous
-        npt.assert_allclose(gx, want_gx, atol=1e-12)
+        gx, gw = ops.conv2d_backward(grad_out, cols, xc.shape, w, stride, padding, g)
+        want_gx, want_gw = conv2d_backward_oracle(to_nchw(grad_out), x, w, stride, padding, g)
+        assert gx.shape == xc.shape and gx.flags.c_contiguous
+        npt.assert_allclose(to_nchw(gx), want_gx, atol=1e-12)
         npt.assert_allclose(gw, want_gw, atol=1e-12)
 
 
@@ -313,38 +320,38 @@ class TestConv2dReference:
 
 class TestPooling:
     def test_avg_constant(self):
-        x = np.full((1, 2, 6, 6), 3.25)
+        x = np.full((2, 6, 6, 1), 3.25)
         y = ops.avg_pool2d(x, 3, stride=2, padding=1)
         npt.assert_allclose(y, 3.25)
 
     def test_avg_2x2_mean(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
         y = ops.avg_pool2d(x, 2, stride=2)
         assert y.item() == 2.5
 
     def test_avg_against_oracle(self):
         rng = make_rng(5)
         x = rng.standard_normal((2, 3, 7, 6))
-        got = ops.avg_pool2d(x, (3, 2), (2, 1), (1, 1))
+        got = to_nchw(ops.avg_pool2d(to_chwn(x), (3, 2), (2, 1), (1, 1)))
         want = avg_pool_oracle(x, (3, 2), (2, 1), (1, 1))
         npt.assert_allclose(got, want, atol=1e-12)
 
     def test_mean_of_means_tiling(self):
         # pooling over a partitioning grid then averaging equals one global mean
         rng = make_rng(6)
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = rng.standard_normal((3, 8, 8, 2))
         tiled = ops.avg_pool2d(x, 4, stride=4)
         npt.assert_allclose(ops.global_avg_pool(tiled), ops.global_avg_pool(x),
                             atol=1e-12)
 
     def test_avg_kernel_too_large(self):
         with pytest.raises(ConfigurationError, match="pool kernel"):
-            ops.avg_pool2d(np.zeros((1, 1, 3, 3)), 5)
+            ops.avg_pool2d(np.zeros((1, 3, 3, 1)), 5)
 
     def test_avg_backward_fd(self):
         rng = make_rng(7)
-        x = rng.standard_normal((1, 2, 6, 6))
-        proj = rng.standard_normal((1, 2, 3, 3))
+        x = rng.standard_normal((2, 6, 6, 1))
+        proj = rng.standard_normal((2, 3, 3, 1))
 
         def loss():
             y = ops.avg_pool2d(x, 3, 2, 1)
@@ -356,7 +363,7 @@ class TestPooling:
     def test_max_pool_and_backward(self):
         rng = make_rng(8)
         x = rng.standard_normal((2, 3, 7, 7))
-        y = ops.max_pool2d(x, 3, 2, 1)
+        y = to_nchw(ops.max_pool2d(to_chwn(x), 3, 2, 1)[0])
         # oracle via explicit windows
         for b in range(2):
             for c in range(3):
@@ -369,20 +376,21 @@ class TestPooling:
                             for xx in range(max(0, x0), min(7, x0 + 3))
                         ]
                         assert y[b, c, i, j] == max(vals)
-        proj = rng.standard_normal(y.shape)
+        xc = np.ascontiguousarray(to_chwn(x))  # grad_check perturbs it in place
+        proj = rng.standard_normal((3, 4, 4, 2))
 
         def loss():
-            yy = ops.max_pool2d(x, 3, 2, 1)
-            gx = ops.max_pool2d_backward(proj, x, yy, 3, 2, 1)
+            yy, xp = ops.max_pool2d(xc, 3, 2, 1)
+            gx = ops.max_pool2d_backward(proj, xp, yy, 3, 2, 1)
             return float((yy * proj).sum()), {"x": gx}
 
-        assert grad_check(loss, {"x": x}, tolerance=1e-8).passed
+        assert grad_check(loss, {"x": xc}, tolerance=1e-8).passed
 
     def test_max_pool_layer_backward_after_eval_forward(self):
         # the layer finds the argmax in its backward, whichever mode ran forward
         rng = make_rng(31)
-        x = np.maximum(rng.standard_normal((2, 3, 7, 6)), 0.0)
-        grad_out = rng.standard_normal((2, 3, 4, 3))
+        x = np.maximum(rng.standard_normal((3, 7, 6, 2)), 0.0)
+        grad_out = rng.standard_normal((3, 4, 3, 2))
         grads = []
         for mode in ("train", "eval"):
             pool = MaxPool2d(3, 2, 1)
@@ -392,13 +400,13 @@ class TestPooling:
 
     def test_global_avg_pool(self):
         rng = make_rng(9)
-        x = rng.standard_normal((3, 4, 5, 5))
+        x = rng.standard_normal((4, 5, 5, 3))
         got = ops.global_avg_pool(x)
-        want = np.array([[x[b, c].sum() / 25.0 for c in range(4)] for b in range(3)])
+        want = np.array([[x[c, :, :, b].sum() / 25.0 for b in range(3)] for c in range(4)])
         npt.assert_allclose(got, want, atol=1e-12)
-        npt.assert_allclose(ops.global_avg_pool(np.full((1, 2, 3, 3), 7.5)), 7.5)
-        one = rng.standard_normal((2, 6, 1, 1))
-        npt.assert_array_equal(ops.global_avg_pool(one), one[:, :, 0, 0])
+        npt.assert_allclose(ops.global_avg_pool(np.full((2, 3, 3, 1), 7.5)), 7.5)
+        one = rng.standard_normal((6, 1, 1, 2))
+        npt.assert_array_equal(ops.global_avg_pool(one), one[:, 0, 0])
 
 
 @st.composite
@@ -444,22 +452,25 @@ class TestPoolingReference:
             x = np.maximum(x, 0.0)
         kernel, stride, padding = case["kernel"], case["stride"], case["padding"]
 
-        y = ops.avg_pool2d(x, kernel, stride, padding)
-        npt.assert_allclose(y, avg_pool_oracle(x, kernel, stride, padding),
+        xc = to_chwn(x)
+        y = ops.avg_pool2d(xc, kernel, stride, padding)
+        npt.assert_allclose(to_nchw(y), avg_pool_oracle(x, kernel, stride, padding),
                             rtol=0, atol=1e-14)
         grad_out = rng.standard_normal(y.shape)
-        gx = ops.avg_pool2d_backward(grad_out, x.shape, kernel, stride, padding)
-        want = avg_pool_backward_oracle(grad_out, x.shape, kernel, stride, padding)
-        npt.assert_allclose(gx, want, rtol=0, atol=1e-14)
+        gx = ops.avg_pool2d_backward(grad_out, xc.shape, kernel, stride, padding)
+        want = avg_pool_backward_oracle(to_nchw(grad_out), x.shape, kernel, stride, padding)
+        npt.assert_allclose(to_nchw(gx), want, rtol=0, atol=1e-14)
         assert gx.flags.c_contiguous and gx.dtype == grad_out.dtype
 
-        y = ops.max_pool2d(x, kernel, stride, padding)
+        y, xp = ops.max_pool2d(xc, kernel, stride, padding)
         want_y, want_idx = max_pool_oracle(x, kernel, stride, padding)
-        npt.assert_array_equal(y, want_y)
-        npt.assert_array_equal(ops.max_pool2d_argmax(x, y, kernel, stride, padding), want_idx)
-        gx = ops.max_pool2d_backward(grad_out, x, y, kernel, stride, padding)
-        want = max_pool_backward_oracle(grad_out, want_idx, x.shape, kernel, stride, padding)
-        npt.assert_array_equal(gx, want)
+        npt.assert_array_equal(to_nchw(y), want_y)
+        # the routed gradient sees the argmax, first occurrence on ties
+        gx = ops.max_pool2d_backward(grad_out, xp, y, kernel, stride, padding)
+        want = max_pool_backward_oracle(to_nchw(grad_out), want_idx, x.shape, kernel,
+                                        stride, padding)
+        npt.assert_array_equal(to_nchw(gx), want)
+        assert gx.flags.c_contiguous and gx.dtype == grad_out.dtype
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +481,17 @@ class TestPoolingReference:
 class TestFullyConnected:
     def test_identity(self):
         rng = make_rng(10)
-        x = rng.standard_normal((4, 6))
+        x = rng.standard_normal((6, 4))
         npt.assert_array_equal(ops.fully_connected(x, np.eye(6)), x)
 
     def test_two_groups_are_independent_halves(self):
         rng = make_rng(11)
-        x = rng.standard_normal((3, 8))
+        x = rng.standard_normal((8, 3))
         w = rng.standard_normal((10, 4))
         got = ops.fully_connected(x, w, groups=2)
-        left = x[:, :4] @ w[:5].T
-        right = x[:, 4:] @ w[5:].T
-        npt.assert_allclose(got, np.concatenate([left, right], axis=1), atol=1e-12)
+        top = w[:5] @ x[:4]
+        bottom = w[5:] @ x[4:]
+        npt.assert_allclose(got, np.concatenate([top, bottom], axis=0), atol=1e-12)
 
     def test_against_oracle(self):
         rng = make_rng(12)
@@ -488,41 +499,41 @@ class TestFullyConnected:
         w = rng.standard_normal((9, 4))
         b = rng.standard_normal(9)
         npt.assert_allclose(
-            ops.fully_connected(x, w, b, groups=3),
+            to_nchw(ops.fully_connected(to_chwn(x), w, b, groups=3)),
             fc_oracle(x, w, b, 3),
             atol=1e-12,
         )
 
     def test_errors(self):
         with pytest.raises(ConfigurationError, match="in_features"):
-            ops.fully_connected(np.zeros((1, 5)), np.zeros((4, 2)), groups=2)
+            ops.fully_connected(np.zeros((5, 1)), np.zeros((4, 2)), groups=2)
         with pytest.raises(ConfigurationError, match="out_features"):
-            ops.fully_connected(np.zeros((1, 4)), np.zeros((5, 2)), groups=2)
+            ops.fully_connected(np.zeros((4, 1)), np.zeros((5, 2)), groups=2)
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
     def test_backward_against_einsum(self, groups):
         rng = make_rng(31)
         n, f, o = 5, 16, 12
-        x = rng.standard_normal((n, f))
+        x = rng.standard_normal((f, n))
         w = rng.standard_normal((o, f // groups))
-        g = rng.standard_normal((n, o))
+        g = rng.standard_normal((o, n))
         gx, gw, gb = ops.fully_connected_backward(g, x, w, groups, True)
-        xg = x.reshape(n, groups, -1)
-        gg = g.reshape(n, groups, -1)
+        xg = x.reshape(groups, -1, n)
+        gg = g.reshape(groups, -1, n)
         wg = w.reshape(groups, o // groups, -1)
-        npt.assert_allclose(gw, np.einsum("ngo,ngf->gof", gg, xg).reshape(w.shape),
+        npt.assert_allclose(gw, np.einsum("gon,gfn->gof", gg, xg).reshape(w.shape),
                             rtol=0, atol=1e-12)
-        npt.assert_allclose(gx, np.einsum("ngo,gof->ngf", gg, wg).reshape(x.shape),
+        npt.assert_allclose(gx, np.einsum("gon,gof->gfn", gg, wg).reshape(x.shape),
                             rtol=0, atol=1e-12)
-        npt.assert_allclose(gb, g.sum(axis=0), rtol=0, atol=1e-12)
+        npt.assert_allclose(gb, g.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_backward_allocates_only_the_weight_gradient(self):
         # a 2048x1000 classifier at batch 1: the 16.4 MB weight gradient is
         # the only large allocation
         rng = make_rng(32)
-        x = rng.standard_normal((1, 2048))
+        x = rng.standard_normal((2048, 1))
         w = rng.standard_normal((1000, 2048))
-        g = rng.standard_normal((1, 1000))
+        g = rng.standard_normal((1000, 1))
         tracemalloc.start()
         try:
             _, gw, _ = ops.fully_connected_backward(g, x, w, 1, True)
@@ -533,10 +544,10 @@ class TestFullyConnected:
 
     def test_backward_fd(self):
         rng = make_rng(13)
-        x = rng.standard_normal((3, 8))
+        x = rng.standard_normal((8, 3))
         w = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        proj = rng.standard_normal((3, 6))
+        proj = rng.standard_normal((6, 3))
 
         def loss():
             y = ops.fully_connected(x, w, b, 2)
@@ -554,74 +565,75 @@ class TestFullyConnected:
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = make_rng(14)
-        x = rng.standard_normal((8, 3, 6, 6)) * 4 + 2
+        x = rng.standard_normal((3, 6, 6, 8)) * 4 + 2
         gamma, beta = np.ones(3), np.zeros(3)
         rm, rv = np.zeros(3), np.ones(3)
         y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "train")
-        npt.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
-        npt.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+        npt.assert_allclose(y.mean(axis=(1, 2, 3)), 0.0, atol=1e-12)
+        npt.assert_allclose(y.var(axis=(1, 2, 3)), 1.0, atol=1e-4)
 
     def test_zero_gamma_gives_beta(self):
         rng = make_rng(15)
-        x = rng.standard_normal((4, 2, 3, 3))
+        x = rng.standard_normal((2, 3, 3, 4))
         beta = np.array([1.5, -2.0])
         y, _ = ops.batch_norm(x, np.zeros(2), beta, np.zeros(2), np.ones(2), "train")
-        npt.assert_allclose(y, np.broadcast_to(beta[None, :, None, None], y.shape))
+        npt.assert_allclose(y, np.broadcast_to(beta[:, None, None, None], y.shape))
 
     def test_against_two_pass_oracle(self):
         rng = make_rng(16)
-        x = rng.standard_normal((5, 4, 3, 2)) * 3 + 1
+        x = rng.standard_normal((4, 3, 2, 5)) * 3 + 1
         gamma = rng.standard_normal(4)
         beta = rng.standard_normal(4)
         y, _ = ops.batch_norm(x, gamma, beta, np.zeros(4), np.ones(4), "train",
                               eps=1e-5)
         want = np.empty_like(x)
         for c in range(4):
-            vals = x[:, c]
+            vals = x[c]
             mean = vals.sum() / vals.size
             var = ((vals - mean) ** 2).sum() / vals.size
-            want[:, c] = (vals - mean) / np.sqrt(var + 1e-5) * gamma[c] + beta[c]
+            want[c] = (vals - mean) / np.sqrt(var + 1e-5) * gamma[c] + beta[c]
         npt.assert_allclose(y, want, atol=1e-10)
 
     def test_eval_uses_running_stats(self):
         rng = make_rng(17)
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((3, 4, 4, 2))
         rm = rng.standard_normal(3)
         rv = np.abs(rng.standard_normal(3)) + 0.5
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
         y, cache = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
         assert cache is None
-        want = (x - rm[None, :, None, None]) / np.sqrt(rv + 1e-5)[None, :, None, None]
-        want = want * gamma[None, :, None, None] + beta[None, :, None, None]
+        col = (slice(None), None, None, None)
+        want = (x - rm[col]) / np.sqrt(rv + 1e-5)[col]
+        want = want * gamma[col] + beta[col]
         npt.assert_allclose(y, want, atol=1e-12)
 
     def test_fresh_eval_is_affine_identity(self):
         # eval before any training: initialized stats are mean 0, var 1
-        x = make_rng(18).standard_normal((2, 3, 4, 4))
+        x = make_rng(18).standard_normal((3, 4, 4, 2))
         y, _ = ops.batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
                               "eval", eps=0.0)
         npt.assert_allclose(y, x, atol=1e-12)
 
     def test_running_stats_update(self):
         rng = make_rng(19)
-        x = rng.standard_normal((16, 2, 5, 5)) * 2 + 3
+        x = rng.standard_normal((2, 5, 5, 16)) * 2 + 3
         rm, rv = np.zeros(2), np.ones(2)
         ops.batch_norm(x, np.ones(2), np.zeros(2), rm, rv, "train", momentum=1.0)
         m = x.size // 2
-        npt.assert_allclose(rm, x.mean(axis=(0, 2, 3)), atol=1e-12)
-        npt.assert_allclose(rv, x.var(axis=(0, 2, 3)) * m / (m - 1), atol=1e-12)
+        npt.assert_allclose(rm, x.mean(axis=(1, 2, 3)), atol=1e-12)
+        npt.assert_allclose(rv, x.var(axis=(1, 2, 3)) * m / (m - 1), atol=1e-12)
 
     def test_rank2_input(self):
         rng = make_rng(20)
-        x = rng.standard_normal((10, 4))
+        x = rng.standard_normal((4, 10))
         y, _ = ops.batch_norm(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4),
                               "train")
-        npt.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
+        npt.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
 
     def test_backward_fd(self):
         rng = make_rng(21)
-        x = rng.standard_normal((4, 3, 4, 4))
+        x = rng.standard_normal((3, 4, 4, 4))
         gamma = rng.standard_normal(3) + 1.5
         beta = rng.standard_normal(3)
         proj = rng.standard_normal(x.shape)
@@ -739,21 +751,21 @@ class TestFloat32:
     def test_kernels_keep_float32(self):
         rng = make_rng(30)
         f32 = np.float32
-        x = np.maximum(rng.standard_normal((2, 3, 5, 5)), 0.0).astype(f32)
+        x = np.maximum(rng.standard_normal((3, 5, 5, 2)), 0.0).astype(f32)
         y = ops.avg_pool2d(x, 3, 2, 1)
         g = rng.standard_normal(y.shape).astype(f32)
         gx = ops.avg_pool2d_backward(g, x.shape, 3, 2, 1)
         assert y.dtype == f32 and gx.dtype == f32
-        y = ops.max_pool2d(x, 3, 2, 1)
-        gx = ops.max_pool2d_backward(g, x, y, 3, 2, 1)
-        assert y.dtype == f32 and gx.dtype == f32
+        y, xp = ops.max_pool2d(x, 3, 2, 1)
+        gx = ops.max_pool2d_backward(g, xp, y, 3, 2, 1)
+        assert y.dtype == f32 and xp.dtype == f32 and gx.dtype == f32
 
         w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
         y, cols = ops.conv2d(x, w, 2, 1)
         gx, gw = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 2, 1)
         assert [a.dtype for a in (y, cols, gx, gw)] == [f32] * 4
 
-        for shape in ((4, 3), (2, 3, 5, 5)):
+        for shape in ((3, 4), (3, 5, 5, 2)):
             x = rng.standard_normal(shape).astype(f32)
             gamma, beta = np.ones(3, f32), np.zeros(3, f32)
             rm, rv = np.zeros(3, f32), np.ones(3, f32)
@@ -764,16 +776,16 @@ class TestFloat32:
             y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
             assert y.dtype == f32, shape
 
-        x = rng.standard_normal((3, 8)).astype(f32)
+        x = rng.standard_normal((8, 3)).astype(f32)
         w = rng.standard_normal((6, 4)).astype(f32)
-        grads = ops.fully_connected_backward(np.ones((3, 6), f32), x, w, 2, True)
+        grads = ops.fully_connected_backward(np.ones((6, 3), f32), x, w, 2, True)
         assert [a.dtype for a in grads] == [f32] * 3
 
 
 class TestDeterminism:
     def test_kernels_deterministic(self):
         rng = make_rng(29)
-        x = rng.standard_normal((2, 4, 6, 6))
+        x = rng.standard_normal((4, 6, 6, 2))
         w = rng.standard_normal((4, 2, 3, 3))
         a, _ = ops.conv2d(x, w, groups=2, padding=1)
         b, _ = ops.conv2d(x, w, groups=2, padding=1)

@@ -1,11 +1,15 @@
 """Split-attention unit: per-operation oracles, layout equivalence, and the
-parameter permutation."""
+parameter permutation.
+
+The unit's operations take batch-innermost [C, H, W, N] activations and
+[K, R, c, N] attention weights; ``unit_forward`` converts from and to NCHW."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from splatnet import ops
+from splatnet.ops import to_chwn, to_nchw
 from splatnet.params import ConfigurationError, make_rng, spawn_rng
 from splatnet.splat import (
     CARDINALITY_TO_RADIX,
@@ -51,94 +55,94 @@ class TestSplatConfig:
 
 class TestCardinalFuse:
     def test_radix_one_identity(self):
-        u = make_rng(0).standard_normal((2, 6, 4, 4))
+        u = make_rng(0).standard_normal((6, 4, 4, 2))
         npt.assert_array_equal(cardinal_fuse(u, 1), u)
 
     def test_cancellation(self):
-        u = make_rng(1).standard_normal((2, 5, 3, 3))
-        stacked = np.concatenate([u, -u], axis=1)
+        u = make_rng(1).standard_normal((5, 3, 3, 2))
+        stacked = np.concatenate([u, -u], axis=0)
         npt.assert_allclose(cardinal_fuse(stacked, 2), 0.0, atol=1e-15)
 
     def test_index_arithmetic_oracle(self):
         rng = make_rng(2)
         radix, k, cw = 3, 2, 4
         c = k * cw
-        u = rng.standard_normal((2, radix * c, 5, 5))
+        u = rng.standard_normal((radix * c, 5, 5, 2))
         got = cardinal_fuse(u, radix)
-        want = np.zeros((2, c, 5, 5))
+        want = np.zeros((c, 5, 5, 2))
         for kk in range(k):
             for j in range(cw):
                 for r in range(radix):
-                    want[:, kk * cw + j] += u[:, r * c + kk * cw + j]
+                    want[kk * cw + j] += u[r * c + kk * cw + j]
         npt.assert_allclose(got, want, atol=1e-12)
 
 
 class TestChannelStats:
     def test_constant(self):
-        npt.assert_allclose(ops.global_avg_pool(np.full((2, 3, 4, 4), 1.25)), 1.25)
+        npt.assert_allclose(ops.global_avg_pool(np.full((3, 4, 4, 2), 1.25)), 1.25)
 
     def test_unit_spatial_identity(self):
-        x = make_rng(3).standard_normal((2, 5, 1, 1))
-        npt.assert_array_equal(ops.global_avg_pool(x), x[:, :, 0, 0])
+        x = make_rng(3).standard_normal((5, 1, 1, 2))
+        npt.assert_array_equal(ops.global_avg_pool(x), x[:, 0, 0])
 
     def test_flat_mean_oracle(self):
-        x = make_rng(4).standard_normal((3, 4, 6, 7))
-        want = x.reshape(3, 4, -1).sum(axis=2) / 42.0
+        x = make_rng(4).standard_normal((4, 6, 7, 3))
+        want = x.reshape(4, -1, 3).sum(axis=1) / 42.0
         npt.assert_allclose(ops.global_avg_pool(x), want, atol=1e-12)
 
 
 class TestRSoftmax:
     def test_equal_logits(self):
-        logits = np.full((2, 3, 2, 4), -1.3)
+        logits = np.full((3, 2, 4, 2), -1.3)
         npt.assert_allclose(r_softmax(logits, 2), 0.5, atol=1e-15)
 
     def test_sigmoid_branch_at_zero(self):
-        w = r_softmax(np.zeros((1, 2, 1, 3)), 1)
+        w = r_softmax(np.zeros((2, 1, 3, 1)), 1)
         npt.assert_allclose(w, 0.5)
 
     def test_exp_normalize_values(self):
-        logits = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1)
+        logits = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1)
         want = np.array([0.09003057, 0.24472847, 0.66524096])
-        npt.assert_allclose(r_softmax(logits, 3)[0, 0, :, 0], want, atol=1e-8)
+        npt.assert_allclose(r_softmax(logits, 3)[0, :, 0, 0], want, atol=1e-8)
 
     def test_normalization_property(self):
         rng = make_rng(5)
         for radix in (2, 3, 4, 7):
-            logits = rng.standard_normal((3, 2, radix, 5)) * 10
+            logits = rng.standard_normal((2, radix, 5, 3)) * 10
             w = r_softmax(logits, radix)
-            npt.assert_allclose(w.sum(axis=2), 1.0, atol=1e-12)
+            npt.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
             assert (w > 0).all() and (w < 1).all()
 
     def test_shape_guard(self):
         with pytest.raises(ConfigurationError):
-            r_softmax(np.zeros((1, 2, 3, 4)), 2)
+            r_softmax(np.zeros((2, 3, 4, 1)), 2)
 
 
 class TestWeightedFuse:
     def test_radix_one_unit_weights(self):
-        u = make_rng(6).standard_normal((2, 6, 4, 4))
-        a = np.ones((2, 2, 1, 3))
+        u = make_rng(6).standard_normal((6, 4, 4, 2))
+        a = np.ones((2, 1, 3, 2))
         npt.assert_allclose(weighted_fuse(u, a), u, atol=1e-15)
 
     def test_equal_weights_average(self):
-        u = make_rng(7).standard_normal((2, 4, 3, 3))
-        doubled = np.concatenate([u, u], axis=1)
-        a = np.full((2, 1, 2, 4), 0.5)
+        u = make_rng(7).standard_normal((4, 3, 3, 2))
+        doubled = np.concatenate([u, u], axis=0)
+        a = np.full((1, 2, 4, 2), 0.5)
         npt.assert_allclose(weighted_fuse(doubled, a), u, atol=1e-15)
 
     def test_triple_loop_oracle(self):
         rng = make_rng(8)
         n, k, radix, cw, h = 2, 3, 2, 4, 5
-        u = rng.standard_normal((n, k * radix * cw, h, h))
-        a = r_softmax(rng.standard_normal((n, k, radix, cw)), radix)
+        u = rng.standard_normal((k * radix * cw, h, h, n))
+        a = r_softmax(rng.standard_normal((k, radix, cw, n)), radix)
         got = weighted_fuse(u, a)
-        want = np.zeros((n, k * cw, h, h))
+        want = np.zeros((k * cw, h, h, n))
         for b in range(n):
             for kk in range(k):
                 for j in range(cw):
                     for r in range(radix):
-                        want[b, kk * cw + j] += (
-                            a[b, kk, r, j] * u[b, r * k * cw + kk * cw + j]
+                        want[kk * cw + j, :, :, b] += (
+                            a[kk, r, j, b] * u[r * k * cw + kk * cw + j, :, :, b]
                         )
         npt.assert_allclose(got, want, atol=1e-12)
 
@@ -153,7 +157,7 @@ class TestSplitTransform:
         params, rng = unit_with_random_state(cfg, 31)
         x = rng.standard_normal((2, 5, 6, 6))
         _, unit = unit_forward(x, cfg, params)
-        u = unit.transform(x, "eval")
+        u = to_nchw(unit.transform(to_chwn(x), "eval"))
 
         sw, cw = cfg.split_width, cfg.cardinal_width
         eps = 1e-5
@@ -167,10 +171,11 @@ class TestSplitTransform:
                 + b[None, :, None, None]
 
         for g in range(cfg.groups):
-            zg, _ = ops.conv2d(x, params["conv_in.weight"][g * sw : (g + 1) * sw])
-            zg = np.maximum(bn(zg, "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
-            ug, _ = ops.conv2d(zg, params["conv_split.weight"][g * cw : (g + 1) * cw], padding=1)
-            ug = np.maximum(bn(ug, "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
+            zg, _ = ops.conv2d(to_chwn(x), params["conv_in.weight"][g * sw : (g + 1) * sw])
+            zg = np.maximum(bn(to_nchw(zg), "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
+            ug, _ = ops.conv2d(to_chwn(zg), params["conv_split.weight"][g * cw : (g + 1) * cw],
+                               padding=1)
+            ug = np.maximum(bn(to_nchw(ug), "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
             npt.assert_allclose(u[:, g * cw : (g + 1) * cw], ug, atol=1e-12)
 
     def test_degenerate_single_group_is_plain_pipeline(self):
@@ -178,9 +183,9 @@ class TestSplitTransform:
         params, rng = unit_with_random_state(cfg, 32)
         x = rng.standard_normal((1, 3, 5, 5))
         _, unit = unit_forward(x, cfg, params)
-        u = unit.transform(x, "eval")
+        u = unit.transform(to_chwn(x), "eval")
         assert SplitAttentionUnit(cfg).conv_split.groups == 1
-        assert u.shape == (1, 8, 5, 5)
+        assert u.shape == (8, 5, 5, 1)
 
     def test_two_splits_have_disjoint_filters(self):
         # zeroing the filters of one split only zeroes that split's output
@@ -193,9 +198,9 @@ class TestSplitTransform:
         params["conv_split.weight"][8:] = 0.0  # second split (radix-major rows)
         x = rng.standard_normal((1, 3, 5, 5))
         _, unit = unit_forward(x, cfg, params)
-        u = unit.transform(x, "eval")
-        assert np.abs(u[:, 8:]).max() == 0.0
-        assert np.abs(u[:, :8]).max() > 0.0
+        u = unit.transform(to_chwn(x), "eval")
+        assert np.abs(u[8:]).max() == 0.0
+        assert np.abs(u[:8]).max() > 0.0
 
 
 GRID = [(r, k, c) for r in (1, 2, 4) for k in (1, 2, 4) for c in (8, 16, 32)]
@@ -294,7 +299,7 @@ class TestUnitForward:
         unit = SplitAttentionUnit(cfg, rng=make_rng(50))
         unit.conv_split.weight.value[...] = 0.0
         unit.bn_split.beta.value[...] = 0.0
-        x = make_rng(51).standard_normal((2, 3, 6, 6))
+        x = make_rng(51).standard_normal((3, 6, 6, 2))
         y = unit.forward(x, mode="train")
         npt.assert_allclose(y, 0.0, atol=1e-15)
 
@@ -318,5 +323,5 @@ class TestUnitForward:
         x = rng.standard_normal((2, 3, 5, 5))
         _, unit = unit_forward(x, cfg, params)
         a_eval = unit.assign.weights
-        assert a_eval.shape == (2, 2, 2, 4)
+        assert a_eval.shape == (2, 2, 4, 2)  # [K, R, c, N]
         assert np.isfinite(a_eval).all()

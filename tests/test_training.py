@@ -183,12 +183,12 @@ class TestMixup:
 
 class TestDropBlock:
     def test_zero_prob_all_ones(self):
-        mask = dropblock_mask((2, 3, 8, 8), 3, 0.0, make_rng(0))
+        mask = dropblock_mask((3, 8, 8, 2), 3, 0.0, make_rng(0))
         npt.assert_array_equal(mask, 1.0)
 
     def test_block_size_one_is_plain_dropout_rate(self):
         rng = make_rng(9)
-        mask = dropblock_mask((8, 8, 40, 40), 1, 0.2, rng)
+        mask = dropblock_mask((8, 40, 40, 8), 1, 0.2, rng)
         dropped = (mask == 0).mean()
         assert abs(dropped - 0.2) < 0.02
 
@@ -196,17 +196,17 @@ class TestDropBlock:
         rng = make_rng(10)
         fractions = []
         for _ in range(30):
-            mask = dropblock_mask((4, 4, 24, 24), 3, 0.1, rng)
+            mask = dropblock_mask((4, 24, 24, 4), 3, 0.1, rng)
             fractions.append((mask == 0).mean())
         assert abs(np.mean(fractions) - 0.1) < 0.02
 
     def test_zeroed_regions_are_square_blocks(self):
         rng = make_rng(11)
-        mask = dropblock_mask((1, 1, 16, 16), 3, 0.05, rng)
-        zeros = np.argwhere(mask[0, 0] == 0)
+        mask = dropblock_mask((1, 16, 16, 1), 3, 0.05, rng)  # [C, H, W, N]
+        zeros = np.argwhere(mask[0, :, :, 0] == 0)
         if len(zeros):  # every zero belongs to some fully zero 3x3 square
             covered = set()
-            field = mask[0, 0] == 0
+            field = mask[0, :, :, 0] == 0
             for y in range(14):
                 for x in range(14):
                     if field[y : y + 3, x : x + 3].all():
@@ -217,19 +217,19 @@ class TestDropBlock:
 
     def test_survivor_rescaling(self):
         rng = make_rng(12)
-        mask = dropblock_mask((2, 2, 20, 20), 3, 0.15, rng)
+        mask = dropblock_mask((2, 20, 20, 2), 3, 0.15, rng)
         for n in range(2):
             for c in range(2):
-                m = mask[n, c]
+                m = mask[c, :, :, n]
                 kept = (m > 0).sum()
                 if kept:
                     npt.assert_allclose(m[m > 0], 400.0 / kept, atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(ConfigurationError, match="odd"):
-            dropblock_mask((1, 1, 8, 8), 2, 0.1, make_rng(0))
+            dropblock_mask((1, 8, 8, 1), 2, 0.1, make_rng(0))
         with pytest.raises(ConfigurationError, match="exceeds"):
-            dropblock_mask((1, 1, 4, 4), 5, 0.1, make_rng(0))
+            dropblock_mask((1, 4, 4, 1), 5, 0.1, make_rng(0))
 
 
 class TestSgd:
