@@ -88,6 +88,9 @@ class NetworkConfig:
                     "base_width", "stem_width", "dropblock_size"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.base_planes * self.base_width < 64:  # stage-1 group width would be 0
+            raise ConfigurationError(f"base_planes * base_width must be >= 64, got "
+                                     f"{self.base_planes} * {self.base_width}")
         for key in ("dropout", "dropblock_prob"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigurationError(f"{key} must be in [0, 1), got {getattr(self, key)}")

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             NetworkConfig(depth=50, **{field: value})
 
+    def test_zero_group_width_rejected(self):
+        """16 planes at width 1 would give stage-1 group width 16 * 1 // 64 = 0."""
+        with pytest.raises(ConfigurationError, match="base_planes \\* base_width"):
+            NetworkConfig(depth=50, stage_blocks=(1, 1, 1, 1), radix=0, base_width=1,
+                          base_planes=16, input_channels=1, num_classes=2)
+        assert NetworkConfig(depth=50, base_planes=16, base_width=4).base_width == 4
+
     def test_variant_name(self):
         cfg = NetworkConfig(depth=50, radix=2, cardinality=8, base_width=14)
         assert cfg.variant_name == "2s8x14d"
