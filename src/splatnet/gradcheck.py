@@ -80,26 +80,25 @@ def grad_check(
     entries = []
     for name, arr in params.items():
         g = grads[name]
-        flat = arr.reshape(-1)
-        indices = np.arange(flat.size)
-        if max_entries_per_param is not None and flat.size > max_entries_per_param:
+        indices = np.arange(arr.size)
+        if max_entries_per_param is not None and arr.size > max_entries_per_param:
             if rng is None:
                 raise ValueError("subsampled grad_check needs an rng")
-            indices = rng.choice(flat.size, size=max_entries_per_param, replace=False)
+            indices = rng.choice(arr.size, size=max_entries_per_param, replace=False)
         worst = GradCheckEntry(name, -1.0, (), 0.0, 0.0)
         for i in indices:
-            orig = flat[i]
-            flat[i] = orig + h
+            # index the array itself: a reshape of a non-contiguous one is a copy
+            idx = tuple(int(j) for j in np.unravel_index(int(i), arr.shape))
+            orig = arr[idx]
+            arr[idx] = orig + h
             lp = loss_and_grads()[0]
-            flat[i] = orig - h
+            arr[idx] = orig - h
             lm = loss_and_grads()[0]
-            flat[i] = orig
+            arr[idx] = orig
             numeric = (lp - lm) / (2.0 * h)
-            analytic = g.reshape(-1)[i]
+            analytic = g[idx]
             e = rel_err(analytic, numeric)
             if e > worst.max_rel_err:
-                worst = GradCheckEntry(
-                    name, e, np.unravel_index(int(i), arr.shape), float(analytic), float(numeric)
-                )
+                worst = GradCheckEntry(name, e, idx, float(analytic), float(numeric))
         entries.append(worst)
     return GradCheckReport(entries, tolerance, h)

@@ -36,6 +36,21 @@ class TestHarness:
         assert rel_err(2.0, 1.0) == pytest.approx(1.0 / 3.0)
         assert rel_err(0.0, 0.0) == 0.0  # guarded denominator
 
+    def test_non_contiguous_parameter(self):
+        """A transposed view is perturbed in place, not through a copy, and the
+        worst index is reported as plain ints."""
+        w = make_rng(2).standard_normal((4, 3)).T
+        c = make_rng(3).standard_normal((3, 4))
+
+        def loss():
+            return float((c * w).sum()), {"w": c.copy()}
+
+        report = grad_check(loss, {"w": w}, tolerance=1e-9)
+        assert report.passed, report.summary()
+        entry = report.entries[0]
+        assert all(type(i) is int for i in entry.worst_index)
+        assert f"at {entry.worst_index} " in report.summary()
+
     def test_requires_float64(self):
         w = np.ones(3, dtype=np.float32)
         with pytest.raises(TypeError, match="float64"):
