@@ -16,6 +16,7 @@ Training keys (train command only):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,9 +43,12 @@ def _parse_int(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigurationError(f"key {key}: expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):  # nan and inf parse as floats
+        raise ConfigurationError(f"key {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int_list(key, raw):

@@ -40,8 +40,9 @@ def _checkerboard(size: int, cell: int, phase: int, sign: float) -> np.ndarray:
 def make_toy_dataset(n: int, size: int = 32, noise: float = 0.6,
                      seed: int = 0, dtype=np.float64) -> ToyDataset:
     """Balanced two-class set of n images; deterministic in (n, size, noise, seed)."""
-    if n < 1 or size < 1:
-        raise ConfigurationError(f"toy dataset needs samples and image size >= 1, got {n}, {size}")
+    if n < 1 or size < 1 or not np.isfinite(noise):
+        raise ConfigurationError(f"toy dataset needs samples and image size >= 1 and a "
+                                 f"finite noise, got {n}, {size}, {noise}")
     rng = make_rng(seed)
     images = np.empty((n, 1, size, size), dtype=dtype)
     labels = np.empty(n, dtype=np.int64)

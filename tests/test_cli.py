@@ -150,13 +150,22 @@ def test_bench_rejects_zero_reps(capsys):
     ["analyze", "--input-size", "-5"],
     ["bench", *MICRO_FLAGS, "--input-size", "-5"],
     ["bench", *MICRO_FLAGS, "--warmup", "-1", "--reps", "1"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "0",
+     "--mixup-alpha", "nan"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "0",
+     "--base-lr", "inf"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--warmup-epochs", "0",
+     "--noise", "nan"],
+    ["analyze", "--radix", "0", "--base-width", "1", "--base-planes", "16",
+     "--stage-blocks", "1,1,1,1", "--input-channels", "1", "--classes", "2"],
 ], ids=["cardinality-0", "empty-stages", "bench-batch-0", "bench-batch-negative",
         "train-batch-0", "negative-warmup", "config-is-directory",
         "checkpoint-is-directory", "config-not-utf8", "classes-0", "classes-negative",
         "base-width-negative", "mixup-alpha-negative", "dropblock-prob-1.5",
         "dropblock-size-0", "dropblock-size-not-int", "train-samples-negative",
         "train-image-size-negative", "analyze-input-size-negative",
-        "bench-input-size-negative", "bench-warmup-negative"])
+        "bench-input-size-negative", "bench-warmup-negative", "mixup-alpha-nan",
+        "base-lr-inf", "noise-nan", "zero-group-width"])
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\ndepth = 50\n".encode("latin-1"))
     rc = main([a.format(tmp=tmp_path) for a in argv])

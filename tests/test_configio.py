@@ -89,3 +89,12 @@ def test_train_settings_defaults():
     assert ts.seed == 0
     assert ts.momentum == 0.9
     assert ts.weight_decay == 1e-4
+
+
+def test_non_finite_float_rejected(tmp_path):
+    for key in ("dropout", "dropblock_prob", "base_lr", "mixup_alpha", "smoothing",
+                "weight_decay", "momentum"):
+        for value in ("nan", "inf", "-inf"):
+            raw = read_config_file(write(tmp_path, f"{key} = {value}\n"))
+            with pytest.raises(ConfigurationError, match=f"key {key}: expected a finite"):
+                parse_settings(raw, allow_training=True)
