@@ -1,13 +1,15 @@
 """Static cost model and micro-benchmark harness.
 
-The cost model runs the network's own eval-mode forward on an empty batch,
-``[0, C, H, W]`` (``[C, H, W, 0]`` inside), and records every leaf-layer
-call in call order. Each call
-gives one row: the layer's dotted path, its per-image output shape, its
-parameter count (taken from the live parameter arrays, so every parameter is
-counted exactly once) and the ``(macs, aux_ops)`` its ``cost`` method returns
-for the per-image input and output shapes. The topology is therefore written
-once, in the forward, and an input size the forward rejects cannot be priced.
+The cost model builds a fresh, weightless network from the caller's config
+(every weight an ``np.zeros`` array nothing writes), runs its eval-mode
+forward on an empty batch, ``[0, C, H, W]`` (``[C, H, W, 0]`` inside), and
+records every leaf-layer call in call order. Each call gives one row: the
+layer's dotted path, its per-image output shape, its parameter count (taken
+from the build's parameter arrays, so every parameter is counted exactly
+once) and the ``(macs, aux_ops)`` its ``cost`` method returns for the
+per-image input and output shapes. The topology is therefore written once,
+in the forward, and an input size the forward rejects cannot be priced. The
+rows depend only on the config, and the caller's network is never run.
 
 Conventions, stated once and loudly because the field is inconsistent:
 
@@ -88,11 +90,10 @@ def _nparams(module) -> int:
 def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
     """One cost row per leaf-layer call of an empty-batch eval forward.
 
-    ``input_shape`` has a zero batch: NCHW for a network, [C, H, W, 0] for a
-    module inside one. Leaves see batch-last arrays: per image, ``shape[:-1]``.
-
-    Recording wrappers go on the leaf instances; every module's attributes
-    (wrappers and forward caches alike) are put back afterwards.
+    ``module`` is a throwaway build: recording wrappers go on its leaf
+    instances and stay there. ``input_shape`` has a zero batch: NCHW for a
+    network, [C, H, W, 0] for a module inside one. Leaves see batch-last
+    arrays: per image, ``shape[:-1]``.
     """
     rows: list[CostRow] = []
 
@@ -106,30 +107,24 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
             return y
         return recorded
 
-    children = list(module.named_modules(prefix))
-    saved = [(m, dict(vars(m))) for m in [module, *(m for _, m in children)]]
-    dtype = module.parameters()[0].value.dtype
-    try:
-        for path, m in children:
-            if next(m.named_modules(), None) is None:
-                m.forward = recording(path, m)
-        module.forward(np.zeros(input_shape, dtype), mode="eval")
-    finally:
-        for m, attrs in saved:
-            vars(m).clear()
-            vars(m).update(attrs)
+    for path, m in module.named_modules(prefix):
+        if next(m.named_modules(), None) is None:
+            m.forward = recording(path, m)
+    module.forward(np.zeros(input_shape), mode="eval")
     return rows
 
 
 def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> CostReport:
     """Per-layer parameter and MAC accounting for one input image.
 
+    Reads only ``network.cfg``: a fresh weightless build of it is traced.
     Raises ``ConfigurationError`` for an input size the forward rejects.
     """
     if min(input_hw) < 1:
         raise ConfigurationError(f"input size must be >= 1, got {input_hw[0]}x{input_hw[1]}")
     cfg = network.cfg
-    rows = _trace_rows(network, (0, cfg.input_channels, *input_hw))
+    build = Network(cfg)
+    rows = _trace_rows(build, (0, cfg.input_channels, *input_hw))
     echo = (
         f"depth={cfg.depth} {cfg.variant_name} stage_blocks={cfg.stage_blocks} "
         f"deep_stem={cfg.deep_stem} stem_width={cfg.stem_width} "
@@ -137,7 +132,7 @@ def count_flops(network: Network, input_hw: tuple[int, int] = (224, 224)) -> Cos
     )
     report = CostReport(rows, echo, input_hw)
     # ground truth cross-check: every parameter counted exactly once
-    direct = _nparams(network)
+    direct = _nparams(build)
     if direct != report.total_params:
         raise AssertionError(
             f"cost trace saw {report.total_params} params, network holds {direct}"

@@ -31,7 +31,7 @@ from .configio import (
     train_settings,
 )
 from .data import make_toy_dataset
-from .network import build_network
+from .network import Network, build_network
 from .params import ConfigurationError, make_rng, spawn_rng
 from .training import (
     LossConfig,
@@ -64,17 +64,10 @@ def _gather_settings(args) -> dict:
     return parse_settings(raw, allow_training=True)
 
 
-def _build(args):
-    settings = _gather_settings(args)
-    cfg = network_config(settings)
-    rng = make_rng(args.seed)
-    net = build_network(cfg, rng, dtype=_DTYPES[args.precision])
-    return settings, cfg, net
-
-
 def cmd_analyze(args) -> int:
-    _, cfg, net = _build(args)
-    report = analysis.count_flops(net, (args.input_size, args.input_size))
+    # the report depends on the config alone: no weights are drawn for it
+    cfg = network_config(_gather_settings(args))
+    report = analysis.count_flops(Network(cfg), (args.input_size, args.input_size))
     print(report.text())
     ref = analysis.reference_comparison(cfg, report.total_params, report.total_macs)
     if ref:
@@ -100,8 +93,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _, _, net = _build(args)
-    shape = (args.batch, net.cfg.input_channels, args.input_size, args.input_size)
+    cfg = network_config(_gather_settings(args))
+    net = build_network(cfg, make_rng(args.seed), dtype=_DTYPES[args.precision])
+    shape = (args.batch, cfg.input_channels, args.input_size, args.input_size)
     result = analysis.bench_forward(net, shape, reps=args.reps, warmup=args.warmup,
                                     seed=args.seed)
     print(result.text())

@@ -3,7 +3,10 @@ the benchmark harness."""
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatnet.analysis import (
     REFERENCE_VARIANTS,
@@ -12,8 +15,10 @@ from splatnet.analysis import (
     count_flops,
     reference_comparison,
 )
-from splatnet.network import BottleneckSpec, NetworkConfig, build_network
+from splatnet.layers import Conv2d, Linear
+from splatnet.network import BottleneckSpec, Network, NetworkConfig, build_network
 from splatnet.params import ConfigurationError, make_rng
+from strategies import input_sizes, network_configs
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -59,13 +64,17 @@ class TestCountParams:
         report = count_flops(net)
         assert report.total_params == sum(r.params for r in report.rows)
 
-    def test_parameter_the_forward_never_reaches_is_caught(self):
-        from splatnet.layers import Linear
+    def test_parameter_the_forward_never_reaches_is_caught(self, monkeypatch):
+        init = Network.__init__
 
-        net = build(MICRO)
-        net.unused = Linear(4, 4)  # holds parameters, never called
+        def with_unused(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.unused = Linear(4, 4)  # holds parameters, never called
+
+        # on every build, so also on the one count_flops traces
+        monkeypatch.setattr(Network, "__init__", with_unused)
         with pytest.raises(AssertionError, match="cost trace saw"):
-            count_flops(net, (32, 32))
+            count_flops(build(MICRO), (32, 32))
 
     def test_invariant_to_input_size(self):
         net = build(MICRO)
@@ -74,9 +83,10 @@ class TestCountParams:
         assert p1 == p2
 
     def test_cost_report_leaves_trained_network_untouched(self):
-        """Tracing puts back every attribute: the wrappers are gone, the
-        forward caches of the last train step survive, so its backward
-        still gives the same gradients."""
+        """Pricing a trained network leaves every attribute as it was: the
+        trace runs on a fresh build of its config, so the forward caches of
+        the last train step survive and its backward still gives the same
+        gradients."""
         net = build(MICRO)
         rng = make_rng(1)
         x = rng.standard_normal((2, 1, 32, 32))
@@ -247,6 +257,41 @@ def test_machine_rows_pinned(name):
     for hw, want in digests.items():
         lines = count_flops(net, (hw, hw)).machine_lines()
         assert hashlib.sha256(lines.encode()).hexdigest() == want, (name, hw)
+
+
+def test_count_flops_never_calls_the_callers_modules():
+    """The rows come from a fresh build of ``net.cfg``: a seeded network
+    whose every module method raises still gets the pinned rows."""
+    cfg_kwargs, digests = PINNED_ROWS["2s2x40d"]
+    net = build_network(NetworkConfig(**cfg_kwargs), make_rng(0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_flops called a method of the caller's network")
+
+    for m in [net, *(m for _, m in net.named_modules())]:
+        for name in dir(type(m)):
+            if not name.startswith("__") and callable(getattr(type(m), name)):
+                setattr(m, name, refuse)
+    for hw, want in digests.items():
+        lines = count_flops(net, (hw, hw)).machine_lines()
+        assert hashlib.sha256(lines.encode()).hexdigest() == want, hw
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(cfg=network_configs(), size=input_sizes,
+       dtype=st.sampled_from((np.float32, np.float64)), seed=st.integers(0, 2**32 - 1))
+def test_cost_trace_over_config_space(cfg, size, dtype, seed):
+    """Every conv and FC of the caller's network gets exactly one MAC row
+    (the join the benchmark's per-layer GMAC/s relies on), the totals hold
+    all its parameters, and the precision of the build changes no row."""
+    net = build_network(cfg, make_rng(seed), dtype=dtype)
+    report = count_flops(net, (size, size))
+    weighted = [path for path, m in net.named_modules() if isinstance(m, (Conv2d, Linear))]
+    assert sorted(r.path for r in report.rows if r.macs) == sorted(weighted)
+    assert report.total_params == sum(p.value.size for p in net.parameters())
+    twin_dtype = np.float64 if dtype == np.float32 else np.float32
+    twin = build_network(cfg, make_rng(seed), dtype=twin_dtype)
+    assert count_flops(twin, (size, size)).machine_lines() == report.machine_lines()
 
 
 class TestParity:
