@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .params import ConfigurationError
@@ -36,19 +38,20 @@ def _out_extent(size: int, kernel: int, stride: int, pad: int) -> int:
 
 def to_chwn(x: np.ndarray) -> np.ndarray:
     """NCHW (or [N, F]) -> a [C, H, W, N] (or [F, N]) view."""
-    return np.moveaxis(x, 0, -1)
+    return x.transpose(*range(1, x.ndim), 0)
 
 
 def to_nchw(x: np.ndarray) -> np.ndarray:
     """[C, H, W, N] (or [F, N]) -> a C-contiguous NCHW (or [N, F]) copy."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
 
 
 def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
     c, h, w, n = x.shape
-    xp = np.full((c, h + 2 * ph, w + 2 * pw, n), value, dtype=x.dtype)
+    shape = (c, h + 2 * ph, w + 2 * pw, n)
+    xp = np.full(shape, value, dtype=x.dtype) if value else np.zeros(shape, x.dtype)
     xp[:, ph : ph + h, pw : pw + w] = x
     return xp
 
@@ -85,20 +88,24 @@ def im2col(x, kernel, stride=1, padding=0):
     """Input [C, H, W, N] -> columns [C*kh*kw, Ho, Wo, N] of the zero-padded input.
 
     Row order is (channel, ki, kj), so each channel group's rows form one
-    [C*kh*kw/groups, Ho*Wo*N] matrix. A copy, except for a 1x1 stride-1
-    unpadded kernel, where it is a view of a contiguous input.
+    [C*kh*kw/groups, Ho*Wo*N] matrix. A 1x1 stride-1 unpadded kernel returns
+    x itself, whatever its layout. Any other kernel reads its windows from a
+    C-contiguous array (the zero-padded input, x, or a copy of a
+    non-contiguous x); the result is a view of that array where the windows
+    lie at uniform strides (a strided 1x1 kernel) and a copy otherwise.
+    Callers only read it.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    xp = _pad_spatial(x, ph, pw)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return x
+    xp = np.ascontiguousarray(_pad_spatial(x, ph, pw))
     c, hp, wp, n = xp.shape
     ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
     sc, sy, sx, sn = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, kh, kw, ho, wo, n),
-        strides=(sc, sy, sx, sy * sh, sx * sw, sn), writeable=False,
-    )
+    win = np.ndarray((c, kh, kw, ho, wo, n), xp.dtype, xp, 0,
+                     (sc, sy, sx, sy * sh, sx * sw, sn))
     return win.reshape(c * kh * kw, ho, wo, n)
 
 
@@ -182,23 +189,28 @@ def _pool_window(x_shape, kernel, stride, padding):
     return kh, kw, sh, sw, ph, pw, _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
 
 
-def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
-    """Per-window divisor [Ho, Wo, 1] for average pooling: in-bounds positions.
+def _window_counts(h, w, kh, kw, sh, sw, ph, pw):
+    """In-bounds positions of each pooling window, [Ho, Wo].
 
     A window's count is the product of its in-bounds extents along each
     axis, so the counts are the outer product of two per-axis vectors.
     """
-    ho = _out_extent(h, kh, sh, ph)
-    wo = _out_extent(w, kw, sw, pw)
-    if ph == 0 and pw == 0:  # every window lies in bounds
-        return np.full((ho, wo, 1), float(kh * kw), dtype=dtype)
-
-    def extents(size, k, s, p, out):
-        start = np.arange(out) * s - p
+    def extents(size, k, s, p):
+        start = np.arange(_out_extent(size, k, s, p)) * s - p
         return np.minimum(start + k, size) - np.maximum(start, 0)
 
-    counts = np.outer(extents(h, kh, sh, ph, ho), extents(w, kw, sw, pw, wo))
-    return counts[:, :, None].astype(dtype)
+    return np.outer(extents(h, kh, sh, ph), extents(w, kw, sw, pw))
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
+    """Per-window divisor [Ho, Wo, 1] of average pooling, made once per
+    shape and dtype. Every call with that key gets the same array, so it is
+    read-only; the kernels only divide by it.
+    """
+    divisors = _window_counts(h, w, kh, kw, sh, sw, ph, pw)[:, :, None].astype(dtype)
+    divisors.flags.writeable = False
+    return divisors
 
 
 def avg_pool2d(x, kernel, stride=None, padding=0):
@@ -270,8 +282,10 @@ def max_pool2d_backward(grad_out, xp, y, kernel, stride=None, padding=0):
 
 
 def global_avg_pool(x):
-    """[C, H, W, N] -> [C, N], mean over all spatial positions."""
-    return x.mean(axis=(1, 2))
+    """[C, H, W, N] -> [C, N], mean over all spatial positions: the sum
+    divided by the count, as ``np.mean`` computes it."""
+    c, h, w, n = x.shape
+    return x.sum(axis=(1, 2)) / (h * w)
 
 
 def global_avg_pool_backward(grad_out, x_shape):
@@ -431,9 +445,9 @@ def sigmoid_backward(grad_out, y):
 
 def softmax(x, axis=-1):
     """Shift-invariant softmax along ``axis``."""
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def softmax_backward(grad_out, y, axis=-1):

@@ -1,10 +1,14 @@
 """Network assembly: stem, bottlenecks, shapes, initialization, state."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splatnet import ops
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
+from splatnet.configio import network_config, parse_settings, read_config_file
 from splatnet.gradcheck import grad_check
 from splatnet.network import (
     STAGE_LAYOUTS,
@@ -513,3 +517,36 @@ class TestColumnCache:
         conv.forward(x, mode="eval")
         assert conv.backward(g).tobytes() == gx_train.tobytes()
         assert conv.weight.grad.tobytes() == gw_train.tobytes()
+
+
+class TestShapeConstants:
+    """A repeated batch-1 eval forward of the toy network rebuilds nothing
+    that depends only on shapes: such work is a fixed cost on every kernel
+    call, and at batch 1 it outweighs the arithmetic."""
+
+    def test_repeat_forward_builds_no_shape_constants(self, monkeypatch):
+        toy = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+        net = build_network(network_config(parse_settings(read_config_file(toy), True)),
+                            make_rng(0))
+        images = make_rng(1).standard_normal((2, 1, 1, 32, 32))
+        counted = []
+        window_counts = ops._window_counts
+
+        def counting_window_counts(*args):
+            counted.append(args)
+            return window_counts(*args)
+
+        def no_as_strided(*a, **k):
+            raise AssertionError("as_strided called")
+
+        monkeypatch.setattr(ops, "_window_counts", counting_window_counts)
+        monkeypatch.setattr(np.lib.stride_tricks, "as_strided", no_as_strided)
+        ops._pool_divisors.cache_clear()
+        net.forward(images[0], mode="eval")
+        assert counted  # the toy network's avg-pools divide by window counts
+        counted.clear()
+        net.forward(images[1], mode="eval")
+        assert counted == []
+        # a 1x1 stride-1 unpadded conv reads its input as its columns
+        x = make_rng(2).standard_normal((4, 5, 6, 1))
+        assert np.shares_memory(ops.im2col(x, 1, 1, 0), x)

@@ -408,6 +408,27 @@ class TestPooling:
         one = rng.standard_normal((6, 1, 1, 2))
         npt.assert_array_equal(ops.global_avg_pool(one), one[:, 0, 0])
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_divisors_never_reach_an_output(self, dtype, padding):
+        # one divisor array per shape and dtype is shared by every call
+        x = make_rng(32).standard_normal((2, 5, 5, 3)).astype(dtype)
+        divisors = ops._pool_divisors(5, 5, 3, 3, 2, 2, padding, padding, np.dtype(dtype))
+        assert not divisors.flags.writeable and divisors.dtype == dtype
+        assert ops._pool_divisors(5, 5, 3, 3, 2, 2, padding, padding, np.dtype(dtype)) is divisors
+
+        def run():
+            y = ops.avg_pool2d(x, 3, 2, padding)
+            return y, ops.avg_pool2d_backward(y, x.shape, 3, 2, padding)
+
+        first = run()
+        want = [a.tobytes() for a in first]
+        for out in first:
+            assert out.dtype == dtype and out.flags.writeable
+            assert not np.shares_memory(out, divisors)
+            out[...] = 7.0
+        assert [a.tobytes() for a in run()] == want
+
 
 @st.composite
 def pool_cases(draw):
