@@ -5,6 +5,13 @@ therefore a one-slot tape: call ``forward`` then ``backward`` once, in that
 order. Each backward writes (replaces) its parameters' ``Parameter.grad``;
 an eval-mode batch-norm backward writes no gamma/beta gradient.
 
+Layers take a third mode, :data:`INFER`: it computes exactly what eval mode
+computes and keeps no tape, and it drops whatever tape an earlier forward
+left. A network's eval forward runs its layers in it, so inference holds no
+activations; a backward after it first reruns that forward in eval mode from
+the same input array (:meth:`splatnet.network.Network.backward`). Layers and
+units called directly in eval mode keep their tapes.
+
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):
 :func:`run_forward` runs the list, :func:`run_backward` runs it in reverse.
@@ -25,6 +32,8 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module, Parameter, kaiming_normal
+
+INFER = "infer"  # eval without a tape; see the module docstring
 
 
 def run_forward(layers, x, mode="train", rng=None):
@@ -67,7 +76,7 @@ class Conv2d(Module):
         self._cols = None
 
     def forward(self, x, mode="train", rng=None):
-        self._x = x
+        self._x = None if mode == INFER else x
         y, cols = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
         # the columns are kh*kw times the input: only a train-mode forward keeps them
         self._cols = cols if mode == "train" else None
@@ -112,7 +121,7 @@ class Linear(Module):
         self._x = None
 
     def forward(self, x, mode="train", rng=None):
-        self._x = x
+        self._x = None if mode == INFER else x
         b = self.bias.value if self.bias is not None else None
         return ops.fully_connected(x, self.weight.value, b, self.groups)
 
@@ -147,6 +156,7 @@ class BatchNorm(Module):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode="train", rng=None):
+        mode = "eval" if mode == INFER else mode
         self._mode = mode
         y, cache = ops.batch_norm(x, self.gamma.value, self.beta.value,
                                   self.running_mean, self.running_var, mode)
@@ -167,40 +177,45 @@ class BatchNorm(Module):
 
 
 class ReLU(Module):
+    """Keeps its output for the backward: y > 0 exactly where x > 0."""
+
     def __init__(self):
-        self._x = None
+        self._y = None
 
     def forward(self, x, mode="train", rng=None):
-        self._x = x
-        return ops.relu(x)
+        y = ops.relu(x)
+        self._y = None if mode == INFER else y
+        return y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape)
 
     def backward(self, grad_out):
-        return ops.relu_backward(grad_out, self._x)
+        return ops.relu_backward(grad_out, self._y)
 
 
 class AddReLU(Module):
-    """Residual join: ReLU of the branch output plus the shortcut."""
+    """Residual join: ReLU of the branch output plus the shortcut. Keeps its
+    output, as :class:`ReLU` does."""
 
     def __init__(self):
-        self._x = None
+        self._y = None
 
-    def forward(self, x, shortcut):
+    def forward(self, x, shortcut, mode="train"):
         if x.shape != shortcut.shape:
             raise ConfigurationError(
                 f"residual/shortcut shape mismatch: {x.shape[:-1]} vs "
                 f"{shortcut.shape[:-1]} per image"
             )
-        self._x = x + shortcut
-        return ops.relu(self._x)
+        y = ops.relu(x + shortcut)
+        self._y = None if mode == INFER else y
+        return y
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
     def backward(self, grad_out):
-        return ops.relu_backward(grad_out, self._x)
+        return ops.relu_backward(grad_out, self._y)
 
 
 class AvgPool2d(Module):
@@ -232,8 +247,9 @@ class MaxPool2d(Module):
 
     def forward(self, x, mode="train", rng=None):
         # the backward finds each window's argmax from the padded input and output
-        self._y, self._xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-        return self._y
+        y, xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
+        self._y, self._xp = (None, None) if mode == INFER else (y, xp)
+        return y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
@@ -266,7 +282,7 @@ class Dropout(Module):
         self._mask = None
 
     def forward(self, x, mode="train", rng=None):
-        y, self._mask = ops.dropout(x, self.p, rng, mode)
+        y, self._mask = ops.dropout(x, self.p, rng, "eval" if mode == INFER else mode)
         return y
 
     def cost(self, x_shape, y_shape):

@@ -20,6 +20,10 @@ only the residual sum routes gradients by hand.
 Activations are NCHW only at the network's boundary, which converts once on
 the way in and once on the way out; every module inside takes [C, H, W, N]
 (or [F, N]) arrays (:mod:`splatnet.ops`).
+
+A network's eval forward keeps no activations: it runs its layers in the
+tape-free mode ``INFER`` (:mod:`splatnet.layers`), and a backward after it
+first recomputes the forward in eval mode from the same input array.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import (AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout, GlobalAvgPool,
-                     Linear, MaxPool2d, ReLU, run_backward, run_forward)
+from .layers import (INFER, AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout,
+                     GlobalAvgPool, Linear, MaxPool2d, ReLU, run_backward, run_forward)
 from .splat import SplatConfig, SplitAttentionUnit
 
 STAGE_LAYOUTS: dict[int, tuple[int, int, int, int]] = {
@@ -42,6 +46,13 @@ STAGE_LAYOUTS: dict[int, tuple[int, int, int, int]] = {
 }
 
 MIN_INPUT_SIZE = 32
+
+
+def _layer_mode(mode):
+    """The mode a network forward runs its layers in: eval keeps no tape."""
+    if mode not in ("train", "eval"):
+        raise ConfigurationError(f"unknown forward mode {mode!r}; expected 'train' or 'eval'")
+    return INFER if mode == "eval" else mode
 
 
 @dataclass
@@ -179,7 +190,7 @@ class Bottleneck(Module):
 
     def forward(self, x, mode="train", rng=None):
         v = run_forward(self.branch(), x, mode, rng)
-        return self.add_relu.forward(v, run_forward(self.shortcut(), x, mode, rng))
+        return self.add_relu.forward(v, run_forward(self.shortcut(), x, mode, rng), mode)
 
     def backward(self, grad_out):
         g = self.add_relu.backward(grad_out)
@@ -261,6 +272,7 @@ class Network(Module):
         self.fc = Linear(in_ch, cfg.num_classes, bias=True, dtype=dtype)
         if rng is not None:
             self.fc.weight.value[...] = rng.standard_normal(self.fc.weight.shape) * 0.01
+        self._eval_input = None  # of the last forward if eval, until a backward replays it
         self.assign_names()
 
     def stages(self) -> list[Stage]:
@@ -271,7 +283,12 @@ class Network(Module):
                 self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]
 
     def forward(self, x, mode="train", rng=None):
-        """NCHW images -> logits [N, classes]."""
+        """NCHW images -> logits [N, classes].
+
+        An eval forward keeps no activations, only a reference to ``x``; a
+        train forward keeps every layer's tape for :meth:`backward`.
+        """
+        layer_mode = _layer_mode(mode)
         n, c, h, w = x.shape
         if c != self.cfg.input_channels:
             raise ConfigurationError(
@@ -282,10 +299,18 @@ class Network(Module):
                 f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
                 f"required by the stride chain"
             )
-        return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), mode, rng))
+        self._eval_input = x if mode == "eval" else None
+        return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng))
 
     def backward(self, grad_logits):
-        """Gradient of the logits [N, classes] -> gradient of the NCHW input."""
+        """Gradient of the logits [N, classes] -> gradient of the NCHW input.
+
+        After an eval forward this first recomputes that forward in eval mode
+        from the same input array, so the input must not have changed since.
+        """
+        if self._eval_input is not None:
+            run_forward(self.layers(), ops.to_chwn(self._eval_input), "eval")
+            self._eval_input = None
         return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
 
     def shortcut_only_forward(self, x, mode="eval"):
@@ -294,6 +319,7 @@ class Network(Module):
         With freshly zero-initialized final normalization scales the real
         forward must agree with this one.
         """
+        mode = _layer_mode(mode)
         x = self.stem.forward(ops.to_chwn(x), mode=mode)
         for stage in self.stages():
             for block in stage.block:

@@ -426,6 +426,7 @@ def relu(x):
 
 
 def relu_backward(grad_out, x):
+    """``x`` is the ReLU's input or its output: both are > 0 at the same entries."""
     return grad_out * (x > 0)
 
 

@@ -137,4 +137,6 @@ def kaiming_normal(
     """Fan-in scaled normal init, std = sqrt(2 / fan_in)."""
     if fan_in <= 0:
         raise ConfigurationError(f"fan_in must be positive, got {fan_in}")
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+    w = rng.standard_normal(shape)
+    w *= np.sqrt(2.0 / fan_in)
+    return w.astype(dtype, copy=False)

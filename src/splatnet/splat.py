@@ -40,8 +40,8 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import (AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU, run_backward,
-                     run_forward)
+from .layers import (INFER, AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU,
+                     run_backward, run_forward)
 
 
 def _round_up(v: int, mult: int) -> int:
@@ -208,13 +208,14 @@ class RSoftmax(Module):
         self.radix = radix
         self.cardinality = cardinality
         self.cardinal_width = cardinal_width
-        self.weights = None  # of the last forward
+        self.weights = None  # of the last forward that keeps a tape
 
     def forward(self, logits, mode="train", rng=None):
         logits = logits.reshape(self.cardinality, self.radix, self.cardinal_width,
                                 logits.shape[1])
-        self.weights = r_softmax(logits, self.radix)
-        return self.weights
+        weights = r_softmax(logits, self.radix)
+        self.weights = None if mode == INFER else weights
+        return weights
 
     def cost(self, x_shape, y_shape):
         return 0, 3 * prod(y_shape)
@@ -231,8 +232,8 @@ class WeightedFuse(Module):
         self._u = None
         self._a = None
 
-    def forward(self, u, a):
-        self._u, self._a = u, a
+    def forward(self, u, a, mode="train"):
+        self._u, self._a = (None, None) if mode == INFER else (u, a)
         return weighted_fuse(u, a)
 
     def cost(self, x_shape, y_shape):
@@ -300,7 +301,7 @@ class SplitAttentionUnit(Module):
     def forward(self, x, mode="train", rng=None):
         u = self.transform(x, mode)
         a = run_forward(self.attention_layers(), u, mode, rng)
-        return self.weighted_fuse.forward(u, a)
+        return self.weighted_fuse.forward(u, a, mode)
 
     def backward(self, grad_out):
         gu, ga = self.weighted_fuse.backward(grad_out)

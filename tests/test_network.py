@@ -1,5 +1,6 @@
 """Network assembly: stem, bottlenecks, shapes, initialization, state."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import BatchNorm, Conv2d, DropBlock, Dropout
-from splatnet.ops import to_chwn
-from splatnet.params import ConfigurationError, Parameter, make_rng, spawn_rng
+from splatnet.layers import (AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, ReLU, run_backward,
+                             run_forward)
+from splatnet.ops import to_chwn, to_nchw
+from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -31,6 +33,26 @@ MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
 def micro_net(seed=0, **overrides):
     cfg = NetworkConfig(**{**MICRO, **overrides})
     return build_network(cfg, make_rng(seed))
+
+
+def randomize_batch_norm(net):
+    """Random batch-norm state (as in the bit gate): every bn3 gets a nonzero
+    gamma, so the residual branches reach the logits."""
+    stats = spawn_rng(0, 1)
+    for _, module in net.named_modules():
+        if isinstance(module, BatchNorm):
+            c = module.num_features
+            module.gamma.value[...] = stats.normal(1.0, 0.5, c)
+            module.beta.value[...] = stats.normal(0.0, 0.2, c)
+            module.running_mean[...] = stats.normal(0.0, 0.5, c)
+            module.running_var[...] = stats.uniform(0.5, 2.0, c)
+    return net
+
+
+def toy_net():
+    toy = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+    return build_network(network_config(parse_settings(read_config_file(toy), True)),
+                         make_rng(0))
 
 
 class TestConfig:
@@ -306,17 +328,7 @@ class TestNetwork:
           "stage4.block0.splat.conv_split.weight")),
     ], ids=["2s1x64d", "0s1x64d-classic", "1s2x32d-fast"])
     def test_micro_gradcheck_eval_branches(self, overrides, names):
-        # random batch-norm statistics (as in the bit gate) give every bn3 a
-        # nonzero gamma, so the residual branches reach the logits
-        net = micro_net(**overrides)
-        stats = spawn_rng(0, 1)
-        for _, module in net.named_modules():
-            if isinstance(module, BatchNorm):
-                c = module.num_features
-                module.gamma.value[...] = stats.normal(1.0, 0.5, c)
-                module.beta.value[...] = stats.normal(0.0, 0.2, c)
-                module.running_mean[...] = stats.normal(0.0, 0.5, c)
-                module.running_var[...] = stats.uniform(0.5, 2.0, c)
+        net = randomize_batch_norm(micro_net(**overrides))
         rng = make_rng(6)
         x = rng.standard_normal((2, 1, 32, 32))
         proj = rng.standard_normal((2, 2))
@@ -525,9 +537,7 @@ class TestShapeConstants:
     call, and at batch 1 it outweighs the arithmetic."""
 
     def test_repeat_forward_builds_no_shape_constants(self, monkeypatch):
-        toy = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
-        net = build_network(network_config(parse_settings(read_config_file(toy), True)),
-                            make_rng(0))
+        net = toy_net()
         images = make_rng(1).standard_normal((2, 1, 1, 32, 32))
         counted = []
         window_counts = ops._window_counts
@@ -550,3 +560,120 @@ class TestShapeConstants:
         # a 1x1 stride-1 unpadded conv reads its input as its columns
         x = make_rng(2).standard_normal((4, 5, 6, 1))
         assert np.shares_memory(ops.im2col(x, 1, 1, 0), x)
+
+
+def kept_arrays(module):
+    """(attribute, array) for every ndarray a module's attributes hold,
+    inside tuples and lists too."""
+    for attr, obj in vars(module).items():
+        for item in obj if isinstance(obj, (list, tuple)) else (obj,):
+            if isinstance(item, np.ndarray):
+                yield attr, item
+
+
+def grad_bytes(net):
+    return {p.name: None if p.grad is None else p.grad.tobytes() for p in net.parameters()}
+
+
+class TestTapeFreeEval:
+    """A network's eval forward keeps no activations; a backward after it
+    recomputes the forward in eval mode from the same input array."""
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_eval_forward_keeps_no_activations(self, radix):
+        net = micro_net(radix=radix, dropblock_prob=0.2, dropout=0.2)
+        rng = make_rng(7)
+        x = rng.standard_normal((2, 1, 32, 32))
+        net.forward(x, mode="train", rng=rng)
+        net.backward(rng.standard_normal((2, 2)))  # leaves the batch-norm caches
+        net.forward(x, mode="eval")
+        buffers = ("running_mean", "running_var")
+        kept = [f"{path}.{attr}" for path, m in net.named_modules()
+                for attr, _ in kept_arrays(m)
+                if not (isinstance(m, BatchNorm) and attr in buffers)]
+        assert kept == []
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_eval_backward_matches_eval_tape(self, radix):
+        net, ref = (randomize_batch_norm(micro_net(radix=radix)) for _ in range(2))
+        rng = make_rng(8)
+        x = rng.standard_normal((2, 1, 32, 32))
+        g = rng.standard_normal((2, 2))
+        logits = net.forward(x, mode="eval")
+        gx = net.backward(g)
+        ref_logits = to_nchw(run_forward(ref.layers(), to_chwn(x), "eval"))
+        ref_gx = to_nchw(run_backward(ref.layers(), to_chwn(g)))
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        assert grad_bytes(net) == grad_bytes(ref)
+
+    def test_train_forward_clears_the_replay(self):
+        net, ref = (randomize_batch_norm(micro_net()) for _ in range(2))
+        rng = make_rng(9)
+        x = rng.standard_normal((2, 1, 32, 32))
+        g = rng.standard_normal((2, 2))
+        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="eval")
+        net.forward(x, mode="train")
+        gx = net.backward(g)
+        ref.forward(x, mode="train")
+        assert gx.tobytes() == ref.backward(g).tobytes()
+        assert grad_bytes(net) == grad_bytes(ref)
+
+    def test_eval_forward_frees_every_array_but_the_logits(self):
+        net = toy_net()
+        x = make_rng(10).standard_normal((1, 1, 32, 32))
+        net.forward(x, mode="eval")  # builds the shape constants
+        array_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+        def traced_array_bytes():
+            snapshot = tracemalloc.take_snapshot().filter_traces(array_data)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            before = traced_array_bytes()
+            logits = net.forward(x, mode="eval")
+            after = traced_array_bytes()
+        finally:
+            tracemalloc.stop()
+        assert after - before <= logits.nbytes
+
+    def test_only_train_and_eval_are_public_modes(self):
+        net = micro_net()
+        x = make_rng(11).standard_normal((2, 1, 32, 32))
+        for mode in ("infer", "test"):
+            with pytest.raises(ConfigurationError, match="forward mode"):
+                net.forward(x, mode=mode)
+            with pytest.raises(ConfigurationError, match="forward mode"):
+                net.shortcut_only_forward(x, mode=mode)
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_relu_keeps_its_output(self, radix):
+        """After a train forward each ReLU keeps the array the next layer
+        received, so its input dies with the ReLU's call."""
+        net = micro_net(radix=radix)
+        outputs = {}
+
+        def recording(path, forward):
+            def recorded(*args, **kwargs):
+                outputs[path] = forward(*args, **kwargs)
+                return outputs[path]
+            return recorded
+
+        relus = [(path, m) for path, m in net.named_modules() if isinstance(m, (ReLU, AddReLU))]
+        for path, m in relus:
+            m.forward = recording(path, m.forward)
+        net.forward(make_rng(12).standard_normal((2, 1, 32, 32)), mode="train")
+        assert len(outputs) == len(relus) > 0
+        for path, m in relus:
+            kept = [a for _, a in kept_arrays(m)]
+            assert len(kept) == 1 and np.shares_memory(kept[0], outputs[path]), path
+
+
+class TestKaimingNormal:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_the_scaled_cast_draw(self, dtype):
+        shape, fan_in = (6, 4, 3, 3), 36
+        w = kaiming_normal(make_rng(13), shape, fan_in, dtype)
+        want = (make_rng(13).standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+        assert w.dtype == dtype and w.tobytes() == want.tobytes()
