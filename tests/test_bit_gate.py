@@ -23,6 +23,12 @@ with OpenBLAS on two threads, which ``conftest.py`` pins): a GEMM split over
 more threads may sum in another order. The literal references hold on any
 host.
 
+The ROADMAP's byte-identity outputs of the command line are pinned the
+same way: the sha256 of the TSV log and the checkpoint of a short
+``splatnet train --config configs/toy.cfg`` run, and the logits hash that
+``splatnet bench`` prints for the toy network. The bench hash sees only the
+shortcut chain of a fresh network; the train digests see every branch.
+
 A directional-derivative check covers the same residual branches in train
 mode at batch 16: the gradient of every parameter along one random unit
 direction must match a central difference of the loss.
@@ -37,6 +43,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splatnet.cli import main
 from splatnet.configio import network_config, parse_settings, read_config_file
 from splatnet.layers import BatchNorm
 from splatnet.network import build_network
@@ -304,3 +311,26 @@ def directional_error(net, batch=16):
 @pytest.mark.parametrize("name", sorted(DIRECTIONAL))
 def test_train_directional_derivative(name):
     assert directional_error(_network(**DIRECTIONAL[name])) < 1e-6
+
+
+# a two-epoch toy run on 128 samples (4 steps per epoch), checkpoint per epoch
+TRAIN_ARGS = ["train", "--config", str(TOY_CONFIG), "--epochs", "2",
+              "--warmup-epochs", "1", "--samples", "128"]
+TRAIN_LOG = "e5f379ff861ff9865de897412423a2e902e484ba81471dd3c72998282781ec42"
+TRAIN_CHECKPOINT = "e9b532b7fc36e49c74b62398921d257f3807ba8cfb84f9d3380113564c236cc0"
+BENCH_ARGS = ["bench", "--config", str(TOY_CONFIG), "--batch", "8", "--input-size", "32",
+              "--reps", "1", "--warmup", "0"]
+BENCH_LOGITS = "e21e6df1cc301cd09067539b496072f17aec219cda11e481bd3f872084ed535d"
+
+
+class TestCommandLineDigests:
+    def test_train_log_and_checkpoint(self, tmp_path, capsys):
+        log, ckpt = tmp_path / "run.tsv", tmp_path / "run.ckpt"
+        assert main([*TRAIN_ARGS, "--out", str(log), "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == TRAIN_LOG
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == TRAIN_CHECKPOINT
+
+    def test_bench_logits(self, capsys):
+        assert main(BENCH_ARGS) == 0
+        assert f"logits sha256 {BENCH_LOGITS}" in capsys.readouterr().out
