@@ -72,14 +72,11 @@ class Conv2d(Module):
         else:
             w = kaiming_normal(rng, shape, fan_in, dtype)
         self.weight = Parameter(w, decay_eligible=True)
-        self._x = None
-        self._cols = None
+        self._tape = None  # (input shape, im2col columns)
 
     def forward(self, x, mode="train", rng=None):
-        self._x = None if mode == INFER else x
         y, cols = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
-        # the columns are kh*kw times the input: only a train-mode forward keeps them
-        self._cols = cols if mode == "train" else None
+        self._tape = None if mode == INFER else (x.shape, cols)
         return y
 
     def cost(self, x_shape, y_shape):
@@ -88,18 +85,16 @@ class Conv2d(Module):
         return macs, 0
 
     def backward(self, grad_out):
-        cols = self._cols
-        if cols is None:  # after an eval-mode forward
-            cols = ops.im2col(self._x, self.kernel, self.stride, self.padding)
-        self._cols = None
-        gx, gw = ops.conv2d_backward(grad_out, cols, self._x.shape, self.weight.value,
+        (x_shape, cols), self._tape = self._tape, None
+        gx, gw = ops.conv2d_backward(grad_out, cols, x_shape, self.weight.value,
                                      self.stride, self.padding, self.groups)
         self.weight.set_grad(gw)
         return gx
 
 
 class Linear(Module):
-    """Grouped fully-connected layer on [F, N] inputs."""
+    """Grouped fully-connected layer on [F, N] inputs: the grouped 1x1
+    convolution of the [F, 1, 1, N] map, run on ``ops.conv2d`` views."""
 
     def __init__(self, in_features, out_features, groups=1, bias=True,
                  rng=None, dtype=np.float64):
@@ -121,23 +116,25 @@ class Linear(Module):
         self._x = None
 
     def forward(self, x, mode="train", rng=None):
+        x = x[:, None, None]  # [F, 1, 1, N]: its own 1x1 columns
         self._x = None if mode == INFER else x
-        b = self.bias.value if self.bias is not None else None
-        return ops.fully_connected(x, self.weight.value, b, self.groups)
+        y, _ = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)
+        y = y[:, 0, 0]
+        if self.bias is not None:
+            y += self.bias.value[:, None]
+        return y
 
     def cost(self, x_shape, y_shape):
         macs = self.out_features * (self.in_features // self.groups)
         return macs, self.out_features if self.bias is not None else 0
 
     def backward(self, grad_out):
-        gx, gw, gb = ops.fully_connected_backward(
-            grad_out, self._x, self.weight.value, self.groups,
-            has_bias=self.bias is not None,
-        )
-        self.weight.set_grad(gw)
+        gx, gw = ops.conv2d_backward(grad_out[:, None, None], self._x, self._x.shape,
+                                     self.weight.value[:, :, None, None], groups=self.groups)
+        self.weight.set_grad(gw[:, :, 0, 0])
         if self.bias is not None:
-            self.bias.set_grad(gb)
-        return gx
+            self.bias.set_grad(grad_out.sum(axis=1))
+        return gx[:, 0, 0]
 
 
 class BatchNorm(Module):

@@ -147,7 +147,10 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
     with go = grad_out as [Cout/g, Ho*Wo*N], one GEMM gives the weight
     gradient go @ colsᵀ. The column gradient Wᵀ @ go takes one GEMM per
     window offset, each added onto the input by ``_scatter_windows`` as it
-    is made, so no kh*kw-times-input array is held. Returns C-contiguous arrays.
+    is made, so no kh*kw-times-input array is held. A 1x1 stride-1 unpadded
+    kernel multiplies by a transposed view of the weight, so it allocates
+    nothing weight-sized beyond the weight gradient. Returns C-contiguous
+    arrays.
     """
     cin, h, w, n = x_shape
     cout, cing, kh, kw = weight.shape
@@ -158,10 +161,11 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
     go = grad_out.reshape(groups, cout // groups, m)
     grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
     grad_w = grad_w.reshape(weight.shape)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        wt = weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1)
+        return np.matmul(wt, go).reshape(x_shape), grad_w
     # Wᵀ per window offset: [kh*kw, groups, Cin/g, Cout/g], contiguous for the GEMMs
     wt = weight.reshape(groups, cout // groups, cing, kh * kw).transpose(3, 0, 2, 1).copy()
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return np.matmul(wt[0], go).reshape(x_shape), grad_w
     gx = _scatter_windows(lambda i, j: np.matmul(wt[i * kw + j], go).reshape(cin, ho, wo, n),
                           x_shape, kh, kw, sh, sw, ph, pw, ho, wo, grad_out.dtype)
     return gx, grad_w
@@ -291,51 +295,6 @@ def global_avg_pool(x):
 def global_avg_pool_backward(grad_out, x_shape):
     c, h, w, n = x_shape
     return np.broadcast_to(grad_out[:, None, None, :] / (h * w), x_shape).copy()
-
-
-# ---------------------------------------------------------------------------
-# Fully connected
-# ---------------------------------------------------------------------------
-
-
-def fully_connected(x, weight, bias=None, groups=1):
-    """Grouped affine map y[O, N] = W @ x[F, N] (+ bias [O]); weight [O, F/groups].
-
-    Output group i reads only input feature group i; groups=1 is dense.
-    """
-    f, n = x.shape
-    o, fg = weight.shape
-    if f % groups != 0:
-        raise ConfigurationError(f"in_features {f} not divisible by groups {groups}")
-    if o % groups != 0:
-        raise ConfigurationError(f"out_features {o} not divisible by groups {groups}")
-    if fg != f // groups:
-        raise ConfigurationError(
-            f"weight expects {fg} features per group, input provides {f // groups}"
-        )
-    out = np.matmul(weight.reshape(groups, o // groups, fg), x.reshape(groups, fg, n))
-    out = out.reshape(o, n)
-    if bias is not None:
-        out += bias[:, None]
-    return out
-
-
-def fully_connected_backward(grad_out, x, weight, groups=1, has_bias=False):
-    """Gradients of fully_connected w.r.t. (x, weight, bias).
-
-    One GEMM per group for each of the weight and input gradients, on
-    transposed views, so nothing weight-sized is allocated beyond the
-    returned weight gradient.
-    """
-    f, n = x.shape
-    o = weight.shape[0]
-    gg = grad_out.reshape(groups, o // groups, n)
-    xg = x.reshape(groups, f // groups, n)
-    wg = weight.reshape(groups, o // groups, f // groups)
-    grad_w = np.matmul(gg, xg.transpose(0, 2, 1)).reshape(weight.shape)
-    grad_x = np.matmul(wg.transpose(0, 2, 1), gg).reshape(f, n)
-    grad_b = grad_out.sum(axis=1) if has_bias else None
-    return grad_x, grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -295,11 +295,8 @@ class SplitAttentionUnit(Module):
         return [self.fuse, self.stats, self.fc1, self.bn_att, self.relu_att, self.fc2,
                 self.assign]
 
-    def transform(self, x, mode="train"):
-        return run_forward(self.transform_layers(), x, mode)
-
     def forward(self, x, mode="train", rng=None):
-        u = self.transform(x, mode)
+        u = run_forward(self.transform_layers(), x, mode)
         a = run_forward(self.attention_layers(), u, mode, rng)
         return self.weighted_fuse.forward(u, a, mode)
 

@@ -67,12 +67,13 @@ def random_unit_params(cfg: SplatConfig, rng) -> dict[str, np.ndarray]:
     return params
 
 
-def unit_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray], mode="eval"):
-    """Run NCHW ``x`` through a fresh unit loaded with ``params``, converting
-    to and from the unit's [C, H, W, N] layout; returns (NCHW y, unit)."""
+def unit_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray]):
+    """Run NCHW ``x`` through a fresh eval-mode unit loaded with ``params``,
+    converting to and from the unit's [C, H, W, N] layout; returns
+    (NCHW y, unit)."""
     unit = SplitAttentionUnit(cfg)
     unit.load_state_dict(params)
-    y = unit.forward(ops.to_chwn(x), mode=mode)
+    y = unit.forward(ops.to_chwn(x), mode="eval")
     return ops.to_nchw(y), unit
 
 
@@ -81,16 +82,16 @@ def unit_forward(x, cfg: SplatConfig, params: dict[str, np.ndarray], mode="eval"
 # ---------------------------------------------------------------------------
 
 
-def run_equivalence(seed: int = 0, in_channels: int = 6, spatial: int = 8,
-                    batch: int = 2) -> list[CheckResult]:
-    """Cardinality-major vs radix-major-after-permutation over the full grid."""
+def run_equivalence(seed: int = 0) -> list[CheckResult]:
+    """Cardinality-major vs radix-major-after-permutation over the full grid,
+    on a batch of two 6-channel 8x8 inputs."""
     results = []
     for radix, cardinality, channels in EQUIVALENCE_GRID:
         rng = spawn_rng(seed, radix, cardinality, channels)
-        cfg = SplatConfig(in_channels=in_channels, channels=channels,
+        cfg = SplatConfig(in_channels=6, channels=channels,
                           radix=radix, cardinality=cardinality)
         params = random_unit_params(cfg, rng)
-        x = rng.standard_normal((batch, in_channels, spatial, spatial))
+        x = rng.standard_normal((2, 6, 8, 8))
         y_radix, _ = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
@@ -172,19 +173,22 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
                 float(a.min()), 1.0, bool(inside), "weights must lie in (0,1)",
             ))
 
-    # radix-1 unit equals the straight squeeze-and-gate path
-    for cardinality, channels in [(1, 8), (2, 16), (4, 32)]:
-        crng = spawn_rng(seed, 8, cardinality, channels)
-        cfg = SplatConfig(in_channels=4, channels=channels, radix=1,
-                          cardinality=cardinality)
-        params = random_unit_params(cfg, crng)
-        x = crng.standard_normal((2, 4, 7, 7))
-        y_unit, _ = unit_forward(x, cfg, params)
-        y_ref = se_reference_forward(x, cfg, params)
-        results.append(
-            _lt(f"squeeze-gate reduction K={cardinality} C={channels}",
-                np.abs(y_unit - y_ref).max(), 1e-10)
-        )
+    # radix-1 unit equals the straight squeeze-and-gate path, also when it
+    # downsamples after (fast off) or before (fast on) its 3x3
+    for stride, fast in [(1, False), (2, False), (2, True)]:
+        for cardinality, channels in [(1, 8), (2, 16), (4, 32)]:
+            crng = spawn_rng(seed, 8, cardinality, channels)
+            cfg = SplatConfig(in_channels=4, channels=channels, radix=1,
+                              cardinality=cardinality, stride=stride, fast=fast)
+            params = random_unit_params(cfg, crng)
+            x = crng.standard_normal((2, 4, 7, 7))
+            y_unit, _ = unit_forward(x, cfg, params)
+            y_ref = se_reference_forward(x, cfg, params)
+            where = "" if stride == 1 else f" stride {stride} fast={fast}"
+            results.append(
+                _lt(f"squeeze-gate reduction K={cardinality} C={channels}{where}",
+                    np.abs(y_unit - y_ref).max(), 1e-10)
+            )
 
     # radix-2: the two weights of every pair sum to one
     cfg = SplatConfig(in_channels=4, channels=16, radix=2, cardinality=2)
@@ -228,7 +232,7 @@ def run_attention(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def splat_gradcheck(seed: int = 0, h: float = 1e-5):
+def splat_gradcheck(seed: int = 0):
     """Full-unit gradient check against central differences."""
     rng = make_rng(seed + 23)
     cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=2)
@@ -248,7 +252,7 @@ def splat_gradcheck(seed: int = 0, h: float = 1e-5):
         grads.update({name: p.grad for name, p in unit.named_parameters()})
         return loss, grads
 
-    return grad_check(loss_and_grads, params, h=h, tolerance=1e-4,
+    return grad_check(loss_and_grads, params, tolerance=1e-4,
                       max_entries_per_param=6, rng=rng)
 
 

@@ -499,8 +499,9 @@ class TestGradientContract:
 
 
 class TestColumnCache:
-    """Conv2d keeps its im2col columns only from a train-mode forward to its
-    backward: an eval forward holds none, a backward drops them."""
+    """Conv2d keeps its input shape and im2col columns from a forward that
+    keeps a tape to its backward: a network's eval forward holds none, a
+    backward drops them."""
 
     @staticmethod
     def convs(net):
@@ -512,13 +513,13 @@ class TestColumnCache:
         rng = make_rng(3)
         x = rng.standard_normal((2, 1, 32, 32))
         net.forward(x, mode="eval")
-        assert [p for p, m in self.convs(net) if m._cols is not None] == []
+        assert [p for p, m in self.convs(net) if m._tape is not None] == []
         net.forward(x, mode="train")
-        assert [p for p, m in self.convs(net) if m._cols is None] == []
+        assert [p for p, m in self.convs(net) if m._tape is None] == []
         net.backward(rng.standard_normal((2, 2)))
-        assert [p for p, m in self.convs(net) if m._cols is not None] == []
+        assert [p for p, m in self.convs(net) if m._tape is not None] == []
 
-    def test_eval_backward_rebuilds_columns(self):
+    def test_eval_backward_matches_train_backward(self):
         rng = make_rng(4)
         conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=rng)
         x = rng.standard_normal((4, 7, 7, 3))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splatnet import ops
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
-from splatnet.layers import MaxPool2d
+from splatnet.layers import Linear, MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -495,21 +495,31 @@ class TestPoolingReference:
 
 
 # ---------------------------------------------------------------------------
-# fully connected
+# fully connected: layers.Linear on the grouped 1x1 conv kernel
 # ---------------------------------------------------------------------------
+
+
+def linear(w, b=None, groups=1):
+    """A Linear layer holding weight ``w`` [O, F/groups] and bias ``b``."""
+    layer = Linear(w.shape[1] * groups, w.shape[0], groups, bias=b is not None,
+                   dtype=w.dtype)
+    layer.weight.value = w
+    if b is not None:
+        layer.bias.value = b
+    return layer
 
 
 class TestFullyConnected:
     def test_identity(self):
         rng = make_rng(10)
         x = rng.standard_normal((6, 4))
-        npt.assert_array_equal(ops.fully_connected(x, np.eye(6)), x)
+        npt.assert_array_equal(linear(np.eye(6)).forward(x), x)
 
     def test_two_groups_are_independent_halves(self):
         rng = make_rng(11)
         x = rng.standard_normal((8, 3))
         w = rng.standard_normal((10, 4))
-        got = ops.fully_connected(x, w, groups=2)
+        got = linear(w, groups=2).forward(x)
         top = w[:5] @ x[:4]
         bottom = w[5:] @ x[4:]
         npt.assert_allclose(got, np.concatenate([top, bottom], axis=0), atol=1e-12)
@@ -520,16 +530,18 @@ class TestFullyConnected:
         w = rng.standard_normal((9, 4))
         b = rng.standard_normal(9)
         npt.assert_allclose(
-            to_nchw(ops.fully_connected(to_chwn(x), w, b, groups=3)),
+            to_nchw(linear(w, b, groups=3).forward(to_chwn(x))),
             fc_oracle(x, w, b, 3),
             atol=1e-12,
         )
 
     def test_errors(self):
-        with pytest.raises(ConfigurationError, match="in_features"):
-            ops.fully_connected(np.zeros((5, 1)), np.zeros((4, 2)), groups=2)
-        with pytest.raises(ConfigurationError, match="out_features"):
-            ops.fully_connected(np.zeros((4, 1)), np.zeros((5, 2)), groups=2)
+        layer = linear(np.zeros((4, 2)), groups=2)
+        for width in (5, 6):
+            with pytest.raises(ConfigurationError):
+                layer.forward(np.zeros((width, 1)))
+        with pytest.raises(ConfigurationError, match="not divisible"):
+            Linear(4, 5, groups=2)
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
     def test_backward_against_einsum(self, groups):
@@ -537,45 +549,63 @@ class TestFullyConnected:
         n, f, o = 5, 16, 12
         x = rng.standard_normal((f, n))
         w = rng.standard_normal((o, f // groups))
+        b = rng.standard_normal(o)
         g = rng.standard_normal((o, n))
-        gx, gw, gb = ops.fully_connected_backward(g, x, w, groups, True)
+        layer = linear(w, b, groups)
         xg = x.reshape(groups, -1, n)
         gg = g.reshape(groups, -1, n)
         wg = w.reshape(groups, o // groups, -1)
-        npt.assert_allclose(gw, np.einsum("gon,gfn->gof", gg, xg).reshape(w.shape),
+        y = layer.forward(x)
+        npt.assert_allclose(y, np.einsum("gof,gfn->gon", wg, xg).reshape(o, n) + b[:, None],
+                            rtol=0, atol=1e-12)
+        gx = layer.backward(g)
+        npt.assert_allclose(layer.weight.grad,
+                            np.einsum("gon,gfn->gof", gg, xg).reshape(w.shape),
                             rtol=0, atol=1e-12)
         npt.assert_allclose(gx, np.einsum("gon,gof->gfn", gg, wg).reshape(x.shape),
                             rtol=0, atol=1e-12)
-        npt.assert_allclose(gb, g.sum(axis=1), rtol=0, atol=1e-12)
+        npt.assert_allclose(layer.bias.grad, g.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_backward_allocates_only_the_weight_gradient(self):
         # a 2048x1000 classifier at batch 1: the 16.4 MB weight gradient is
         # the only large allocation
         rng = make_rng(32)
         x = rng.standard_normal((2048, 1))
-        w = rng.standard_normal((1000, 2048))
+        layer = linear(rng.standard_normal((1000, 2048)), rng.standard_normal(1000))
         g = rng.standard_normal((1000, 1))
+        layer.forward(x)
         tracemalloc.start()
         try:
-            _, gw, _ = ops.fully_connected_backward(g, x, w, 1, True)
+            layer.backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.05 * gw.nbytes
+        assert peak < 1.05 * layer.weight.grad.nbytes
 
     def test_backward_fd(self):
         rng = make_rng(13)
         x = rng.standard_normal((8, 3))
-        w = rng.standard_normal((6, 4))
-        b = rng.standard_normal(6)
+        layer = linear(rng.standard_normal((6, 4)), rng.standard_normal(6), 2)
         proj = rng.standard_normal((6, 3))
 
         def loss():
-            y = ops.fully_connected(x, w, b, 2)
-            gx, gw, gb = ops.fully_connected_backward(proj, x, w, 2, True)
-            return float((y * proj).sum()), {"x": gx, "w": gw, "b": gb}
+            y = layer.forward(x)
+            gx = layer.backward(proj)
+            return float((y * proj).sum()), {"x": gx, "w": layer.weight.grad,
+                                              "b": layer.bias.grad}
 
-        assert grad_check(loss, {"x": x, "w": w, "b": b}, tolerance=1e-7).passed
+        params = {"x": x, "w": layer.weight.value, "b": layer.bias.value}
+        assert grad_check(loss, params, tolerance=1e-7).passed
+
+    def test_keeps_float32(self):
+        rng = make_rng(30)
+        f32 = np.float32
+        x = rng.standard_normal((8, 3)).astype(f32)
+        layer = linear(rng.standard_normal((6, 4)).astype(f32), np.zeros(6, f32), 2)
+        y = layer.forward(x)
+        gx = layer.backward(np.ones((6, 3), f32))
+        arrays = [y, gx, layer.weight.grad, layer.bias.grad]
+        assert [a.dtype for a in arrays] == [f32] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -796,11 +826,6 @@ class TestFloat32:
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
             y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
             assert y.dtype == f32, shape
-
-        x = rng.standard_normal((8, 3)).astype(f32)
-        w = rng.standard_normal((6, 4)).astype(f32)
-        grads = ops.fully_connected_backward(np.ones((6, 3), f32), x, w, 2, True)
-        assert [a.dtype for a in grads] == [f32] * 3
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from splatnet import ops
+from splatnet.layers import run_forward
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.params import ConfigurationError, make_rng, spawn_rng
 from splatnet.splat import (
@@ -157,7 +158,7 @@ class TestSplitTransform:
         params, rng = unit_with_random_state(cfg, 31)
         x = rng.standard_normal((2, 5, 6, 6))
         _, unit = unit_forward(x, cfg, params)
-        u = to_nchw(unit.transform(to_chwn(x), "eval"))
+        u = to_nchw(run_forward(unit.transform_layers(), to_chwn(x), "eval"))
 
         sw, cw = cfg.split_width, cfg.cardinal_width
         eps = 1e-5
@@ -183,7 +184,7 @@ class TestSplitTransform:
         params, rng = unit_with_random_state(cfg, 32)
         x = rng.standard_normal((1, 3, 5, 5))
         _, unit = unit_forward(x, cfg, params)
-        u = unit.transform(to_chwn(x), "eval")
+        u = run_forward(unit.transform_layers(), to_chwn(x), "eval")
         assert SplitAttentionUnit(cfg).conv_split.groups == 1
         assert u.shape == (8, 5, 5, 1)
 
@@ -198,7 +199,7 @@ class TestSplitTransform:
         params["conv_split.weight"][8:] = 0.0  # second split (radix-major rows)
         x = rng.standard_normal((1, 3, 5, 5))
         _, unit = unit_forward(x, cfg, params)
-        u = unit.transform(to_chwn(x), "eval")
+        u = run_forward(unit.transform_layers(), to_chwn(x), "eval")
         assert np.abs(u[8:]).max() == 0.0
         assert np.abs(u[:8]).max() > 0.0
 
