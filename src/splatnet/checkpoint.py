@@ -99,6 +99,9 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         nbytes = math.prod(shape) * dtype.itemsize
         if off + nbytes > len(buf):
             raise CheckpointError(f"{path}: truncated data for tensor {name}")
+        # numpy checks the size of an empty shape over its nonzero extents
+        if math.prod(s for s in shape if s) * dtype.itemsize > np.iinfo(np.intp).max:
+            raise CheckpointError(f"{path}: tensor {name}: shape {shape} is too large")
         data = np.frombuffer(buf, dtype=dtype, count=nbytes // dtype.itemsize, offset=off)
         off += nbytes
         tensors[name] = data.reshape(shape).copy()

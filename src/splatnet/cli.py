@@ -211,6 +211,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ConfigurationError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,12 @@ def _parse_int(key, raw):
         raise ConfigurationError(f"key {key}: expected an integer, got {raw!r}") from None
 
 
+def _parse_seed(key, raw):
+    if (value := _parse_int(key, raw)) < 0:
+        raise ConfigurationError(f"key {key}: expected a non-negative integer, got {raw!r}")
+    return value
+
+
 def _parse_float(key, raw):
     try:
         value = float(raw)
@@ -87,7 +93,7 @@ TRAIN_KEYS = {
     "smoothing": _parse_float,
     "weight_decay": _parse_float,
     "momentum": _parse_float,
-    "seed": _parse_int,
+    "seed": _parse_seed,
 }
 
 

@@ -1,16 +1,21 @@
 """Stateful layer wrappers around the functional kernels, and the chain runner.
 
-Each layer caches whatever its backward pass needs during forward; a layer is
-therefore a one-slot tape: call ``forward`` then ``backward`` once, in that
-order. Each backward writes (replaces) its parameters' ``Parameter.grad``;
-an eval-mode batch-norm backward writes no gamma/beta gradient.
+Each layer keeps what its backward reads in one slot, ``_tape``, and its
+backward pops the slot: call ``forward`` then ``backward`` once, in that
+order. Each array is kept once: a conv keeps its input (usually the array
+the ReLU before it keeps) and rebuilds its im2col columns in its backward.
+No layer writes in place into an array that an earlier layer's tape holds,
+and a train forward's input must not change before its backward. Each
+backward writes (replaces) its parameters' ``Parameter.grad``; an eval-mode
+batch-norm backward writes no gamma/beta gradient.
 
 Layers take a third mode, :data:`INFER`: it computes exactly what eval mode
-computes and keeps no tape, and it drops whatever tape an earlier forward
-left. A network's eval forward runs its layers in it, so inference holds no
-activations; a backward after it first reruns that forward in eval mode from
-the same input array (:meth:`splatnet.network.Network.backward`). Layers and
-units called directly in eval mode keep their tapes.
+computes, and :func:`run_forward` empties the slot of each layer it runs in
+it (the two joins, called directly, empty their own). A network's eval
+forward runs its layers in it, so inference holds no activations; a backward
+after it first reruns that forward in eval mode from the same input array
+(:meth:`splatnet.network.Network.backward`). Layers and units called
+directly in eval mode keep their tapes.
 
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):
@@ -40,6 +45,8 @@ def run_forward(layers, x, mode="train", rng=None):
     for layer in layers:
         if layer is not None:
             x = layer.forward(x, mode, rng)
+            if mode == INFER:
+                layer._tape = None
     return x
 
 
@@ -72,11 +79,10 @@ class Conv2d(Module):
         else:
             w = kaiming_normal(rng, shape, fan_in, dtype)
         self.weight = Parameter(w, decay_eligible=True)
-        self._tape = None  # (input shape, im2col columns)
 
     def forward(self, x, mode="train", rng=None):
-        y, cols = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
-        self._tape = None if mode == INFER else (x.shape, cols)
+        y, _ = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
+        self._tape = x
         return y
 
     def cost(self, x_shape, y_shape):
@@ -85,8 +91,9 @@ class Conv2d(Module):
         return macs, 0
 
     def backward(self, grad_out):
-        (x_shape, cols), self._tape = self._tape, None
-        gx, gw = ops.conv2d_backward(grad_out, cols, x_shape, self.weight.value,
+        x, self._tape = self._tape, None
+        cols = ops.im2col(x, self.kernel, self.stride, self.padding)
+        gx, gw = ops.conv2d_backward(grad_out, cols, x.shape, self.weight.value,
                                      self.stride, self.padding, self.groups)
         self.weight.set_grad(gw)
         return gx
@@ -113,11 +120,12 @@ class Linear(Module):
             w = kaiming_normal(rng, shape, in_features // groups, dtype)
         self.weight = Parameter(w, decay_eligible=True)
         self.bias = Parameter(np.zeros(out_features, dtype=dtype), decay_eligible=False) if bias else None
-        self._x = None
 
     def forward(self, x, mode="train", rng=None):
-        x = x[:, None, None]  # [F, 1, 1, N]: its own 1x1 columns
-        self._x = None if mode == INFER else x
+        if x.shape[0] != self.in_features:
+            raise ConfigurationError(f"linear layer expects {self.in_features} input "
+                                     f"features, got {x.shape[0]}")
+        x = self._tape = x[:, None, None]  # [F, 1, 1, N]: its own 1x1 columns
         y, _ = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)
         y = y[:, 0, 0]
         if self.bias is not None:
@@ -129,7 +137,8 @@ class Linear(Module):
         return macs, self.out_features if self.bias is not None else 0
 
     def backward(self, grad_out):
-        gx, gw = ops.conv2d_backward(grad_out[:, None, None], self._x, self._x.shape,
+        x, self._tape = self._tape, None
+        gx, gw = ops.conv2d_backward(grad_out[:, None, None], x, x.shape,
                                      self.weight.value[:, :, None, None], groups=self.groups)
         self.weight.set_grad(gw[:, :, 0, 0])
         if self.bias is not None:
@@ -146,28 +155,26 @@ class BatchNorm(Module):
         self.beta = Parameter(np.zeros(num_features, dtype=dtype), decay_eligible=False)
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
-        self._cache = None
-        self._mode = "train"
 
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode="train", rng=None):
         mode = "eval" if mode == INFER else mode
-        self._mode = mode
         y, cache = ops.batch_norm(x, self.gamma.value, self.beta.value,
                                   self.running_mean, self.running_var, mode)
-        self._cache = cache
+        self._tape = mode, cache
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
     def backward(self, grad_out):
-        if self._mode != "train":
+        (mode, cache), self._tape = self._tape, None
+        if mode != "train":
             # eval mode: input gradient only; gamma/beta grads stay as they were
             return ops.batch_norm_eval_backward(grad_out, self.gamma.value, self.running_var)
-        gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, self._cache)
+        gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, cache)
         self.gamma.set_grad(dgamma)
         self.beta.set_grad(dbeta)
         return gx
@@ -176,27 +183,21 @@ class BatchNorm(Module):
 class ReLU(Module):
     """Keeps its output for the backward: y > 0 exactly where x > 0."""
 
-    def __init__(self):
-        self._y = None
-
     def forward(self, x, mode="train", rng=None):
-        y = ops.relu(x)
-        self._y = None if mode == INFER else y
+        self._tape = y = ops.relu(x)
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape)
 
     def backward(self, grad_out):
-        return ops.relu_backward(grad_out, self._y)
+        y, self._tape = self._tape, None
+        return ops.relu_backward(grad_out, y)
 
 
 class AddReLU(Module):
     """Residual join: ReLU of the branch output plus the shortcut. Keeps its
     output, as :class:`ReLU` does."""
-
-    def __init__(self):
-        self._y = None
 
     def forward(self, x, shortcut, mode="train"):
         if x.shape != shortcut.shape:
@@ -205,14 +206,15 @@ class AddReLU(Module):
                 f"{shortcut.shape[:-1]} per image"
             )
         y = ops.relu(x + shortcut)
-        self._y = None if mode == INFER else y
+        self._tape = None if mode == INFER else y
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
     def backward(self, grad_out):
-        return ops.relu_backward(grad_out, self._y)
+        y, self._tape = self._tape, None
+        return ops.relu_backward(grad_out, y)
 
 
 class AvgPool2d(Module):
@@ -220,17 +222,17 @@ class AvgPool2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self._x_shape = None
 
     def forward(self, x, mode="train", rng=None):
-        self._x_shape = x.shape
+        self._tape = x.shape
         return ops.avg_pool2d(x, self.kernel, self.stride, self.padding)
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
-        return ops.avg_pool2d_backward(grad_out, self._x_shape, self.kernel,
+        x_shape, self._tape = self._tape, None
+        return ops.avg_pool2d_backward(grad_out, x_shape, self.kernel,
                                        self.stride, self.padding)
 
 
@@ -239,36 +241,33 @@ class MaxPool2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self._xp = None
-        self._y = None
 
     def forward(self, x, mode="train", rng=None):
         # the backward finds each window's argmax from the padded input and output
         y, xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-        self._y, self._xp = (None, None) if mode == INFER else (y, xp)
+        self._tape = xp, y
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
-        return ops.max_pool2d_backward(grad_out, self._xp, self._y,
-                                       self.kernel, self.stride, self.padding)
+        (xp, y), self._tape = self._tape, None
+        return ops.max_pool2d_backward(grad_out, xp, y, self.kernel, self.stride,
+                                       self.padding)
 
 
 class GlobalAvgPool(Module):
-    def __init__(self):
-        self._x_shape = None
-
     def forward(self, x, mode="train", rng=None):
-        self._x_shape = x.shape
+        self._tape = x.shape
         return ops.global_avg_pool(x)
 
     def cost(self, x_shape, y_shape):
         return 0, prod(x_shape)
 
     def backward(self, grad_out):
-        return ops.global_avg_pool_backward(grad_out, self._x_shape)
+        x_shape, self._tape = self._tape, None
+        return ops.global_avg_pool_backward(grad_out, x_shape)
 
 
 class Dropout(Module):
@@ -276,17 +275,17 @@ class Dropout(Module):
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._mask = None
 
     def forward(self, x, mode="train", rng=None):
-        y, self._mask = ops.dropout(x, self.p, rng, "eval" if mode == INFER else mode)
+        y, self._tape = ops.dropout(x, self.p, rng, "eval" if mode == INFER else mode)
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, 0  # the identity at inference
 
     def backward(self, grad_out):
-        return ops.dropout_backward(grad_out, self._mask)
+        mask, self._tape = self._tape, None
+        return ops.dropout_backward(grad_out, mask)
 
 
 class DropBlock(Module):
@@ -296,21 +295,21 @@ class DropBlock(Module):
     def __init__(self, p, block_size):
         self.p = p
         self.block_size = block_size
-        self._mask = None
 
     def forward(self, x, mode="train", rng=None):
-        self._mask = None
+        self._tape = None
         if mode != "train":
             return x
         # the block is clamped (and kept odd) when the map is smaller
         size = min(self.block_size, x.shape[1], x.shape[2])
         if size % 2 == 0:
             size -= 1
-        self._mask = ops.dropblock_mask(x.shape, size, self.p, rng, dtype=x.dtype)
-        return x * self._mask
+        self._tape = mask = ops.dropblock_mask(x.shape, size, self.p, rng, dtype=x.dtype)
+        return x * mask
 
     def cost(self, x_shape, y_shape):
         return 0, 0  # the identity at inference
 
     def backward(self, grad_out):
-        return ops.dropout_backward(grad_out, self._mask)
+        mask, self._tape = self._tape, None
+        return ops.dropout_backward(grad_out, mask)

@@ -313,20 +313,6 @@ class Network(Module):
             self._eval_input = None
         return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
 
-    def shortcut_only_forward(self, x, mode="eval"):
-        """Forward with every residual branch bypassed (shortcut chain only).
-
-        With freshly zero-initialized final normalization scales the real
-        forward must agree with this one.
-        """
-        mode = _layer_mode(mode)
-        x = self.stem.forward(ops.to_chwn(x), mode=mode)
-        for stage in self.stages():
-            for block in stage.block:
-                x = ops.relu(run_forward(block.shortcut(), x, mode))
-        feats = self.gap.forward(x, mode=mode)
-        return ops.to_nchw(self.fc.forward(feats, mode=mode))
-
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator,
                   dtype=np.float64) -> Network:

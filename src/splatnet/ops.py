@@ -115,8 +115,8 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
     x: [Cin, H, W, N]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch
     norm follows). Output group g is W[Cout/g, Cin/g*kh*kw] @
     cols[Cin/g*kh*kw, Ho*Wo*N], already in the [Cout, Ho, Wo, N] layout.
-    Returns (y, cols); ``conv2d_backward`` takes the ``im2col`` columns, so a
-    train step builds them once.
+    Returns (y, cols); ``conv2d_backward`` takes the ``im2col`` columns, or
+    the same columns rebuilt from x.
     """
     cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape

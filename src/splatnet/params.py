@@ -68,6 +68,8 @@ class Module:
     checkpoints and reports can refer to them stably.
     """
 
+    _tape = None  # what a leaf layer's backward reads (splatnet.layers)
+
     def _children(self):
         for attr, obj in vars(self).items():
             if isinstance(obj, Module):

@@ -208,32 +208,32 @@ class RSoftmax(Module):
         self.radix = radix
         self.cardinality = cardinality
         self.cardinal_width = cardinal_width
-        self.weights = None  # of the last forward that keeps a tape
+
+    @property
+    def weights(self):
+        """The weights of the last forward that kept a tape, until its backward."""
+        return self._tape
 
     def forward(self, logits, mode="train", rng=None):
         logits = logits.reshape(self.cardinality, self.radix, self.cardinal_width,
                                 logits.shape[1])
-        weights = r_softmax(logits, self.radix)
-        self.weights = None if mode == INFER else weights
+        self._tape = weights = r_softmax(logits, self.radix)
         return weights
 
     def cost(self, x_shape, y_shape):
         return 0, 3 * prod(y_shape)
 
     def backward(self, grad_out):
-        g = r_softmax_backward(grad_out, self.weights, self.radix)
+        weights, self._tape = self._tape, None
+        g = r_softmax_backward(grad_out, weights, self.radix)
         return g.reshape(self.cardinality * self.radix * self.cardinal_width, g.shape[3])
 
 
 class WeightedFuse(Module):
     """Splits [C*R, H, W, N] weighted by [K, R, c, N] -> [C, H, W, N]."""
 
-    def __init__(self):
-        self._u = None
-        self._a = None
-
     def forward(self, u, a, mode="train"):
-        self._u, self._a = (None, None) if mode == INFER else (u, a)
+        self._tape = None if mode == INFER else (u, a)
         return weighted_fuse(u, a)
 
     def cost(self, x_shape, y_shape):
@@ -241,7 +241,8 @@ class WeightedFuse(Module):
 
     def backward(self, grad_out):
         """Gradients with respect to the splits and the weights."""
-        return weighted_fuse_backward(grad_out, self._u, self._a)
+        (u, a), self._tape = self._tape, None
+        return weighted_fuse_backward(grad_out, u, a)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from splatnet.training import (
 )
 from splatnet.verify import (random_unit_params, se_reference_forward, splat_gradcheck,
                              unit_forward)
+from shortcut import shortcut_only_forward
 from splatnet.gradcheck import grad_check
 
 GRID = [(r, k, c) for r in (1, 2, 4) for k in (1, 2, 4) for c in (8, 16, 32)]
@@ -241,7 +242,7 @@ def test_criterion_8_training_recipe_properties():
     net = build_network(cfg, make_rng(88))
     xb = make_rng(89).standard_normal((2, 1, 32, 32))
     diff = float(np.abs(net.forward(xb, mode="eval")
-                        - net.shortcut_only_forward(xb, mode="eval")).max())
+                        - shortcut_only_forward(net, xb, mode="eval")).max())
     report(8, "training-recipe properties",
            sums_ok and convex_ok and diff < 1e-10,
            f"smoothed sums ok {sums_ok}, mixup convex {convex_ok}, "

@@ -82,6 +82,8 @@ def test_every_truncated_prefix_rejected(tmp_path):
 @pytest.mark.parametrize("name, extents, match", [
     (b"\xff", (1,), "not UTF-8"),
     (b"w", (2**62, 4), "truncated data"),  # byte count overflows int64
+    (b"w", (0, 2**63), "too large"),  # zero bytes, an extent beyond int64
+    (b"w", (2**62, 0, 4), "too large"),  # zero bytes, nonzero extents overflow
 ])
 def test_corrupt_header_rejected(tmp_path, name, extents, match):
     path = tmp_path / "bad.ckpt"

@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, output contracts, determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,24 @@ def _train_args(tmp_path, tag, extra=()):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-3", "train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1"],
+    ["train", *MICRO_FLAGS, "--samples", "32", "--epochs", "1", "--seed", "-3"],
+    ["train", *MICRO_FLAGS, "--config", "{tmp}/seed.cfg", "--samples", "32", "--epochs", "1"],
+    ["--seed", "-3", "bench", *MICRO_FLAGS, "--batch", "1", "--reps", "1"],
+    ["bench", *MICRO_FLAGS, "--config", "{tmp}/seed.cfg", "--batch", "1", "--reps", "1"],
+    ["--seed", "-3", "verify", "attention"],
+], ids=["train-flag", "train-key-flag", "train-config", "bench-flag", "bench-config",
+        "verify-flag"])
+def test_negative_seed_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "seed" in err
+
+
 def test_train_writes_log_and_checkpoint(tmp_path, capsys):
     rc = main(_train_args(tmp_path, "a"))
     out = capsys.readouterr().out
@@ -324,6 +344,16 @@ def test_inspect_checkpoint_bad_file(tmp_path, capsys):
     rc = main(["inspect-checkpoint", str(p)])
     assert rc == 2
     assert "magic" in capsys.readouterr().err
+
+
+def test_inspect_checkpoint_empty_tensor_huge_extent(tmp_path, capsys):
+    p = tmp_path / "huge.ckpt"
+    p.write_bytes(b"SPLT" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                  + struct.pack("<BB2Q", 1, 2, 0, 2**63))
+    rc = main(["inspect-checkpoint", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "too large" in err
 
 
 def test_inspect_checkpoint_truncated_header(tmp_path, capsys):

@@ -537,8 +537,9 @@ class TestFullyConnected:
 
     def test_errors(self):
         layer = linear(np.zeros((4, 2)), groups=2)
-        for width in (5, 6):
-            with pytest.raises(ConfigurationError):
+        for width in (3, 5, 6):
+            with pytest.raises(ConfigurationError,
+                               match=f"expects 4 input features, got {width}"):
                 layer.forward(np.zeros((width, 1)))
         with pytest.raises(ConfigurationError, match="not divisible"):
             Linear(4, 5, groups=2)
