@@ -205,6 +205,12 @@ def block_cost_parity(splat_spec: BottleneckSpec, standard_spec: BottleneckSpec,
 # ---------------------------------------------------------------------------
 
 
+# every published row prices the ResNet-50 layout on a 224x224 ImageNet image
+REFERENCE_INPUT = (224, 224)
+_REFERENCE_NETWORK = dict(stage_blocks=(3, 4, 6, 3), num_classes=1000, input_channels=3,
+                          base_planes=64)
+
+
 @dataclass
 class ReferenceVariant:
     label: str
@@ -214,33 +220,36 @@ class ReferenceVariant:
     mac_tol: float
     match: dict
 
-    def matches(self, cfg) -> bool:
-        return all(getattr(cfg, k) == v for k, v in self.match.items())
+    def matches(self, cfg, input_hw) -> bool:
+        """True when ``cfg`` at ``input_hw`` is this row's network."""
+        want = {**_REFERENCE_NETWORK, **self.match}
+        return (tuple(input_hw) == REFERENCE_INPUT
+                and all(getattr(cfg, k) == v for k, v in want.items()))
 
 
 REFERENCE_VARIANTS = [
     ReferenceVariant(
         "ResNet-50 (classic stem)", 25.5e6, 4.14e9, 0.01, 0.03,
-        dict(depth=50, radix=0, cardinality=1, base_width=64,
-             deep_stem=False, avg_down=False),
+        dict(radix=0, cardinality=1, base_width=64, deep_stem=False, avg_down=False),
     ),
     ReferenceVariant(
         "ResNet-D-50", 25.6e6, 4.34e9, 0.01, 0.03,
-        dict(depth=50, radix=0, cardinality=1, base_width=64,
+        dict(radix=0, cardinality=1, base_width=64, stem_width=32,
              deep_stem=True, avg_down=True),
     ),
     ReferenceVariant(
         "ResNeSt-50-fast 2s1x64d", 27.5e6, 4.34e9, 0.02, 0.03,
-        dict(depth=50, radix=2, cardinality=1, base_width=64,
+        dict(radix=2, cardinality=1, base_width=64, stem_width=32,
              deep_stem=True, avg_down=True, fast=True),
     ),
 ]
 
 
-def reference_comparison(cfg, total_params: int, total_macs: int) -> str | None:
-    """One-line comparison when the config matches a known reference variant."""
+def reference_comparison(cfg, input_hw, total_params: int, total_macs: int) -> str | None:
+    """One-line comparison when ``cfg`` at ``input_hw`` is a known reference
+    variant's network."""
     for ref in REFERENCE_VARIANTS:
-        if ref.matches(cfg):
+        if ref.matches(cfg, input_hw):
             p_dev = total_params / ref.params - 1.0
             m_dev = total_macs / ref.gmacs - 1.0
             return (

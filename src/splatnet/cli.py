@@ -67,9 +67,10 @@ def _gather_settings(args) -> dict:
 def cmd_analyze(args) -> int:
     # the report depends on the config alone: no weights are drawn for it
     cfg = network_config(_gather_settings(args))
-    report = analysis.count_flops(Network(cfg), (args.input_size, args.input_size))
+    input_hw = (args.input_size, args.input_size)
+    report = analysis.count_flops(Network(cfg), input_hw)
     print(report.text())
-    ref = analysis.reference_comparison(cfg, report.total_params, report.total_macs)
+    ref = analysis.reference_comparison(cfg, input_hw, report.total_params, report.total_macs)
     if ref:
         print(ref)
     machine = report.machine_lines()

@@ -1,19 +1,21 @@
 """Stateful layer wrappers around the functional kernels, and the chain runner.
 
 Each layer keeps what its backward reads in one slot, ``_tape``, and its
-backward pops the slot: call ``forward`` then ``backward`` once, in that
-order. Each array is kept once: a conv keeps its input (usually the array
-the ReLU before it keeps) and rebuilds its im2col columns in its backward.
-No layer writes in place into an array that an earlier layer's tape holds,
-and a train forward's input must not change before its backward. Each
-backward writes (replaces) its parameters' ``Parameter.grad``; an eval-mode
-batch-norm backward writes no gamma/beta gradient.
+backward pops the slot and hands the kernel exactly what it kept: call
+``forward`` then ``backward`` once, in that order. Each array is kept once:
+a conv keeps its input (usually the array the ReLU before it keeps), which
+``ops.conv2d_backward`` takes as it is. No layer writes in place into an
+array that an earlier layer's tape holds, and a train forward's input must
+not change before its backward. Each backward writes (replaces) its
+parameters' ``Parameter.grad``; an eval-mode batch-norm backward writes no
+gamma/beta gradient.
 
-Layers take a third mode, :data:`INFER`: it computes exactly what eval mode
-computes, and :func:`run_forward` empties the slot of each layer it runs in
-it (the two joins, called directly, empty their own). A network's eval
-forward runs its layers in it, so inference holds no activations; a backward
-after it first reruns that forward in eval mode from the same input array
+Layers take a third mode, :data:`INFER`. What a layer computes branches only
+on ``mode == "train"``, so INFER computes exactly what eval mode computes;
+:func:`run_forward` empties the slot of each layer it runs in INFER (the two
+joins, called directly, empty their own). A network's eval forward runs its
+layers in it, so inference holds no activations; a backward after it first
+reruns that forward in eval mode from the same input array
 (:meth:`splatnet.network.Network.backward`). Layers and units called
 directly in eval mode keep their tapes.
 
@@ -81,9 +83,8 @@ class Conv2d(Module):
         self.weight = Parameter(w, decay_eligible=True)
 
     def forward(self, x, mode="train", rng=None):
-        y, _ = ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
         self._tape = x
-        return y
+        return ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
 
     def cost(self, x_shape, y_shape):
         kh, kw = self.kernel
@@ -92,9 +93,8 @@ class Conv2d(Module):
 
     def backward(self, grad_out):
         x, self._tape = self._tape, None
-        cols = ops.im2col(x, self.kernel, self.stride, self.padding)
-        gx, gw = ops.conv2d_backward(grad_out, cols, x.shape, self.weight.value,
-                                     self.stride, self.padding, self.groups)
+        gx, gw = ops.conv2d_backward(grad_out, x, self.weight.value, self.stride,
+                                     self.padding, self.groups)
         self.weight.set_grad(gw)
         return gx
 
@@ -125,9 +125,8 @@ class Linear(Module):
         if x.shape[0] != self.in_features:
             raise ConfigurationError(f"linear layer expects {self.in_features} input "
                                      f"features, got {x.shape[0]}")
-        x = self._tape = x[:, None, None]  # [F, 1, 1, N]: its own 1x1 columns
-        y, _ = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)
-        y = y[:, 0, 0]
+        x = self._tape = x[:, None, None]  # [F, 1, 1, N]
+        y = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)[:, 0, 0]
         if self.bias is not None:
             y += self.bias.value[:, None]
         return y
@@ -138,7 +137,7 @@ class Linear(Module):
 
     def backward(self, grad_out):
         x, self._tape = self._tape, None
-        gx, gw = ops.conv2d_backward(grad_out[:, None, None], x, x.shape,
+        gx, gw = ops.conv2d_backward(grad_out[:, None, None], x,
                                      self.weight.value[:, :, None, None], groups=self.groups)
         self.weight.set_grad(gw[:, :, 0, 0])
         if self.bias is not None:
@@ -160,18 +159,16 @@ class BatchNorm(Module):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode="train", rng=None):
-        mode = "eval" if mode == INFER else mode
-        y, cache = ops.batch_norm(x, self.gamma.value, self.beta.value,
-                                  self.running_mean, self.running_var, mode)
-        self._tape = mode, cache
+        y, self._tape = ops.batch_norm(x, self.gamma.value, self.beta.value,
+                                       self.running_mean, self.running_var, mode == "train")
         return y
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
     def backward(self, grad_out):
-        (mode, cache), self._tape = self._tape, None
-        if mode != "train":
+        cache, self._tape = self._tape, None
+        if cache is None:
             # eval mode: input gradient only; gamma/beta grads stay as they were
             return ops.batch_norm_eval_backward(grad_out, self.gamma.value, self.running_var)
         gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, cache)
@@ -271,45 +268,40 @@ class GlobalAvgPool(Module):
 
 
 class Dropout(Module):
+    """Inverted dropout: a train forward multiplies by ``mask``; eval is the
+    identity. Subclasses change only the mask."""
+
     def __init__(self, p):
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
 
+    def mask(self, shape, rng, dtype):
+        return ops.dropout_mask(shape, self.p, rng, dtype)
+
     def forward(self, x, mode="train", rng=None):
-        y, self._tape = ops.dropout(x, self.p, rng, "eval" if mode == INFER else mode)
-        return y
+        self._tape = mask = self.mask(x.shape, rng, x.dtype) if mode == "train" else None
+        return x if mask is None else x * mask
 
     def cost(self, x_shape, y_shape):
         return 0, 0  # the identity at inference
 
     def backward(self, grad_out):
         mask, self._tape = self._tape, None
-        return ops.dropout_backward(grad_out, mask)
+        return grad_out if mask is None else grad_out * mask
 
 
-class DropBlock(Module):
+class DropBlock(Dropout):
     """DropBlock on [C, H, W, N] maps: a train forward zeroes contiguous
-    squares at rate ``p``; eval is the identity."""
+    squares at rate ``p``."""
 
     def __init__(self, p, block_size):
-        self.p = p
+        super().__init__(p)
         self.block_size = block_size
 
-    def forward(self, x, mode="train", rng=None):
-        self._tape = None
-        if mode != "train":
-            return x
+    def mask(self, shape, rng, dtype):
         # the block is clamped (and kept odd) when the map is smaller
-        size = min(self.block_size, x.shape[1], x.shape[2])
+        size = min(self.block_size, shape[1], shape[2])
         if size % 2 == 0:
             size -= 1
-        self._tape = mask = ops.dropblock_mask(x.shape, size, self.p, rng, dtype=x.dtype)
-        return x * mask
-
-    def cost(self, x_shape, y_shape):
-        return 0, 0  # the identity at inference
-
-    def backward(self, grad_out):
-        mask, self._tape = self._tape, None
-        return ops.dropout_backward(grad_out, mask)
+        return ops.dropblock_mask(shape, size, self.p, rng, dtype)

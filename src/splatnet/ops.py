@@ -115,8 +115,7 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
     x: [Cin, H, W, N]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch
     norm follows). Output group g is W[Cout/g, Cin/g*kh*kw] @
     cols[Cin/g*kh*kw, Ho*Wo*N], already in the [Cout, Ho, Wo, N] layout.
-    Returns (y, cols); ``conv2d_backward`` takes the ``im2col`` columns, or
-    the same columns rebuilt from x.
+    Returns y; ``conv2d_backward`` takes the same x.
     """
     cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
@@ -137,14 +136,15 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
     ho, wo = cols.shape[1], cols.shape[2]
     colsg = cols.reshape(groups, cing * kh * kw, ho * wo * n)
     out = np.matmul(weight.reshape(groups, cout // groups, cing * kh * kw), colsg)
-    return out.reshape(cout, ho, wo, n), cols
+    return out.reshape(cout, ho, wo, n)
 
 
-def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups=1):
+def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
     """Gradients of conv2d w.r.t. (input, weight).
 
-    cols are the forward's columns and x_shape its input's shape. Per group,
-    with go = grad_out as [Cout/g, Ho*Wo*N], one GEMM gives the weight
+    x is the forward's input; its columns are rebuilt with ``im2col``, the
+    same values in the same layout the forward multiplied. Per group, with
+    go = grad_out as [Cout/g, Ho*Wo*N], one GEMM gives the weight
     gradient go @ colsᵀ. The column gradient Wᵀ @ go takes one GEMM per
     window offset, each added onto the input by ``_scatter_windows`` as it
     is made, so no kh*kw-times-input array is held. A 1x1 stride-1 unpadded
@@ -152,13 +152,14 @@ def conv2d_backward(grad_out, cols, x_shape, weight, stride=1, padding=0, groups
     nothing weight-sized beyond the weight gradient. Returns C-contiguous
     arrays.
     """
-    cin, h, w, n = x_shape
+    x_shape = cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     ho, wo = grad_out.shape[1], grad_out.shape[2]
     ckk, m = cing * kh * kw, ho * wo * n
     go = grad_out.reshape(groups, cout // groups, m)
+    cols = im2col(x, (kh, kw), stride, padding)
     grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
     grad_w = grad_w.reshape(weight.shape)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
@@ -306,14 +307,14 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
+def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
                momentum=BN_MOMENTUM, eps=BN_EPS):
     """Per-channel batch normalization over all non-channel axes.
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place (exponential moving average); eval mode uses the running
-    buffers as-is. Freshly initialized buffers (mean 0, var 1) make eval mode
-    before any training a plain affine map.
+    Train mode (``train`` true) normalizes with batch statistics and updates
+    the running buffers in place (exponential moving average); eval mode uses
+    the running buffers as-is. Freshly initialized buffers (mean 0, var 1)
+    make eval mode before any training a plain affine map.
 
     Rank 2 [F, N] and rank 4 [C, H, W, N] inputs alike are viewed as [C, M],
     so each statistic reduces one contiguous channel row. Train mode scales
@@ -326,7 +327,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
     if x.ndim not in (2, 4):
         raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
     x2 = x.reshape(x.shape[0], -1)
-    if mode == "train":
+    if train:
         m = x2.shape[1]
         mean = x2.sum(axis=1) / m
         xhat = x2 - mean[:, None]
@@ -342,13 +343,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode="train",
         y = np.multiply(xhat, gamma[:, None], out=buf)
         y += beta[:, None]
         return y.reshape(x.shape), (xhat, inv_std, gamma)
-    if mode == "eval":
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        y = np.subtract(x2, running_mean[:, None])
-        y *= (gamma * inv_std)[:, None]
-        y += beta[:, None]
-        return y.reshape(x.shape), None
-    raise ConfigurationError(f"unknown batch_norm mode {mode!r}")
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    y = np.subtract(x2, running_mean[:, None])
+    y *= (gamma * inv_std)[:, None]
+    y += beta[:, None]
+    return y.reshape(x.shape), None
 
 
 def batch_norm_backward(grad_out, cache):
@@ -420,27 +419,22 @@ def softmax_backward(grad_out, y, axis=-1):
 # ---------------------------------------------------------------------------
 
 
-def dropout(x, p, rng=None, mode="train"):
-    """Inverted dropout: survivors are scaled by 1/(1-p) at train time.
+def dropout_mask(shape, p: float, rng: np.random.Generator | None = None,
+                 dtype=np.float64):
+    """Inverted-dropout mask of ``shape``: survivors scaled by 1/(1-p).
 
-    x has its batch last; the draws are taken batch first, in NCHW (or
-    [N, F]) order, so a seed drops the same entries in either layout.
-    Returns (y, mask); mask is None when the call is an identity (eval mode
-    or p == 0).
+    The shape has its batch last; the draws are taken batch first, in NCHW
+    (or [N, F]) order, so a seed drops the same entries in either layout.
+    Returns None, drawing nothing, when p == 0: the identity needs no mask.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
-        return x, None
+    if p == 0.0:
+        return None
     if rng is None:
         raise ConfigurationError("dropout in train mode requires an rng")
-    keep = rng.random((x.shape[-1], *x.shape[:-1])) >= p
-    mask = np.moveaxis(keep, 0, -1).astype(x.dtype, order="C") / (1.0 - p)
-    return x * mask, mask
-
-
-def dropout_backward(grad_out, mask):
-    return grad_out if mask is None else grad_out * mask
+    keep = rng.random((shape[-1], *shape[:-1])) >= p
+    return np.moveaxis(keep, 0, -1).astype(dtype, order="C") / (1.0 - p)
 
 
 def dropblock_mask(shape, block_size: int, drop_prob: float,
@@ -450,8 +444,8 @@ def dropblock_mask(shape, block_size: int, drop_prob: float,
     Seed positions are Bernoulli draws over the valid top-left region at rate
     gamma = drop_prob * H*W / (block_size^2 * (H-bs+1) * (W-bs+1)), so the
     expected zeroed fraction is about drop_prob. The draws are taken in NCHW
-    order, as ``dropout`` takes them. Survivors are rescaled per feature map
-    by total/kept, so drop_prob 0 gives all ones. The mask takes the
+    order, as ``dropout_mask`` takes them. Survivors are rescaled per feature
+    map by total/kept, so drop_prob 0 gives all ones. The mask takes the
     activations' ``dtype`` so it keeps their precision.
     """
     c, h, w, n = shape

@@ -327,7 +327,7 @@ def reference_bn(x, params: dict[str, np.ndarray], prefix: str, sl: slice):
 
 def reference_conv(x, weight, padding=0):
     """``ops.conv2d`` on an NCHW input, converting to and from its layout."""
-    return ops.to_nchw(ops.conv2d(ops.to_chwn(x), weight, padding=padding)[0])
+    return ops.to_nchw(ops.conv2d(ops.to_chwn(x), weight, padding=padding))
 
 
 def reference_pool(x, stride):

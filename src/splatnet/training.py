@@ -348,6 +348,9 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
         raise CheckpointError(
             f"{path}: no single-value meta.next_epoch tensor; not a training checkpoint"
         )
+    next_epoch = next_epoch.item()
+    if not (math.isfinite(next_epoch) and next_epoch >= 0 and next_epoch == int(next_epoch)):
+        raise CheckpointError(f"{path}: meta.next_epoch {next_epoch} is not an epoch number")
     state = {k: v for k, v in tensors.items()
              if not k.startswith("velocity.") and not k.startswith("meta.")}
     network.load_state_dict(state)
@@ -360,4 +363,4 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
                 f"{path}: velocity.{p.name}: shape {v.shape} != parameter shape {p.shape}"
             )
         velocities[p.name] = v.astype(p.value.dtype)
-    return int(next_epoch[0])
+    return int(next_epoch)

@@ -2,6 +2,7 @@
 the benchmark harness."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,12 +334,23 @@ class TestReferenceTable:
         cfg = NetworkConfig(depth=50, radix=0, deep_stem=False, avg_down=False)
         net = build_network(cfg, make_rng(0))
         rep = count_flops(net, (224, 224))
-        line = reference_comparison(cfg, rep.total_params, rep.total_macs)
+        line = reference_comparison(cfg, (224, 224), rep.total_params, rep.total_macs)
         assert line is not None and "MATCH" in line and "ResNet-50" in line
+        assert "MISMATCH" not in line
 
     def test_no_match_for_unlisted_config(self):
         cfg = NetworkConfig(depth=101)
-        assert reference_comparison(cfg, 1, 1) is None
+        assert reference_comparison(cfg, (224, 224), 1, 1) is None
+
+    @pytest.mark.parametrize("change", [
+        dict(stage_blocks=(1, 1, 1, 1)), dict(num_classes=10), dict(input_channels=1),
+        dict(base_planes=32), dict(stem_width=16),
+    ])
+    def test_no_match_for_another_network(self, change):
+        cfg = NetworkConfig(radix=2, fast=True)
+        assert reference_comparison(cfg, (224, 224), 1, 1) is not None
+        assert reference_comparison(replace(cfg, **change), (224, 224), 1, 1) is None
+        assert reference_comparison(cfg, (256, 256), 1, 1) is None
 
     def test_reference_entries_well_formed(self):
         for ref in REFERENCE_VARIANTS:

@@ -25,9 +25,10 @@ host.
 
 The ROADMAP's byte-identity outputs of the command line are pinned the
 same way: the sha256 of the TSV log and the checkpoint of a short
-``splatnet train --config configs/toy.cfg`` run, and the logits hash that
-``splatnet bench`` prints for the toy network. The bench hash sees only the
-shortcut chain of a fresh network; the train digests see every branch.
+``splatnet train --config configs/toy.cfg`` run, the logits hash that
+``splatnet bench`` prints for the toy network, and the sha256 of the
+``splatnet analyze --out`` rows of two networks. The bench hash sees only
+the shortcut chain of a fresh network; the train digests see every branch.
 
 A directional-derivative check covers the same residual branches in train
 mode at batch 16: the gradient of every parameter along one random unit
@@ -321,6 +322,13 @@ TRAIN_CHECKPOINT = "e9b532b7fc36e49c74b62398921d257f3807ba8cfb84f9d3380113564c23
 BENCH_ARGS = ["bench", "--config", str(TOY_CONFIG), "--batch", "8", "--input-size", "32",
               "--reps", "1", "--warmup", "0"]
 BENCH_LOGITS = "e21e6df1cc301cd09067539b496072f17aec219cda11e481bd3f872084ed535d"
+# the cost rows of the toy network and of ResNeSt-50-fast 2s1x64d
+ANALYZE_ROWS = {
+    "toy-32": (["--config", str(TOY_CONFIG), "--input-size", "32"], 95,
+               "5fb065ecb811f1b24093fe9ec1cf337783d8ab4afbbe71fbe5c81d75224412c0"),
+    "2s1x64d-fast-224": (["--radix", "2", "--fast", "true", "--input-size", "224"], 299,
+                         "39d45932af677291a52a8e94a0bb3261b5aca663c05d3464640c08a81517a149"),
+}
 
 
 class TestCommandLineDigests:
@@ -334,3 +342,12 @@ class TestCommandLineDigests:
     def test_bench_logits(self, capsys):
         assert main(BENCH_ARGS) == 0
         assert f"logits sha256 {BENCH_LOGITS}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(ANALYZE_ROWS))
+    def test_analyze_rows(self, name, tmp_path, capsys):
+        args, rows, digest = ANALYZE_ROWS[name]
+        out = tmp_path / "rows.tsv"
+        assert main(["analyze", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == rows
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

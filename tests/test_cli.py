@@ -30,8 +30,16 @@ def test_analyze_reference_match_row(capsys):
                "--avg-down", "false"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "reference ResNet-50" in out
-    assert "MATCH" in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("reference ResNet-50"))
+    assert "MATCH" in line and "MISMATCH" not in line
+
+
+@pytest.mark.parametrize("flags", [["--classes", "10"], ["--input-size", "256"]])
+def test_analyze_no_reference_row_for_another_network(flags, capsys):
+    rc = main(["analyze", "--radix", "2", "--fast", "true", *flags])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "reference" not in out
 
 
 def test_analyze_machine_rows_to_file(tmp_path, capsys):
@@ -309,6 +317,26 @@ def test_train_resume_without_next_epoch(tmp_path, capsys, next_epoch):
         tensors["meta.next_epoch"] = next_epoch
     save_checkpoint(tmp_path / "bare.ckpt", tensors)
     rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bare.ckpt"))))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "meta.next_epoch" in err
+    assert not (tmp_path / "resumed.ckpt").exists()
+
+
+@pytest.mark.parametrize("next_epoch", [np.nan, np.inf, -2.0, 1.5])
+def test_train_resume_rejects_bad_next_epoch(tmp_path, capsys, monkeypatch, next_epoch):
+    """An epoch counter that is not a whole number >= 0 exits 2 before any step."""
+    main(_train_args(tmp_path, "base"))
+    capsys.readouterr()
+    tensors = load_checkpoint(tmp_path / "base.ckpt")
+    tensors["meta.next_epoch"] = np.array([next_epoch])
+    save_checkpoint(tmp_path / "bad.ckpt", tensors)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "sgd_step", no_step)
+    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bad.ckpt"))))
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "meta.next_epoch" in err

@@ -387,21 +387,22 @@ class TestNetwork:
                 assert not p.decay_eligible, name
 
     def test_dropblock_applied_in_last_two_stages_only(self):
-        net = micro_net(dropblock_prob=0.3, dropblock_size=3)
+        net = micro_net(dropblock_prob=0.3, dropblock_size=3, dropout=0.2)
         rng = make_rng(12)
         x = rng.standard_normal((2, 1, 32, 32))
         drop = [path for path, m in net.named_modules() if isinstance(m, DropBlock)]
         assert drop == ["dropblock3", "dropblock4"]
+        masked = (net.dropblock3, net.dropblock4, net.head_dropout)
         net.forward(x, mode="train", rng=rng)
-        assert net.dropblock3._tape is not None and net.dropblock4._tape is not None
-        for layer in (net.dropblock3, net.dropblock4):
+        assert all(layer._tape is not None for layer in masked)
+        for layer in masked:
             # eval mode is the identity both ways and leaves no mask behind
             v = rng.standard_normal((3, 4, 4, 2))
             assert layer.forward(v, mode="eval") is v
             assert layer._tape is None
             assert layer.backward(v) is v
         net.forward(x, mode="eval")
-        assert net.dropblock3._tape is None and net.dropblock4._tape is None
+        assert all(layer._tape is None for layer in masked)
 
 
 def parent_dropblock_mask(shape, block_size, drop_prob, rng):
@@ -501,8 +502,8 @@ class TestGradientContract:
 
 class TestConvKeepsItsInput:
     """Conv2d keeps its input array, not its im2col columns, from a forward
-    that keeps a tape to its backward, which rebuilds the columns: a
-    network's eval forward holds none, a backward drops them."""
+    that keeps a tape to its backward, which hands it to the conv backward
+    kernel: a network's eval forward holds none, a backward drops them."""
 
     @staticmethod
     def convs(net):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splatnet import ops
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
-from splatnet.layers import Linear, MaxPool2d
+from splatnet.layers import INFER, Dropout, Linear, MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -189,12 +189,12 @@ class TestConv2d:
         rng = make_rng(0)
         x = rng.standard_normal((3, 4, 4, 2))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        npt.assert_array_equal(ops.conv2d(x, w)[0], x)
+        npt.assert_array_equal(ops.conv2d(x, w), x)
 
     def test_constant_sum(self):
         x = np.ones((1, 3, 3, 1))
         w = np.ones((1, 1, 3, 3))
-        y, _ = ops.conv2d(x, w)
+        y = ops.conv2d(x, w)
         assert y.shape == (1, 1, 1, 1)
         assert y[0, 0, 0, 0] == 9.0
 
@@ -208,7 +208,7 @@ class TestConv2d:
         rng = make_rng(1)
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((8, 4 // groups, 3, 3))
-        got, _ = ops.conv2d(to_chwn(x), w, stride, padding, groups)
+        got = ops.conv2d(to_chwn(x), w, stride, padding, groups)
         want = conv2d_oracle(x, w, stride, padding, groups)
         got = to_nchw(got)
         npt.assert_allclose(got, want, atol=1e-12)
@@ -218,10 +218,10 @@ class TestConv2d:
         g = 3
         x = rng.standard_normal((6, 6, 6, 2))
         w = rng.standard_normal((9, 2, 3, 3))
-        grouped, _ = ops.conv2d(x, w, stride=1, padding=1, groups=g)
+        grouped = ops.conv2d(x, w, stride=1, padding=1, groups=g)
         parts = [
             ops.conv2d(x[2 * i : 2 * (i + 1)], w[3 * i : 3 * (i + 1)],
-                       stride=1, padding=1)[0]
+                       stride=1, padding=1)
             for i in range(g)
         ]
         npt.assert_array_equal(grouped, np.concatenate(parts, axis=0))
@@ -232,8 +232,8 @@ class TestConv2d:
         y = rng.standard_normal((2, 5, 5, 1))
         w = rng.standard_normal((3, 2, 3, 3))
         a, b = 1.7, -0.4
-        lhs, _ = ops.conv2d(a * x + b * y, w, padding=1)
-        rhs = a * ops.conv2d(x, w, padding=1)[0] + b * ops.conv2d(y, w, padding=1)[0]
+        lhs = ops.conv2d(a * x + b * y, w, padding=1)
+        rhs = a * ops.conv2d(x, w, padding=1) + b * ops.conv2d(y, w, padding=1)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_divisibility_errors(self):
@@ -253,8 +253,8 @@ class TestConv2d:
         proj = rng.standard_normal((6, 3, 3, 2))
 
         def loss():
-            y, cols = ops.conv2d(x, w, (2, 2), (1, 1), 2)
-            gx, gw = ops.conv2d_backward(proj, cols, x.shape, w, (2, 2), (1, 1), 2)
+            y = ops.conv2d(x, w, (2, 2), (1, 1), 2)
+            gx, gw = ops.conv2d_backward(proj, x, w, (2, 2), (1, 1), 2)
             return float((y * proj).sum()), {"x": gx, "w": gw}
 
         report = grad_check(loss, {"x": x, "w": w}, tolerance=1e-6)
@@ -300,13 +300,11 @@ class TestConv2dReference:
         stride, padding = case["stride"], case["padding"]
 
         xc = to_chwn(x)
-        y, cols = ops.conv2d(xc, w, stride, padding, g)
+        y = ops.conv2d(xc, w, stride, padding, g)
         npt.assert_allclose(to_nchw(y), conv2d_oracle(x, w, stride, padding, g), atol=1e-12)
-        # an eval-mode backward rebuilds exactly the columns the forward returned
-        assert ops.im2col(xc, case["kernel"], stride, padding).tobytes() == cols.tobytes()
 
         grad_out = rng.standard_normal(y.shape)
-        gx, gw = ops.conv2d_backward(grad_out, cols, xc.shape, w, stride, padding, g)
+        gx, gw = ops.conv2d_backward(grad_out, xc, w, stride, padding, g)
         want_gx, want_gw = conv2d_backward_oracle(to_nchw(grad_out), x, w, stride, padding, g)
         assert gx.shape == xc.shape and gx.flags.c_contiguous
         npt.assert_allclose(to_nchw(gx), want_gx, atol=1e-12)
@@ -620,7 +618,7 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 6, 6, 8)) * 4 + 2
         gamma, beta = np.ones(3), np.zeros(3)
         rm, rv = np.zeros(3), np.ones(3)
-        y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "train")
+        y, _ = ops.batch_norm(x, gamma, beta, rm, rv, True)
         npt.assert_allclose(y.mean(axis=(1, 2, 3)), 0.0, atol=1e-12)
         npt.assert_allclose(y.var(axis=(1, 2, 3)), 1.0, atol=1e-4)
 
@@ -628,7 +626,7 @@ class TestBatchNorm:
         rng = make_rng(15)
         x = rng.standard_normal((2, 3, 3, 4))
         beta = np.array([1.5, -2.0])
-        y, _ = ops.batch_norm(x, np.zeros(2), beta, np.zeros(2), np.ones(2), "train")
+        y, _ = ops.batch_norm(x, np.zeros(2), beta, np.zeros(2), np.ones(2), True)
         npt.assert_allclose(y, np.broadcast_to(beta[:, None, None, None], y.shape))
 
     def test_against_two_pass_oracle(self):
@@ -636,7 +634,7 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 3, 2, 5)) * 3 + 1
         gamma = rng.standard_normal(4)
         beta = rng.standard_normal(4)
-        y, _ = ops.batch_norm(x, gamma, beta, np.zeros(4), np.ones(4), "train",
+        y, _ = ops.batch_norm(x, gamma, beta, np.zeros(4), np.ones(4), True,
                               eps=1e-5)
         want = np.empty_like(x)
         for c in range(4):
@@ -653,7 +651,7 @@ class TestBatchNorm:
         rv = np.abs(rng.standard_normal(3)) + 0.5
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        y, cache = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
+        y, cache = ops.batch_norm(x, gamma, beta, rm, rv, False)
         assert cache is None
         col = (slice(None), None, None, None)
         want = (x - rm[col]) / np.sqrt(rv + 1e-5)[col]
@@ -664,14 +662,14 @@ class TestBatchNorm:
         # eval before any training: initialized stats are mean 0, var 1
         x = make_rng(18).standard_normal((3, 4, 4, 2))
         y, _ = ops.batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
-                              "eval", eps=0.0)
+                              False, eps=0.0)
         npt.assert_allclose(y, x, atol=1e-12)
 
     def test_running_stats_update(self):
         rng = make_rng(19)
         x = rng.standard_normal((2, 5, 5, 16)) * 2 + 3
         rm, rv = np.zeros(2), np.ones(2)
-        ops.batch_norm(x, np.ones(2), np.zeros(2), rm, rv, "train", momentum=1.0)
+        ops.batch_norm(x, np.ones(2), np.zeros(2), rm, rv, True, momentum=1.0)
         m = x.size // 2
         npt.assert_allclose(rm, x.mean(axis=(1, 2, 3)), atol=1e-12)
         npt.assert_allclose(rv, x.var(axis=(1, 2, 3)) * m / (m - 1), atol=1e-12)
@@ -680,7 +678,7 @@ class TestBatchNorm:
         rng = make_rng(20)
         x = rng.standard_normal((4, 10))
         y, _ = ops.batch_norm(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4),
-                              "train")
+                              True)
         npt.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
 
     def test_backward_fd(self):
@@ -691,7 +689,7 @@ class TestBatchNorm:
         proj = rng.standard_normal(x.shape)
 
         def loss():
-            y, cache = ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), "train")
+            y, cache = ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), True)
             gx, dg, db = ops.batch_norm_backward(proj, cache)
             return float((y * proj).sum()), {"x": gx, "gamma": dg, "beta": db}
 
@@ -767,24 +765,31 @@ class TestActivations:
 class TestDropout:
     def test_p_zero_identity(self):
         x = make_rng(25).standard_normal((3, 4))
-        y, mask = ops.dropout(x, 0.0, make_rng(0), "train")
-        assert mask is None
-        npt.assert_array_equal(y, x)
+        layer, rng = Dropout(0.0), make_rng(0)
+        assert layer.forward(x, "train", rng) is x
+        assert layer._tape is None
+        assert rng.random() == make_rng(0).random()  # nothing drawn
+        g = make_rng(1).standard_normal((3, 4))
+        assert layer.backward(g) is g
 
     def test_eval_identity(self):
         x = make_rng(26).standard_normal((3, 4))
-        y, mask = ops.dropout(x, 0.7, make_rng(0), "eval")
-        assert mask is None
-        npt.assert_array_equal(y, x)
+        for mode in ("eval", INFER):
+            layer = Dropout(0.7)
+            assert layer.forward(x, mode, make_rng(0)) is x
+            assert layer._tape is None
+            assert layer.backward(x) is x
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigurationError, match="probability"):
-            ops.dropout(np.zeros(3), 1.0, make_rng(0), "train")
+            Dropout(1.0)
+        with pytest.raises(ConfigurationError, match="probability"):
+            ops.dropout_mask((3,), 1.0, make_rng(0))
 
     def test_monte_carlo_survival_and_mean(self):
         rng = make_rng(27)
         x = np.abs(rng.standard_normal(1_000_000)) + 1.0
-        y, mask = ops.dropout(x, 0.2, rng, "train")
+        y = Dropout(0.2).forward(x, "train", rng)
         survivors = (y != 0).mean()
         assert abs(survivors - 0.8) < 0.005
         assert abs(y.mean() - x.mean()) / x.mean() < 0.01
@@ -792,8 +797,11 @@ class TestDropout:
     def test_backward_routes_through_mask(self):
         rng = make_rng(28)
         x = rng.standard_normal((100,))
-        y, mask = ops.dropout(x, 0.3, rng, "train")
-        g = ops.dropout_backward(np.ones_like(x), mask)
+        layer = Dropout(0.3)
+        y = layer.forward(x, "train", rng)
+        mask = layer._tape
+        assert y.tobytes() == (x * mask).tobytes()
+        g = layer.backward(np.ones_like(x))
         npt.assert_array_equal(g, mask)
 
 
@@ -813,19 +821,19 @@ class TestFloat32:
         assert y.dtype == f32 and xp.dtype == f32 and gx.dtype == f32
 
         w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
-        y, cols = ops.conv2d(x, w, 2, 1)
-        gx, gw = ops.conv2d_backward(np.ones_like(y), cols, x.shape, w, 2, 1)
-        assert [a.dtype for a in (y, cols, gx, gw)] == [f32] * 4
+        y = ops.conv2d(x, w, 2, 1)
+        gx, gw = ops.conv2d_backward(np.ones_like(y), x, w, 2, 1)
+        assert [a.dtype for a in (y, gx, gw)] == [f32] * 3
 
         for shape in ((3, 4), (3, 5, 5, 2)):
             x = rng.standard_normal(shape).astype(f32)
             gamma, beta = np.ones(3, f32), np.zeros(3, f32)
             rm, rv = np.zeros(3, f32), np.ones(3, f32)
-            y, cache = ops.batch_norm(x, gamma, beta, rm, rv, "train")
+            y, cache = ops.batch_norm(x, gamma, beta, rm, rv, True)
             gx, dgamma, dbeta = ops.batch_norm_backward(np.ones_like(y), cache)
             arrays = [y, rm, rv, gx, dgamma, dbeta, *cache]
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
-            y, _ = ops.batch_norm(x, gamma, beta, rm, rv, "eval")
+            y, _ = ops.batch_norm(x, gamma, beta, rm, rv, False)
             assert y.dtype == f32, shape
 
 
@@ -834,9 +842,9 @@ class TestDeterminism:
         rng = make_rng(29)
         x = rng.standard_normal((4, 6, 6, 2))
         w = rng.standard_normal((4, 2, 3, 3))
-        a, _ = ops.conv2d(x, w, groups=2, padding=1)
-        b, _ = ops.conv2d(x, w, groups=2, padding=1)
+        a = ops.conv2d(x, w, groups=2, padding=1)
+        b = ops.conv2d(x, w, groups=2, padding=1)
         npt.assert_array_equal(a, b)
-        d1, _ = ops.dropout(x, 0.4, make_rng(99), "train")
-        d2, _ = ops.dropout(x, 0.4, make_rng(99), "train")
+        d1 = ops.dropout_mask(x.shape, 0.4, make_rng(99))
+        d2 = ops.dropout_mask(x.shape, 0.4, make_rng(99))
         npt.assert_array_equal(d1, d2)

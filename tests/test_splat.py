@@ -172,10 +172,10 @@ class TestSplitTransform:
                 + b[None, :, None, None]
 
         for g in range(cfg.groups):
-            zg, _ = ops.conv2d(to_chwn(x), params["conv_in.weight"][g * sw : (g + 1) * sw])
+            zg = ops.conv2d(to_chwn(x), params["conv_in.weight"][g * sw : (g + 1) * sw])
             zg = np.maximum(bn(to_nchw(zg), "bn_in", slice(g * sw, (g + 1) * sw)), 0.0)
-            ug, _ = ops.conv2d(to_chwn(zg), params["conv_split.weight"][g * cw : (g + 1) * cw],
-                               padding=1)
+            ug = ops.conv2d(to_chwn(zg), params["conv_split.weight"][g * cw : (g + 1) * cw],
+                            padding=1)
             ug = np.maximum(bn(to_nchw(ug), "bn_split", slice(g * cw, (g + 1) * cw)), 0.0)
             npt.assert_allclose(u[:, g * cw : (g + 1) * cw], ug, atol=1e-12)
 
