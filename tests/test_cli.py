@@ -306,37 +306,24 @@ def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, shape):
     assert not (tmp_path / "resumed.ckpt").exists()
 
 
-@pytest.mark.parametrize("next_epoch", [None, np.zeros(0)], ids=["missing", "empty"])
-def test_train_resume_without_next_epoch(tmp_path, capsys, next_epoch):
-    """A checkpoint of the network state alone is no resume point: exit 2."""
+@pytest.mark.parametrize("next_epoch", [None, [], [np.nan], [np.inf], [-2.0], [1.5]],
+                         ids=["missing", "empty", "nan", "inf", "negative", "fraction"])
+def test_train_resume_without_next_epoch(tmp_path, capsys, monkeypatch, next_epoch):
+    """A checkpoint without a whole epoch counter >= 0 is no resume point:
+    exit 2 before any step."""
     main(_train_args(tmp_path, "base"))
     capsys.readouterr()
     tensors = load_checkpoint(tmp_path / "base.ckpt")
     del tensors["meta.next_epoch"]
     if next_epoch is not None:
-        tensors["meta.next_epoch"] = next_epoch
+        tensors["meta.next_epoch"] = np.array(next_epoch, dtype=np.float64)
     save_checkpoint(tmp_path / "bare.ckpt", tensors)
-    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bare.ckpt"))))
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: ") and "meta.next_epoch" in err
-    assert not (tmp_path / "resumed.ckpt").exists()
-
-
-@pytest.mark.parametrize("next_epoch", [np.nan, np.inf, -2.0, 1.5])
-def test_train_resume_rejects_bad_next_epoch(tmp_path, capsys, monkeypatch, next_epoch):
-    """An epoch counter that is not a whole number >= 0 exits 2 before any step."""
-    main(_train_args(tmp_path, "base"))
-    capsys.readouterr()
-    tensors = load_checkpoint(tmp_path / "base.ckpt")
-    tensors["meta.next_epoch"] = np.array([next_epoch])
-    save_checkpoint(tmp_path / "bad.ckpt", tensors)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(training, "sgd_step", no_step)
-    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bad.ckpt"))))
+    rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bare.ckpt"))))
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "meta.next_epoch" in err
