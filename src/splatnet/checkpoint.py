@@ -40,11 +40,13 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """Write ``tensors`` to ``path`` atomically.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one rename, so a write that fails midway leaves the
+    Every tensor is checked before anything is written. The headers and
+    each tensor's buffer then go in turn to a temporary file in the same
+    directory, with no copy of the state in memory, and the file replaces
+    ``path`` in one rename, so a write that fails midway leaves the
     previous file as it was and no temporary file behind.
     """
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
         a = np.ascontiguousarray(arr)
         key = np.dtype(a.dtype).newbyteorder("<")
@@ -53,15 +55,15 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:32]}...")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", _DTYPE_TAGS[key], a.ndim))
-        chunks.append(struct.pack(f"<{a.ndim}Q", *a.shape))
-        chunks.append(a.astype(key, copy=False).tobytes())
+        parts.append(struct.pack("<H", len(encoded)) + encoded
+                     + struct.pack(f"<BB{a.ndim}Q", _DTYPE_TAGS[key], a.ndim, *a.shape))
+        parts.append(a.astype(key, copy=False))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(b"".join(chunks))
+        with tmp.open("wb") as f:
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful replace

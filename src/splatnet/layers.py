@@ -13,11 +13,15 @@ gamma/beta gradient.
 Layers take a third mode, :data:`INFER`. What a layer computes branches only
 on ``mode == "train"``, so INFER computes exactly what eval mode computes;
 :func:`run_forward` empties the slot of each layer it runs in INFER (the two
-joins, called directly, empty their own). A network's eval forward runs its
-layers in it, so inference holds no activations; a backward after it first
+joins, called directly, empty their own). In INFER, :class:`BatchNorm`,
+:class:`ReLU` and :class:`AddReLU` write their output into their (first)
+input: in every chain that input is an array the previous layer has just
+made and nothing else holds, a conv or FC output or a batch-norm output.
+A network's eval forward runs its layers in INFER, so inference holds no
+activations and allocates none for these layers; a backward after it first
 reruns that forward in eval mode from the same input array
 (:meth:`splatnet.network.Network.backward`). Layers and units called
-directly in eval mode keep their tapes.
+directly in eval mode keep their tapes and leave their inputs as they were.
 
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):
@@ -160,7 +164,8 @@ class BatchNorm(Module):
 
     def forward(self, x, mode="train", rng=None):
         y, self._tape = ops.batch_norm(x, self.gamma.value, self.beta.value,
-                                       self.running_mean, self.running_var, mode == "train")
+                                       self.running_mean, self.running_var, mode == "train",
+                                       out=x if mode == INFER else None)
         return y
 
     def cost(self, x_shape, y_shape):
@@ -181,7 +186,7 @@ class ReLU(Module):
     """Keeps its output for the backward: y > 0 exactly where x > 0."""
 
     def forward(self, x, mode="train", rng=None):
-        self._tape = y = ops.relu(x)
+        self._tape = y = ops.relu(x, out=x if mode == INFER else None)
         return y
 
     def cost(self, x_shape, y_shape):
@@ -202,7 +207,8 @@ class AddReLU(Module):
                 f"residual/shortcut shape mismatch: {x.shape[:-1]} vs "
                 f"{shortcut.shape[:-1]} per image"
             )
-        y = ops.relu(x + shortcut)
+        s = np.add(x, shortcut, out=x if mode == INFER else None)
+        y = ops.relu(s, out=s)
         self._tape = None if mode == INFER else y
         return y
 

@@ -22,8 +22,9 @@ the way in and once on the way out; every module inside takes [C, H, W, N]
 (or [F, N]) arrays (:mod:`splatnet.ops`).
 
 A network's eval forward keeps no activations: it runs its layers in the
-tape-free mode ``INFER`` (:mod:`splatnet.layers`), and a backward after it
-first recomputes the forward in eval mode from the same input array.
+tape-free mode ``INFER`` (:mod:`splatnet.layers`), in which batch norms,
+ReLUs and residual joins write in place, and a backward after it first
+recomputes the forward in eval mode from the same input array.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .params import ConfigurationError, Module
+from .params import ConfigurationError, Module, normal_fill
 from .layers import (INFER, AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout,
                      GlobalAvgPool, Linear, MaxPool2d, ReLU, run_backward, run_forward)
 from .splat import SplatConfig, SplitAttentionUnit
@@ -271,7 +272,7 @@ class Network(Module):
         self.head_dropout = Dropout(cfg.dropout) if cfg.dropout > 0 else None
         self.fc = Linear(in_ch, cfg.num_classes, bias=True, dtype=dtype)
         if rng is not None:
-            self.fc.weight.value[...] = rng.standard_normal(self.fc.weight.shape) * 0.01
+            normal_fill(rng, self.fc.weight.value, 0.01)
         self._eval_input = None  # of the last forward if eval, until a backward replays it
         self.assign_names()
 

@@ -109,16 +109,27 @@ def im2col(x, kernel, stride=1, padding=0):
     return win.reshape(c * kh * kw, ho, wo, n)
 
 
+def _group_columns(x, g, groups, kernel, stride, padding):
+    """Columns [Cin/g*kh*kw, Ho*Wo*N] of group g of x: ``im2col`` of the
+    group's channels alone, so only they are padded."""
+    cing = x.shape[0] // groups
+    cols = im2col(x[g * cing : (g + 1) * cing], kernel, stride, padding)
+    return cols.reshape(cols.shape[0], -1)
+
+
 def conv2d(x, weight, stride=1, padding=0, groups=1):
     """Grouped 2-D convolution (cross-correlation) as im2col plus one GEMM per group.
 
     x: [Cin, H, W, N]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch
-    norm follows). Output group g is W[Cout/g, Cin/g*kh*kw] @
-    cols[Cin/g*kh*kw, Ho*Wo*N], already in the [Cout, Ho, Wo, N] layout.
-    Returns y; ``conv2d_backward`` takes the same x.
+    norm follows). Each group's columns cols[Cin/g*kh*kw, Ho*Wo*N] are made
+    in turn from its channels and multiplied, W[Cout/g, Cin/g*kh*kw] @ cols,
+    into the group's rows of the [Cout, Ho, Wo, N] output, so only one
+    group's columns (and padded channels) are held at a time. Returns y;
+    ``conv2d_backward`` takes the same x.
     """
     cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
+    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if cin % groups != 0:
         raise ConfigurationError(f"in_channels {cin} not divisible by groups {groups}")
@@ -132,35 +143,40 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
         raise ConfigurationError(
             f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
         )
-    cols = im2col(x, (kh, kw), stride, padding)
-    ho, wo = cols.shape[1], cols.shape[2]
-    colsg = cols.reshape(groups, cing * kh * kw, ho * wo * n)
-    out = np.matmul(weight.reshape(groups, cout // groups, cing * kh * kw), colsg)
+    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    wg = weight.reshape(groups, cout // groups, cing * kh * kw)
+    out = None
+    for g in range(groups):
+        cols = _group_columns(x, g, groups, (kh, kw), stride, padding)
+        if out is None:  # made after the padded channels are freed, as in one GEMM
+            out = np.empty((groups, cout // groups, ho * wo * n), np.result_type(x, weight))
+        np.matmul(wg[g], cols, out=out[g])
+        del cols  # before the next group's columns are made
     return out.reshape(cout, ho, wo, n)
 
 
 def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
     """Gradients of conv2d w.r.t. (input, weight).
 
-    x is the forward's input; its columns are rebuilt with ``im2col``, the
-    same values in the same layout the forward multiplied. Per group, with
-    go = grad_out as [Cout/g, Ho*Wo*N], one GEMM gives the weight
-    gradient go @ colsᵀ. The column gradient Wᵀ @ go takes one GEMM per
-    window offset, each added onto the input by ``_scatter_windows`` as it
-    is made, so no kh*kw-times-input array is held. A 1x1 stride-1 unpadded
-    kernel multiplies by a transposed view of the weight, so it allocates
-    nothing weight-sized beyond the weight gradient. Returns C-contiguous
-    arrays.
+    x is the forward's input; each group's columns are rebuilt as the
+    forward made them, one group at a time. Per group, with go = grad_out
+    as [Cout/g, Ho*Wo*N], one GEMM gives the weight gradient go @ colsᵀ.
+    The column gradient Wᵀ @ go takes one GEMM per window offset, each added
+    onto the input by ``_scatter_windows`` as it is made, so no
+    kh*kw-times-input array is held. A 1x1 stride-1 unpadded kernel
+    multiplies by a transposed view of the weight, so it allocates nothing
+    weight-sized beyond the weight gradient. Returns C-contiguous arrays.
     """
     x_shape = cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     ho, wo = grad_out.shape[1], grad_out.shape[2]
-    ckk, m = cing * kh * kw, ho * wo * n
-    go = grad_out.reshape(groups, cout // groups, m)
-    cols = im2col(x, (kh, kw), stride, padding)
-    grad_w = np.matmul(go, cols.reshape(groups, ckk, m).transpose(0, 2, 1))
+    go = grad_out.reshape(groups, cout // groups, ho * wo * n)
+    grad_w = np.empty((groups, cout // groups, cing * kh * kw), np.result_type(grad_out, x))
+    for g in range(groups):
+        np.matmul(go[g], _group_columns(x, g, groups, (kh, kw), stride, padding).T,
+                  out=grad_w[g])
     grad_w = grad_w.reshape(weight.shape)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
         wt = weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1)
@@ -308,7 +324,7 @@ BN_EPS = 1e-5
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
-               momentum=BN_MOMENTUM, eps=BN_EPS):
+               momentum=BN_MOMENTUM, eps=BN_EPS, out=None):
     """Per-channel batch normalization over all non-channel axes.
 
     Train mode (``train`` true) normalizes with batch statistics and updates
@@ -319,7 +335,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     Rank 2 [F, N] and rank 4 [C, H, W, N] inputs alike are viewed as [C, M],
     so each statistic reduces one contiguous channel row. Train mode scales
     the centred input in place into x̂ and allocates x̂ and y; eval mode
-    computes y = (x - mean)·(gamma/σ) + beta in one input-sized array.
+    computes y = (x - mean)·(gamma/σ) + beta in one input-sized array,
+    ``out`` when given (C-contiguous, of x's shape; x itself writes in place).
+    Train mode ignores ``out``.
 
     Returns (y, cache); cache is needed by batch_norm_backward and is None in
     eval mode.
@@ -344,7 +362,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
         y += beta[:, None]
         return y.reshape(x.shape), (xhat, inv_std, gamma)
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    y = np.subtract(x2, running_mean[:, None])
+    y = np.subtract(x2, running_mean[:, None], out=None if out is None else out.reshape(x2.shape))
     y *= (gamma * inv_std)[:, None]
     y += beta[:, None]
     return y.reshape(x.shape), None
@@ -379,8 +397,9 @@ def batch_norm_eval_backward(grad_out, gamma, running_var, eps=BN_EPS):
 # ---------------------------------------------------------------------------
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """max(x, 0), into ``out`` when given (x itself writes in place)."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(grad_out, x):

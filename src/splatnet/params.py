@@ -133,12 +133,34 @@ class Module:
             arr[...] = src
 
 
+# values per float64 draw buffer of ``normal_fill``: 128 KiB
+DRAW_CHUNK = 1 << 14
+
+
+def normal_fill(rng: np.random.Generator, out: np.ndarray, std: float) -> np.ndarray:
+    """Fill the C-contiguous ``out`` with N(0, std²) draws, in row-major order.
+
+    Draws ``DRAW_CHUNK`` float64 values at a time into one reused buffer,
+    scales them and casts them into ``out``. The values are those of
+    ``(rng.standard_normal(out.shape) * std).astype(out.dtype)``, and so is
+    the generator's state afterwards, but no float64 copy of the whole
+    tensor is made. Returns ``out``.
+    """
+    flat = out.reshape(-1)
+    buf = np.empty(min(DRAW_CHUNK, flat.size))
+    for start in range(0, flat.size, DRAW_CHUNK):
+        part = buf[: flat.size - start]
+        rng.standard_normal(out=part)
+        part *= std
+        flat[start : start + part.size] = part
+    return out
+
+
 def kaiming_normal(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float64
 ) -> np.ndarray:
-    """Fan-in scaled normal init, std = sqrt(2 / fan_in)."""
+    """Fan-in scaled normal init, std = sqrt(2 / fan_in), drawn straight into
+    an array of ``dtype`` by ``normal_fill``."""
     if fan_in <= 0:
         raise ConfigurationError(f"fan_in must be positive, got {fan_in}")
-    w = rng.standard_normal(shape)
-    w *= np.sqrt(2.0 / fan_in)
-    return w.astype(dtype, copy=False)
+    return normal_fill(rng, np.empty(shape, dtype=dtype), np.sqrt(2.0 / fan_in))

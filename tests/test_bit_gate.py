@@ -13,6 +13,11 @@ sigmoid-gated unit with the pool before its 3x3):
 * every parameter gradient after one train-mode forward and backward with
   DropBlock and head dropout on.
 
+The paper's ResNeSt-50 2s1x64d is pinned the same way at its own size,
+batch 1 at 224x224, by its eval-mode logits in float64 and float32: its
+grouped convolutions are large enough that a kernel splitting a GEMM in a
+new way shows there first.
+
 A change that only reorders floating-point sums may move a hash, and must
 then say why in CHANGES.md. The float64 results must still match the
 literal reference values stored beside each hash: 16 logits, or 16 evenly
@@ -47,7 +52,7 @@ import pytest
 from splatnet.cli import main
 from splatnet.configio import network_config, parse_settings, read_config_file
 from splatnet.layers import BatchNorm
-from splatnet.network import build_network
+from splatnet.network import NetworkConfig, build_network
 from splatnet.params import spawn_rng
 
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
@@ -67,6 +72,12 @@ def _network(variant, dtype=np.float64, dropout=0.2, dropblock_prob=0.1):
     settings = parse_settings(read_config_file(TOY_CONFIG), allow_training=True)
     cfg = replace(network_config(settings), dropout=dropout, dropblock_prob=dropblock_prob,
                   **VARIANTS[variant])
+    return _seeded_network(cfg, dtype)
+
+
+def _seeded_network(cfg, dtype=np.float64):
+    """Weights from stream (0, 0), batch-norm state from stream (0, 1); a
+    float32 network is a weightless build given the float64 state."""
     net = build_network(cfg, spawn_rng(0, 0))
     rng = spawn_rng(0, 1)
     for _, module in net.named_modules():
@@ -266,6 +277,31 @@ class TestBitGate:
         grads = train_param_grads(variant)
         _assert_reference(grads, pins["param_grads_ref"])
         assert _sha256(grads) == pins["param_grads"]
+
+
+# ResNeSt-50 2s1x64d, batch 1 at 224², by the same recipe: the paper's
+# network with every residual branch reaching the logits
+R50_LOGITS_F32 = "04e3bc78636044dae3ff8cf03296378b663e98d79fcdc7e44ec2ce6c6ab7ef4f"
+R50_LOGITS_F64 = "20eb02fb04357c529df29a2e1fc0739f5192b7f3a996de4c6619a639a07734e7"
+R50_LOGITS_F64_REF = [
+    1648.6930314956937, 165.988572278849, 4220.4136636767225, 1145.8548045391335,
+    -2947.2934029570165, -902.8593127650231, -4598.478243133503, -1713.2142219672357,
+    365.9031997378856, -3950.650113877179, 3032.9440011688675, 3969.6002527150877,
+    1416.4188068777412, 2059.0702169614665, -1311.0868107854715, -613.5258164160082,
+]
+
+
+def test_r50_eval_logits():
+    """The float32 forward of the float64 weights, and the float64 forward
+    of the same float32 input."""
+    cfg = NetworkConfig()
+    x = spawn_rng(0, 2).standard_normal((1, 3, 224, 224)).astype(np.float32)
+    logits32 = _seeded_network(cfg, np.float32).forward(x, mode="eval")
+    logits64 = _seeded_network(cfg).forward(x.astype(np.float64), mode="eval")
+    assert logits32.dtype == np.float32
+    _assert_reference(logits64, R50_LOGITS_F64_REF)
+    assert _sha256(logits64) == R50_LOGITS_F64
+    assert _sha256(logits32) == R50_LOGITS_F32
 
 
 # the bit gate's networks without dropout, and the toy network with both

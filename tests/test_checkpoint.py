@@ -109,14 +109,30 @@ def test_unsupported_dtype(tmp_path):
         save_checkpoint(tmp_path / "int.ckpt", {"x": np.arange(3)})
 
 
+class _HalfFullFile:
+    """A file that takes the headers, then half of the first tensor's data
+    before the disk fills."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > 1024:
+            self.f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+        return self.f.write(data)
+
+
 def _write_half_then_fail(monkeypatch):
-    real = Path.write_bytes
-
-    def write_bytes(self, data):
-        real(self, data[: len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    real = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: _HalfFullFile(real(self, *a, **k)))
 
 
 @pytest.mark.parametrize("failure", ["write", "dtype"])

@@ -19,8 +19,8 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import (AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, ReLU, run_backward,
-                             run_forward)
+from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, ReLU,
+                             run_backward, run_forward)
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 from shortcut import shortcut_only_forward
@@ -715,6 +715,62 @@ class TestTrainTape:
         assert held_arrays(net) != []
         net.backward(np.ones_like(logits))
         assert held_arrays(net) == []
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced while ``fn(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+MiB = 1 << 20
+
+
+class TestEvalMemory:
+    """A float32 build draws no whole-tensor float64 copy, a grouped conv
+    holds one group's columns at a time, and an INFER forward writes batch
+    norm, ReLU and the residual join into their input."""
+
+    def test_float32_build_peak(self):
+        # 16.4 MiB above the state while each tensor was drawn in float64 first
+        net, peak = traced_peak(build_network, NetworkConfig(), make_rng(0), np.float32)
+        state = sum(a.nbytes for a in net.state_dict().values())
+        assert peak - state <= 2 * MiB
+
+    def test_grouped_conv_holds_one_group_of_columns(self):
+        rng = make_rng(16)
+        x = rng.standard_normal((128, 56, 56, 1)).astype(np.float32)
+        w = rng.standard_normal((256, 64, 3, 3)).astype(np.float32)
+        group_cols = 64 * 9 * 56 * 56 * 4  # 6.9 MiB; the output is 3.1 MiB
+        y, peak = traced_peak(ops.conv2d, x, w, 1, 1, 2)
+        assert peak < 2 * group_cols
+        _, peak = traced_peak(ops.conv2d_backward, y, x, w, 1, 1, 2)
+        assert peak < 2 * group_cols
+
+    def test_infer_writes_into_the_input(self):
+        rng = make_rng(17)
+        bn = BatchNorm(4)
+        bn.gamma.value[...] = rng.normal(1.0, 0.5, 4)
+        bn.running_mean[...] = rng.normal(0.0, 0.5, 4)
+        for layer, args in [(bn, ()), (ReLU(), ()),
+                            (AddReLU(), (rng.standard_normal((4, 3, 3, 2)),))]:
+            x = rng.standard_normal((4, 3, 3, 2))
+            want = layer.forward(x.copy(), *args, mode="eval")
+            y = layer.forward(x, *args, mode=INFER)
+            assert np.shares_memory(y, x) and y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_eval_forward_leaves_the_input(self, radix):
+        net = randomize_batch_norm(micro_net(radix=radix))
+        x = make_rng(18).standard_normal((2, 1, 32, 32))
+        before = x.tobytes()
+        net.forward(x, mode="eval")
+        assert x.tobytes() == before
 
 
 class TestKaimingNormal:
