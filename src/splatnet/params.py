@@ -140,13 +140,18 @@ DRAW_CHUNK = 1 << 14
 def normal_fill(rng: np.random.Generator, out: np.ndarray, std: float) -> np.ndarray:
     """Fill the C-contiguous ``out`` with N(0, std²) draws, in row-major order.
 
-    Draws ``DRAW_CHUNK`` float64 values at a time into one reused buffer,
-    scales them and casts them into ``out``. The values are those of
-    ``(rng.standard_normal(out.shape) * std).astype(out.dtype)``, and so is
-    the generator's state afterwards, but no float64 copy of the whole
-    tensor is made. Returns ``out``.
+    The values are those of ``(rng.standard_normal(out.shape) *
+    std).astype(out.dtype)``, and so is the generator's state afterwards.
+    A float64 ``out`` takes the draws itself. Any other dtype gets them
+    ``DRAW_CHUNK`` at a time from one reused float64 buffer, scaled and
+    cast chunk by chunk, so no float64 copy of the whole tensor is made.
+    Returns ``out``.
     """
     flat = out.reshape(-1)
+    if out.dtype == np.float64:
+        rng.standard_normal(out=flat)
+        flat *= std
+        return out
     buf = np.empty(min(DRAW_CHUNK, flat.size))
     for start in range(0, flat.size, DRAW_CHUNK):
         part = buf[: flat.size - start]
