@@ -46,7 +46,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     ``path`` in one rename, so a write that fails midway leaves the
     previous file as it was and no temporary file behind.
     """
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
         a = np.ascontiguousarray(arr)
         key = np.dtype(a.dtype).newbyteorder("<")
@@ -55,15 +55,15 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:32]}...")
-        parts.append(struct.pack("<H", len(encoded)) + encoded
-                     + struct.pack(f"<BB{a.ndim}Q", _DTYPE_TAGS[key], a.ndim, *a.shape))
-        parts.append(a.astype(key, copy=False))
+        chunks.append(struct.pack("<H", len(encoded)) + encoded
+                      + struct.pack(f"<BB{a.ndim}Q", _DTYPE_TAGS[key], a.ndim, *a.shape))
+        chunks.append(a.astype(key, copy=False))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as f:
-            for part in parts:
-                f.write(part)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful replace
