@@ -220,18 +220,23 @@ class AddReLU(Module):
         return ops.relu_backward(grad_out, y)
 
 
-class AvgPool2d(Module):
+class _Pool2d(Module):
+    """The pooling layers' window arguments (the stride defaults to the
+    kernel) and cost, kh*kw ops per output."""
+
     def __init__(self, kernel, stride=None, padding=0):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
 
+    def cost(self, x_shape, y_shape):
+        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
+
+
+class AvgPool2d(_Pool2d):
     def forward(self, x, mode="train", rng=None):
         self._tape = x.shape
         return ops.avg_pool2d(x, self.kernel, self.stride, self.padding)
-
-    def cost(self, x_shape, y_shape):
-        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
         x_shape, self._tape = self._tape, None
@@ -239,20 +244,12 @@ class AvgPool2d(Module):
                                        self.stride, self.padding)
 
 
-class MaxPool2d(Module):
-    def __init__(self, kernel, stride=None, padding=0):
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-
+class MaxPool2d(_Pool2d):
     def forward(self, x, mode="train", rng=None):
         # the backward finds each window's argmax from the padded input and output
         y, xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
         self._tape = xp, y
         return y
-
-    def cost(self, x_shape, y_shape):
-        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
 
     def backward(self, grad_out):
         (xp, y), self._tape = self._tape, None

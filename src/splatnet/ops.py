@@ -32,10 +32,6 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def _out_extent(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
-
-
 def to_chwn(x: np.ndarray) -> np.ndarray:
     """NCHW (or [N, F]) -> a [C, H, W, N] (or [F, N]) view."""
     return x.transpose(*range(1, x.ndim), 0)
@@ -56,19 +52,36 @@ def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndar
     return xp
 
 
-def _window_slices(xp, kh, kw, sh, sw, ho, wo):
+def _window(x_shape, kernel, stride, padding, name="kernel"):
+    """Window geometry (kh, kw, sh, sw, ph, pw, ho, wo) of a kernel sliding
+    over the spatial axes of x_shape [C, H, W, N] with zero padding; kernel,
+    stride and padding are each an int or a pair. A kernel larger than the
+    padded input is an error, reported as ``name``.
+    """
+    kh, kw = _pair(kernel)
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    hp, wp = x_shape[1] + 2 * ph, x_shape[2] + 2 * pw
+    if hp < kh or wp < kw:
+        raise ConfigurationError(f"{name} ({kh}x{kw}) larger than padded input ({hp}x{wp})")
+    return kh, kw, sh, sw, ph, pw, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+
+
+def _window_slices(xp, window):
     """The kh*kw strided views [C, Ho, Wo, N] of a padded input, one per
     window offset, in row-major offset order."""
+    kh, kw, sh, sw, ph, pw, ho, wo = window
     return [xp[:, i : i + sh * ho : sh, j : j + sw * wo : sw]
             for i in range(kh) for j in range(kw)]
 
 
-def _scatter_windows(part, x_shape, kh, kw, sh, sw, ph, pw, ho, wo, dtype):
+def _scatter_windows(part, x_shape, window, dtype):
     """col2im, the backward of every windowed kernel: adds ``part(i, j)``, the
     [C, Ho, Wo, N] gradient of window offset (i, j), onto a zeroed padded
     canvas and returns its C-contiguous [C, H, W, N] interior. Offsets go in
     descending order, so each input position sums its windows in window order.
     """
+    kh, kw, sh, sw, ph, pw, ho, wo = window
     c, h, w, n = x_shape
     canvas = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dtype)
     for i in reversed(range(kh)):
@@ -84,41 +97,32 @@ def _scatter_windows(part, x_shape, kh, kw, sh, sw, ph, pw, ho, wo, dtype):
 # ---------------------------------------------------------------------------
 
 
-def im2col(x, kernel, stride=1, padding=0):
-    """Input [C, H, W, N] -> columns [C*kh*kw, Ho, Wo, N] of the zero-padded input.
+def _group_columns(x, g, groups, window):
+    """Columns [Cin/g*kh*kw, Ho*Wo*N] of group g of x [Cin, H, W, N], made
+    from the group's channels alone, so only they are padded.
 
-    Row order is (channel, ki, kj), so each channel group's rows form one
-    [C*kh*kw/groups, Ho*Wo*N] matrix. A 1x1 stride-1 unpadded kernel returns
-    x itself, whatever its layout. Any other kernel reads its windows from a
-    C-contiguous array (the zero-padded input, x, or a copy of a
-    non-contiguous x); the result is a view of that array where the windows
-    lie at uniform strides (a strided 1x1 kernel) and a copy otherwise.
-    Callers only read it.
+    Row order is (channel, ki, kj). A 1x1 stride-1 unpadded kernel reads the
+    group's channels themselves, whatever their layout. Any other kernel
+    reads its windows from a C-contiguous array (the zero-padded channels,
+    the channels, or a copy of non-contiguous ones); the columns are a view
+    of that array where the windows lie at uniform strides (a strided 1x1
+    kernel) and a copy otherwise. Callers only read them.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return x
-    xp = np.ascontiguousarray(_pad_spatial(x, ph, pw))
-    c, hp, wp, n = xp.shape
-    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
-    sc, sy, sx, sn = xp.strides
-    win = np.ndarray((c, kh, kw, ho, wo, n), xp.dtype, xp, 0,
-                     (sc, sy, sx, sy * sh, sx * sw, sn))
-    return win.reshape(c * kh * kw, ho, wo, n)
-
-
-def _group_columns(x, g, groups, kernel, stride, padding):
-    """Columns [Cin/g*kh*kw, Ho*Wo*N] of group g of x: ``im2col`` of the
-    group's channels alone, so only they are padded."""
+    kh, kw, sh, sw, ph, pw, ho, wo = window
     cing = x.shape[0] // groups
-    cols = im2col(x[g * cing : (g + 1) * cing], kernel, stride, padding)
-    return cols.reshape(cols.shape[0], -1)
+    xg = x[g * cing : (g + 1) * cing]
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return xg.reshape(cing, -1)
+    xp = np.ascontiguousarray(_pad_spatial(xg, ph, pw))
+    sc, sy, sx, sn = xp.strides
+    cols = np.ndarray((cing, kh, kw, ho, wo, xp.shape[3]), xp.dtype, xp, 0,
+                      (sc, sy, sx, sy * sh, sx * sw, sn))
+    return cols.reshape(cing * kh * kw, -1)
 
 
 def conv2d(x, weight, stride=1, padding=0, groups=1):
-    """Grouped 2-D convolution (cross-correlation) as im2col plus one GEMM per group.
+    """Grouped 2-D convolution (cross-correlation): im2col lowering plus one
+    GEMM per group.
 
     x: [Cin, H, W, N]; weight: [Cout, Cin/groups, kh, kw]; no bias (a batch
     norm follows). Each group's columns cols[Cin/g*kh*kw, Ho*Wo*N] are made
@@ -129,8 +133,6 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
     """
     cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
     if cin % groups != 0:
         raise ConfigurationError(f"in_channels {cin} not divisible by groups {groups}")
     if cout % groups != 0:
@@ -139,15 +141,12 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
         raise ConfigurationError(
             f"weight expects {cing} channels per group, input provides {cin // groups}"
         )
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ConfigurationError(
-            f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
-        )
-    ho, wo = _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    window = _window(x.shape, (kh, kw), stride, padding)
+    ho, wo = window[6:]
     wg = weight.reshape(groups, cout // groups, cing * kh * kw)
     out = None
     for g in range(groups):
-        cols = _group_columns(x, g, groups, (kh, kw), stride, padding)
+        cols = _group_columns(x, g, groups, window)
         if out is None:  # made after the padded channels are freed, as in one GEMM
             out = np.empty((groups, cout // groups, ho * wo * n), np.result_type(x, weight))
         np.matmul(wg[g], cols, out=out[g])
@@ -169,22 +168,20 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
     """
     x_shape = cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho, wo = grad_out.shape[1], grad_out.shape[2]
+    window = _window(x_shape, (kh, kw), stride, padding)
+    ho, wo = window[6:]
     go = grad_out.reshape(groups, cout // groups, ho * wo * n)
     grad_w = np.empty((groups, cout // groups, cing * kh * kw), np.result_type(grad_out, x))
     for g in range(groups):
-        np.matmul(go[g], _group_columns(x, g, groups, (kh, kw), stride, padding).T,
-                  out=grad_w[g])
+        np.matmul(go[g], _group_columns(x, g, groups, window).T, out=grad_w[g])
     grad_w = grad_w.reshape(weight.shape)
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+    if window[:6] == (1, 1, 1, 1, 0, 0):
         wt = weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1)
         return np.matmul(wt, go).reshape(x_shape), grad_w
     # Wᵀ per window offset: [kh*kw, groups, Cin/g, Cout/g], contiguous for the GEMMs
     wt = weight.reshape(groups, cout // groups, cing, kh * kw).transpose(3, 0, 2, 1).copy()
     gx = _scatter_windows(lambda i, j: np.matmul(wt[i * kw + j], go).reshape(cin, ho, wo, n),
-                          x_shape, kh, kw, sh, sw, ph, pw, ho, wo, grad_out.dtype)
+                          x_shape, window, grad_out.dtype)
     return gx, grad_w
 
 
@@ -194,42 +191,33 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
 
 
 def _pool_window(x_shape, kernel, stride, padding):
-    """(kh, kw, sh, sw, ph, pw, ho, wo) of a pooling window over x_shape.
-
-    The stride defaults to the kernel; a kernel larger than the padded
-    input is an error.
-    """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    h, w = x_shape[1], x_shape[2]
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ConfigurationError(
-            f"pool kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})"
-        )
-    return kh, kw, sh, sw, ph, pw, _out_extent(h, kh, sh, ph), _out_extent(w, kw, sw, pw)
+    """``_window`` of a pooling kernel, whose stride defaults to the kernel."""
+    return _window(x_shape, kernel, kernel if stride is None else stride, padding,
+                   "pool kernel")
 
 
-def _window_counts(h, w, kh, kw, sh, sw, ph, pw):
-    """In-bounds positions of each pooling window, [Ho, Wo].
+def _window_counts(h, w, window):
+    """In-bounds positions of each pooling window over an H x W input, [Ho, Wo].
 
     A window's count is the product of its in-bounds extents along each
     axis, so the counts are the outer product of two per-axis vectors.
     """
-    def extents(size, k, s, p):
-        start = np.arange(_out_extent(size, k, s, p)) * s - p
+    kh, kw, sh, sw, ph, pw, ho, wo = window
+
+    def extents(size, out, k, s, p):
+        start = np.arange(out) * s - p
         return np.minimum(start + k, size) - np.maximum(start, 0)
 
-    return np.outer(extents(h, kh, sh, ph), extents(w, kw, sw, pw))
+    return np.outer(extents(h, ho, kh, sh, ph), extents(w, wo, kw, sw, pw))
 
 
 @functools.lru_cache(maxsize=256)
-def _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, dtype):
+def _pool_divisors(h, w, window, dtype):
     """Per-window divisor [Ho, Wo, 1] of average pooling, made once per
     shape and dtype. Every call with that key gets the same array, so it is
     read-only; the kernels only divide by it.
     """
-    divisors = _window_counts(h, w, kh, kw, sh, sw, ph, pw)[:, :, None].astype(dtype)
+    divisors = _window_counts(h, w, window)[:, :, None].astype(dtype)
     divisors.flags.writeable = False
     return divisors
 
@@ -240,13 +228,13 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
     The kh*kw strided slices of the padded input, one per window offset,
     are summed into one accumulator in window order, then divided.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
+    window = _pool_window(x.shape, kernel, stride, padding)
     c, h, w, n = x.shape
-    slices = _window_slices(_pad_spatial(x, ph, pw), kh, kw, sh, sw, ho, wo)
+    slices = _window_slices(_pad_spatial(x, *window[4:6]), window)
     out = slices[0].copy()
     for s in slices[1:]:
         out += s
-    out /= _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, x.dtype)
+    out /= _pool_divisors(h, w, window, x.dtype)
     return out
 
 
@@ -255,11 +243,9 @@ def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0):
 
     Returns a C-contiguous array of grad_out's dtype.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
-    c, h, w, n = x_shape
-    g = grad_out / _pool_divisors(h, w, kh, kw, sh, sw, ph, pw, grad_out.dtype)
-    return _scatter_windows(lambda i, j: g, x_shape, kh, kw, sh, sw, ph, pw, ho, wo,
-                            grad_out.dtype)
+    window = _pool_window(x_shape, kernel, stride, padding)
+    g = grad_out / _pool_divisors(x_shape[1], x_shape[2], window, grad_out.dtype)
+    return _scatter_windows(lambda i, j: g, x_shape, window, grad_out.dtype)
 
 
 def max_pool2d(x, kernel, stride=None, padding=0):
@@ -269,9 +255,9 @@ def max_pool2d(x, kernel, stride=None, padding=0):
     input. Returns (y, xp); ``max_pool2d_backward`` takes the padded input
     xp, so it does not pad again, and a forward does no index work.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x.shape, kernel, stride, padding)
-    xp = _pad_spatial(x, ph, pw, -np.inf)
-    slices = _window_slices(xp, kh, kw, sh, sw, ho, wo)
+    window = _pool_window(x.shape, kernel, stride, padding)
+    xp = _pad_spatial(x, *window[4:6], -np.inf)
+    slices = _window_slices(xp, window)
     best = slices[0].copy()
     for s in slices[1:]:
         np.maximum(best, s, out=best)
@@ -289,17 +275,18 @@ def max_pool2d_backward(grad_out, xp, y, kernel, stride=None, padding=0):
     ph, pw = _pair(padding)
     c, hp, wp, n = xp.shape
     x_shape = (c, hp - 2 * ph, wp - 2 * pw, n)
-    kh, kw, sh, sw, ph, pw, ho, wo = _pool_window(x_shape, kernel, stride, padding)
+    window = _pool_window(x_shape, kernel, stride, padding)
     taken = np.zeros(y.shape, dtype=bool)
     hits = []
-    for s in _window_slices(xp, kh, kw, sh, sw, ho, wo):
+    for s in _window_slices(xp, window):
         hit = s == y
         np.greater(hit, taken, out=hit)  # not taken by an earlier offset
         taken |= hit
         hits.append(hit)
     zero = np.zeros((), dtype=grad_out.dtype)
+    kw = window[1]
     return _scatter_windows(lambda i, j: np.where(hits[i * kw + j], grad_out, zero),
-                            x_shape, kh, kw, sh, sw, ph, pw, ho, wo, grad_out.dtype)
+                            x_shape, window, grad_out.dtype)
 
 
 def global_avg_pool(x):

@@ -354,7 +354,12 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
     state = {k: v for k, v in tensors.items()
              if not k.startswith("velocity.") and not k.startswith("meta.")}
     network.load_state_dict(state)
-    for p in network.parameters():
+    params = network.parameters()
+    names = {f"velocity.{p.name}" for p in params}
+    stray = [k for k in tensors if k.startswith("velocity.") and k not in names]
+    if stray:
+        raise CheckpointError(f"{path}: {stray[0]} matches no parameter")
+    for p in params:
         v = tensors.get(f"velocity.{p.name}")
         if v is None:
             continue

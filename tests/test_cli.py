@@ -292,17 +292,29 @@ def test_train_dropblock_byte_identical_and_resumable(tmp_path, capsys, monkeypa
     assert (tmp_path / "resumed.ckpt").read_bytes() == ck
 
 
-@pytest.mark.parametrize("shape", [(5,), (1,)])
-def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, shape):
+@pytest.mark.parametrize("shape", [(5,), (1,), "renamed"])
+def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, monkeypatch, shape):
+    """A velocity of the wrong shape, or one whose name matches no parameter
+    (its momentum would silently restart at zero), exits 2 before any step."""
     main(_train_args(tmp_path, "base"))
     capsys.readouterr()
     tensors = load_checkpoint(tmp_path / "base.ckpt")
-    tensors["velocity.stem.conv1.weight"] = np.zeros(shape)
+    name = "velocity.stem.conv1.weight"
+    if shape == "renamed":
+        name = "velocity.stem.conv1.weighs"
+        tensors[name] = tensors.pop("velocity.stem.conv1.weight")
+    else:
+        tensors[name] = np.zeros(shape)
     save_checkpoint(tmp_path / "bad.ckpt", tensors)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "sgd_step", no_step)
     rc = main(_train_args(tmp_path, "resumed", ("--resume", str(tmp_path / "bad.ckpt"))))
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ") and "velocity.stem.conv1.weight" in err
+    assert err.startswith("error: ") and name in err
     assert not (tmp_path / "resumed.ckpt").exists()
 
 

@@ -563,7 +563,31 @@ class TestShapeConstants:
         assert counted == []
         # a 1x1 stride-1 unpadded conv reads its input as its columns
         x = make_rng(2).standard_normal((4, 5, 6, 1))
-        assert np.shares_memory(ops.im2col(x, 1, 1, 0), x)
+        assert np.shares_memory(ops._group_columns(x, 0, 1, ops._window(x.shape, 1, 1, 0)), x)
+
+    def test_conv_normalizes_its_geometry_once_per_call(self, monkeypatch):
+        # kernel, stride and padding are made pairs once per call, not per group
+        pair = ops._pair
+        calls = []
+
+        def counting_pair(v):
+            calls.append(v)
+            return pair(v)
+
+        monkeypatch.setattr(ops, "_pair", counting_pair)
+        rng = make_rng(5)
+        x = rng.standard_normal((8, 6, 6, 2))
+        g = rng.standard_normal((8, 3, 3, 2))
+        counts = []
+        for groups in (1, 4):
+            w = rng.standard_normal((8, 8 // groups, 3, 3))
+            calls.clear()
+            ops.conv2d(x, w, 2, 1, groups)
+            forward = len(calls)
+            calls.clear()
+            ops.conv2d_backward(g, x, w, 2, 1, groups)
+            counts.append((forward, len(calls)))
+        assert counts[0] == counts[1]
 
 
 def kept_arrays(module):

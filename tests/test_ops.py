@@ -245,6 +245,9 @@ class TestConv2d:
             ops.conv2d(np.zeros((4, 4, 4, 1)), np.zeros((5, 2, 1, 1)), groups=2)
         with pytest.raises(ConfigurationError, match="kernel"):
             ops.conv2d(np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 5, 5)))
+        with pytest.raises(ConfigurationError, match="kernel"):
+            ops.conv2d_backward(np.zeros((1, 1, 1, 1)), np.zeros((1, 2, 2, 1)),
+                                np.zeros((1, 1, 5, 5)))
 
     def test_backward_matches_finite_differences(self):
         rng = make_rng(4)
@@ -345,6 +348,11 @@ class TestPooling:
     def test_avg_kernel_too_large(self):
         with pytest.raises(ConfigurationError, match="pool kernel"):
             ops.avg_pool2d(np.zeros((1, 3, 3, 1)), 5)
+        with pytest.raises(ConfigurationError, match="pool kernel"):
+            ops.avg_pool2d_backward(np.zeros((1, 1, 1, 1)), (1, 3, 3, 1), 5)
+        with pytest.raises(ConfigurationError, match="pool kernel"):
+            ops.max_pool2d_backward(np.zeros((1, 1, 1, 1)), np.zeros((1, 3, 3, 1)),
+                                    np.zeros((1, 1, 1, 1)), 5)
 
     def test_avg_backward_fd(self):
         rng = make_rng(7)
@@ -411,9 +419,10 @@ class TestPooling:
     def test_cached_divisors_never_reach_an_output(self, dtype, padding):
         # one divisor array per shape and dtype is shared by every call
         x = make_rng(32).standard_normal((2, 5, 5, 3)).astype(dtype)
-        divisors = ops._pool_divisors(5, 5, 3, 3, 2, 2, padding, padding, np.dtype(dtype))
+        window = ops._window(x.shape, 3, 2, padding)
+        divisors = ops._pool_divisors(5, 5, window, np.dtype(dtype))
         assert not divisors.flags.writeable and divisors.dtype == dtype
-        assert ops._pool_divisors(5, 5, 3, 3, 2, 2, padding, padding, np.dtype(dtype)) is divisors
+        assert ops._pool_divisors(5, 5, window, np.dtype(dtype)) is divisors
 
         def run():
             y = ops.avg_pool2d(x, 3, 2, padding)
