@@ -355,6 +355,9 @@ TRAIN_ARGS = ["train", "--config", str(TOY_CONFIG), "--epochs", "2",
               "--warmup-epochs", "1", "--samples", "128"]
 TRAIN_LOG = "e5f379ff861ff9865de897412423a2e902e484ba81471dd3c72998282781ec42"
 TRAIN_CHECKPOINT = "e9b532b7fc36e49c74b62398921d257f3807ba8cfb84f9d3380113564c236cc0"
+# the full configs/toy.cfg run: 10 epochs on 512 samples
+TOY_CFG_LOG = "6162aacf800abc503151a7e49f2ece172edb215d5c06a092c15396e01e2a62a8"
+TOY_CFG_CHECKPOINT = "f6aa7634ca4fdec990524d01e168acf8a65c0e0ec6da9417d3b0ea92fbb76a5c"
 BENCH_ARGS = ["bench", "--config", str(TOY_CONFIG), "--batch", "8", "--input-size", "32",
               "--reps", "1", "--warmup", "0"]
 BENCH_LOGITS = "e21e6df1cc301cd09067539b496072f17aec219cda11e481bd3f872084ed535d"
@@ -368,12 +371,20 @@ ANALYZE_ROWS = {
 
 
 class TestCommandLineDigests:
-    def test_train_log_and_checkpoint(self, tmp_path, capsys):
+    @staticmethod
+    def _train_digests(args, tmp_path, capsys):
         log, ckpt = tmp_path / "run.tsv", tmp_path / "run.ckpt"
-        assert main([*TRAIN_ARGS, "--out", str(log), "--checkpoint", str(ckpt)]) == 0
+        assert main([*args, "--out", str(log), "--checkpoint", str(ckpt)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(log.read_bytes()).hexdigest() == TRAIN_LOG
-        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == TRAIN_CHECKPOINT
+        return (hashlib.sha256(log.read_bytes()).hexdigest(),
+                hashlib.sha256(ckpt.read_bytes()).hexdigest())
+
+    def test_train_log_and_checkpoint(self, tmp_path, capsys):
+        assert self._train_digests(TRAIN_ARGS, tmp_path, capsys) == (TRAIN_LOG, TRAIN_CHECKPOINT)
+
+    def test_toy_config_train_run(self, tmp_path, capsys):
+        args = ["train", "--config", str(TOY_CONFIG)]
+        assert self._train_digests(args, tmp_path, capsys) == (TOY_CFG_LOG, TOY_CFG_CHECKPOINT)
 
     def test_bench_logits(self, capsys):
         assert main(BENCH_ARGS) == 0
