@@ -150,7 +150,8 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Per-channel batch norm for rank-2 or rank-4 inputs (``ops.BN_*`` constants)."""
+    """Per-channel batch norm (``ops.BN_*`` constants). Besides ``load_state_dict``
+    and the build, only a train forward writes its running buffers."""
 
     def __init__(self, num_features, dtype=np.float64):
         self.num_features = num_features
@@ -163,9 +164,14 @@ class BatchNorm(Module):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode="train", rng=None):
-        y, self._tape = ops.batch_norm(x, self.gamma.value, self.beta.value,
-                                       self.running_mean, self.running_var, mode == "train",
-                                       out=x if mode == INFER else None)
+        if mode != "train":
+            self._tape = None
+            return ops.batch_norm_eval(x, self.gamma.value, self.beta.value, self.running_mean,
+                                       self.running_var, out=x if mode == INFER else None)
+        y, self._tape, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
+        for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
+            buf *= 1.0 - ops.BN_MOMENTUM
+            buf += ops.BN_MOMENTUM * stat
         return y
 
     def cost(self, x_shape, y_shape):

@@ -1,13 +1,15 @@
 """Dense tensor kernels: forward and backward passes for every primitive.
 
 All kernels are pure functions of ndarray inputs and are deterministic given
-their arguments. Activations are batch-innermost: [C, H, W, N] at rank 4 and
-[F, N] at rank 2, so a channel's values for the whole batch form one
-contiguous row (cuda-convnet's layout). The network converts from and to
-NCHW once, at its boundary (``to_chwn``, ``to_nchw``). Each forward has a
-matching ``*_backward`` that returns exact analytic gradients. There is no
-graph engine: :mod:`splatnet.layers` wraps each kernel in a layer, and a
-composite module runs its backward over the same layer list as its forward.
+their arguments: none takes a mode, and none writes an array it did not
+make but an ``out`` it is handed. Activations are batch-innermost:
+[C, H, W, N] at rank 4 and [F, N] at rank 2, so a channel's values for the
+whole batch form one contiguous row (cuda-convnet's layout). The network
+converts from and to NCHW once, at its boundary (``to_chwn``, ``to_nchw``).
+Each forward has a matching ``*_backward`` that returns exact analytic
+gradients. There is no graph engine: :mod:`splatnet.layers` wraps each
+kernel in a layer, and a composite module runs its backward over the same
+layer list as its forward.
 
 Conventions:
     * convolution is cross-correlation (no kernel flip), zero padding only;
@@ -306,53 +308,43 @@ def global_avg_pool_backward(grad_out, x_shape):
 # ---------------------------------------------------------------------------
 
 
-BN_MOMENTUM = 0.1
+BN_MOMENTUM = 0.1  # a batch's weight in a running average
 BN_EPS = 1e-5
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
-               momentum=BN_MOMENTUM, eps=BN_EPS, out=None):
-    """Per-channel batch normalization over all non-channel axes.
-
-    Train mode (``train`` true) normalizes with batch statistics and updates
-    the running buffers in place (exponential moving average); eval mode uses
-    the running buffers as-is. Freshly initialized buffers (mean 0, var 1)
-    make eval mode before any training a plain affine map.
-
-    Rank 2 [F, N] and rank 4 [C, H, W, N] inputs alike are viewed as [C, M],
-    so each statistic reduces one contiguous channel row. Train mode scales
-    the centred input in place into x̂ and allocates x̂ and y; eval mode
-    computes y = (x - mean)·(gamma/σ) + beta in one input-sized array,
-    ``out`` when given (C-contiguous, of x's shape; x itself writes in place).
-    Train mode ignores ``out``.
-
-    Returns (y, cache); cache is needed by batch_norm_backward and is None in
-    eval mode.
+def batch_norm(x, gamma, beta):
+    """Per-channel batch normalization of a rank 2 [F, N] or rank 4
+    [C, H, W, N] input with the batch's own statistics. Returns (y, cache,
+    mean, var): the cache for ``batch_norm_backward``, and the per-channel
+    mean and unbiased variance that ``layers.BatchNorm`` keeps averages of.
     """
     if x.ndim not in (2, 4):
         raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
+    x2 = x.reshape(x.shape[0], -1)  # [C, M]: each statistic reduces one contiguous row
+    m = x2.shape[1]
+    mean = x2.sum(axis=1) / m
+    xhat = x2 - mean[:, None]
+    buf = np.multiply(xhat, xhat)
+    var = buf.sum(axis=1) / m
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std[:, None]
+    y = np.multiply(xhat, gamma[:, None], out=buf)
+    y += beta[:, None]
+    return y.reshape(x.shape), (xhat, inv_std, gamma), mean, var * m / max(m - 1, 1)
+
+
+def batch_norm_eval(x, gamma, beta, mean, var, out=None):
+    """Batch normalization with given statistics: y = (x - mean)·(gamma/σ) +
+    beta in one input-sized array, ``out`` when given (C-contiguous, of x's
+    shape; x itself writes in place)."""
+    if x.ndim not in (2, 4):
+        raise ConfigurationError(f"batch_norm expects rank 2 or 4 input, got rank {x.ndim}")
     x2 = x.reshape(x.shape[0], -1)
-    if train:
-        m = x2.shape[1]
-        mean = x2.sum(axis=1) / m
-        xhat = x2 - mean[:, None]
-        buf = np.multiply(xhat, xhat)
-        var = buf.sum(axis=1) / m
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std[:, None]
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        # unbiased variance in the running buffer, matching common practice
-        running_var += momentum * (var * m / max(m - 1, 1))
-        y = np.multiply(xhat, gamma[:, None], out=buf)
-        y += beta[:, None]
-        return y.reshape(x.shape), (xhat, inv_std, gamma)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    y = np.subtract(x2, running_mean[:, None], out=None if out is None else out.reshape(x2.shape))
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    y = np.subtract(x2, mean[:, None], out=None if out is None else out.reshape(x2.shape))
     y *= (gamma * inv_std)[:, None]
     y += beta[:, None]
-    return y.reshape(x.shape), None
+    return y.reshape(x.shape)
 
 
 def batch_norm_backward(grad_out, cache):
@@ -373,9 +365,9 @@ def batch_norm_backward(grad_out, cache):
     return gx.reshape(grad_out.shape), dgamma, dbeta
 
 
-def batch_norm_eval_backward(grad_out, gamma, running_var, eps=BN_EPS):
+def batch_norm_eval_backward(grad_out, gamma, var):
     """Eval-mode input gradient: a fixed per-channel scale."""
-    scale = gamma / np.sqrt(running_var + eps)
+    scale = gamma / np.sqrt(var + BN_EPS)
     return grad_out * scale.reshape(-1, *(1,) * (grad_out.ndim - 1))
 
 

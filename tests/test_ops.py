@@ -5,6 +5,7 @@ The kernels take batch-innermost [C, H, W, N] and [F, N] arrays; the
 loop-based oracles index NCHW and [N, F] arrays, and the tests convert with
 ``ops.to_chwn`` and ``ops.to_nchw``."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from splatnet import ops
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
-from splatnet.layers import INFER, Dropout, Linear, MaxPool2d
+from splatnet.layers import INFER, BatchNorm, Dropout, Linear, MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -625,9 +626,7 @@ class TestBatchNorm:
     def test_train_normalizes(self):
         rng = make_rng(14)
         x = rng.standard_normal((3, 6, 6, 8)) * 4 + 2
-        gamma, beta = np.ones(3), np.zeros(3)
-        rm, rv = np.zeros(3), np.ones(3)
-        y, _ = ops.batch_norm(x, gamma, beta, rm, rv, True)
+        y, *_ = ops.batch_norm(x, np.ones(3), np.zeros(3))
         npt.assert_allclose(y.mean(axis=(1, 2, 3)), 0.0, atol=1e-12)
         npt.assert_allclose(y.var(axis=(1, 2, 3)), 1.0, atol=1e-4)
 
@@ -635,7 +634,7 @@ class TestBatchNorm:
         rng = make_rng(15)
         x = rng.standard_normal((2, 3, 3, 4))
         beta = np.array([1.5, -2.0])
-        y, _ = ops.batch_norm(x, np.zeros(2), beta, np.zeros(2), np.ones(2), True)
+        y, *_ = ops.batch_norm(x, np.zeros(2), beta)
         npt.assert_allclose(y, np.broadcast_to(beta[:, None, None, None], y.shape))
 
     def test_against_two_pass_oracle(self):
@@ -643,14 +642,15 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 3, 2, 5)) * 3 + 1
         gamma = rng.standard_normal(4)
         beta = rng.standard_normal(4)
-        y, _ = ops.batch_norm(x, gamma, beta, np.zeros(4), np.ones(4), True,
-                              eps=1e-5)
+        y, _, mean, var = ops.batch_norm(x, gamma, beta)
         want = np.empty_like(x)
         for c in range(4):
             vals = x[c]
-            mean = vals.sum() / vals.size
-            var = ((vals - mean) ** 2).sum() / vals.size
-            want[c] = (vals - mean) / np.sqrt(var + 1e-5) * gamma[c] + beta[c]
+            mu = vals.sum() / vals.size
+            sq = ((vals - mu) ** 2).sum()
+            want[c] = (vals - mu) / np.sqrt(sq / vals.size + ops.BN_EPS) * gamma[c] + beta[c]
+            assert mean[c] == pytest.approx(mu, abs=1e-12)
+            assert var[c] == pytest.approx(sq / (vals.size - 1), abs=1e-12)  # unbiased
         npt.assert_allclose(y, want, atol=1e-10)
 
     def test_eval_uses_running_stats(self):
@@ -660,8 +660,7 @@ class TestBatchNorm:
         rv = np.abs(rng.standard_normal(3)) + 0.5
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        y, cache = ops.batch_norm(x, gamma, beta, rm, rv, False)
-        assert cache is None
+        y = ops.batch_norm_eval(x, gamma, beta, rm, rv)
         col = (slice(None), None, None, None)
         want = (x - rm[col]) / np.sqrt(rv + 1e-5)[col]
         want = want * gamma[col] + beta[col]
@@ -670,24 +669,30 @@ class TestBatchNorm:
     def test_fresh_eval_is_affine_identity(self):
         # eval before any training: initialized stats are mean 0, var 1
         x = make_rng(18).standard_normal((3, 4, 4, 2))
-        y, _ = ops.batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
-                              False, eps=0.0)
-        npt.assert_allclose(y, x, atol=1e-12)
+        y = ops.batch_norm_eval(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        npt.assert_allclose(y, x / np.sqrt(1.0 + ops.BN_EPS), atol=1e-12)
 
     def test_running_stats_update(self):
+        """BatchNorm folds each train batch's mean and unbiased variance into
+        its running buffers with weight BN_MOMENTUM; eval leaves them be."""
         rng = make_rng(19)
-        x = rng.standard_normal((2, 5, 5, 16)) * 2 + 3
-        rm, rv = np.zeros(2), np.ones(2)
-        ops.batch_norm(x, np.ones(2), np.zeros(2), rm, rv, True, momentum=1.0)
-        m = x.size // 2
-        npt.assert_allclose(rm, x.mean(axis=(1, 2, 3)), atol=1e-12)
-        npt.assert_allclose(rv, x.var(axis=(1, 2, 3)) * m / (m - 1), atol=1e-12)
+        bn = BatchNorm(2)
+        m, mom = 5 * 5 * 16, ops.BN_MOMENTUM
+        want_mean, want_var = np.zeros(2), np.ones(2)
+        for _ in range(2):
+            x = rng.standard_normal((2, 5, 5, 16)) * 2 + 3
+            bn.forward(x, "train")
+            want_mean = (1 - mom) * want_mean + mom * x.mean(axis=(1, 2, 3))
+            want_var = (1 - mom) * want_var + mom * x.var(axis=(1, 2, 3)) * m / (m - 1)
+            npt.assert_allclose(bn.running_mean, want_mean, atol=1e-12)
+            npt.assert_allclose(bn.running_var, want_var, atol=1e-12)
+        bn.forward(x, "eval")
+        npt.assert_allclose(bn.running_mean, want_mean, atol=1e-12)
 
     def test_rank2_input(self):
         rng = make_rng(20)
         x = rng.standard_normal((4, 10))
-        y, _ = ops.batch_norm(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4),
-                              True)
+        y, *_ = ops.batch_norm(x, np.ones(4), np.zeros(4))
         npt.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
 
     def test_backward_fd(self):
@@ -698,7 +703,7 @@ class TestBatchNorm:
         proj = rng.standard_normal(x.shape)
 
         def loss():
-            y, cache = ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), True)
+            y, cache, *_ = ops.batch_norm(x, gamma, beta)
             gx, dg, db = ops.batch_norm_backward(proj, cache)
             return float((y * proj).sum()), {"x": gx, "gamma": dg, "beta": db}
 
@@ -836,14 +841,15 @@ class TestFloat32:
 
         for shape in ((3, 4), (3, 5, 5, 2)):
             x = rng.standard_normal(shape).astype(f32)
-            gamma, beta = np.ones(3, f32), np.zeros(3, f32)
-            rm, rv = np.zeros(3, f32), np.ones(3, f32)
-            y, cache = ops.batch_norm(x, gamma, beta, rm, rv, True)
-            gx, dgamma, dbeta = ops.batch_norm_backward(np.ones_like(y), cache)
-            arrays = [y, rm, rv, gx, dgamma, dbeta, *cache]
+            bn = BatchNorm(3, dtype=f32)
+            y = bn.forward(x, "train")
+            cache = bn._tape
+            gx = bn.backward(np.ones_like(y))
+            arrays = [y, bn.running_mean, bn.running_var, gx, bn.gamma.grad, bn.beta.grad,
+                      *cache]
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
-            y, _ = ops.batch_norm(x, gamma, beta, rm, rv, False)
-            assert y.dtype == f32, shape
+            y = bn.forward(x, "eval")
+            assert y.dtype == f32 and bn.backward(y).dtype == f32, shape
 
 
 class TestDeterminism:
@@ -857,3 +863,88 @@ class TestDeterminism:
         d1 = ops.dropout_mask(x.shape, 0.4, make_rng(99))
         d2 = ops.dropout_mask(x.shape, 0.4, make_rng(99))
         npt.assert_array_equal(d1, d2)
+
+
+# ---------------------------------------------------------------------------
+# every kernel reads its array arguments and writes only an ``out`` it is handed
+# ---------------------------------------------------------------------------
+
+
+def _kernel_calls():
+    """One or more (args, kwargs) per public ``ops`` kernel; every ndarray in
+    ``args`` (also inside a tuple) is an input, ``kwargs`` may hold an ``out``."""
+    rng = make_rng(40)
+    x = rng.standard_normal((4, 5, 5, 2))
+    g1 = rng.standard_normal((4, 5, 5, 2))
+    w = rng.standard_normal((6, 2, 3, 3))
+    w1 = rng.standard_normal((6, 4, 1, 1))
+    gamma, beta, mean = (rng.standard_normal(4) for _ in range(3))
+    var = np.abs(rng.standard_normal(4)) + 0.5
+    y, cache, _, _ = ops.batch_norm(x, gamma, beta)
+    yc, yc1 = ops.conv2d(x, w, 2, 1, 2), ops.conv2d(x, w1)
+    ya = ops.avg_pool2d(x, 3, 2, 1)
+    ym, xp = ops.max_pool2d(x, 3, 2, 1)
+    p = ops.softmax(x[:, 0, 0], axis=0)
+    s = ops.sigmoid(x)
+    return {
+        "to_chwn": [((x,), {})],
+        "to_nchw": [((x,), {})],
+        "conv2d": [((x, w, 2, 1, 2), {}), ((x, w1), {})],
+        "conv2d_backward": [((yc, x, w, 2, 1, 2), {}), ((yc1, x, w1), {})],
+        "avg_pool2d": [((x, 3, 2, 1), {})],
+        "avg_pool2d_backward": [((ya, x.shape, 3, 2, 1), {})],
+        "max_pool2d": [((x, 3, 2, 1), {}), ((x, 2), {})],
+        "max_pool2d_backward": [((ym, xp, ym, 3, 2, 1), {})],
+        "global_avg_pool": [((x,), {})],
+        "global_avg_pool_backward": [((x[:, 0, 0], x.shape), {})],
+        "batch_norm": [((x, gamma, beta), {}), ((x[:, 0, 0], gamma, beta), {})],
+        "batch_norm_eval": [((x, gamma, beta, mean, var), {}),
+                            ((x, gamma, beta, mean, var), {"out": np.empty_like(x)})],
+        "batch_norm_backward": [((g1, cache), {})],
+        "batch_norm_eval_backward": [((g1, gamma, var), {})],
+        "relu": [((x,), {}), ((x,), {"out": np.empty_like(x)})],
+        "relu_backward": [((g1, x), {})],
+        "sigmoid": [((x,), {})],
+        "sigmoid_backward": [((g1, s), {})],
+        "softmax": [((x[:, 0, 0],), {"axis": 0})],
+        "softmax_backward": [((g1[:, 0, 0], p), {"axis": 0})],
+        "dropout_mask": [((x.shape, 0.3, make_rng(1)), {})],
+        "dropblock_mask": [((x.shape, 3, 0.3, make_rng(2)), {})],
+    }
+
+
+def _arrays(args):
+    for a in args:
+        if isinstance(a, np.ndarray):
+            yield a
+        elif isinstance(a, tuple):
+            yield from _arrays(a)
+
+
+def _ops_functions():
+    return {name: f for name, f in vars(ops).items()
+            if inspect.isfunction(inspect.unwrap(f)) and f.__module__ == ops.__name__}
+
+
+class TestKernelsArePure:
+    def test_every_kernel_is_listed(self):
+        public = {name for name in _ops_functions() if not name.startswith("_")}
+        assert public == set(_kernel_calls())
+
+    def test_no_function_takes_a_mode(self):
+        for name, f in _ops_functions().items():
+            taken = {"train", "mode", "momentum", "eps"} & set(inspect.signature(f).parameters)
+            assert not taken, f"{name} takes {taken}"
+
+    @pytest.mark.parametrize("name", sorted(_kernel_calls()))
+    def test_inputs_read_only_and_unchanged(self, name):
+        """Each kernel runs with every array argument read-only, and leaves
+        their values as they were."""
+        for args, kwargs in _kernel_calls()[name]:
+            arrays = list(_arrays(args))
+            before = [a.copy() for a in arrays]
+            for a in arrays:
+                a.flags.writeable = False
+            getattr(ops, name)(*args, **kwargs)
+            for a, b in zip(arrays, before):
+                assert a.tobytes() == b.tobytes(), name
