@@ -92,6 +92,8 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: tensor name at byte {off} is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
         off += 4 + name_len
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: tensor {name}: unknown dtype tag {tag}")

@@ -276,9 +276,6 @@ class Network(Module):
         self._eval_input = None  # of the last forward if eval, until a backward replays it
         self.assign_names()
 
-    def stages(self) -> list[Stage]:
-        return [self.stage1, self.stage2, self.stage3, self.stage4]
-
     def layers(self):
         return [self.stem, self.stage1, self.stage2, self.stage3, self.dropblock3,
                 self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]

@@ -341,7 +341,8 @@ def save_training_state(network, velocities: dict[str, np.ndarray],
 
 def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> int:
     """Load a training checkpoint into ``network`` and ``velocities`` (cast to
-    the parameter dtypes); returns the epoch to resume from."""
+    the parameter dtypes); returns the epoch to resume from. A checkpoint
+    holds every parameter's velocity or, saved before any step, none."""
     tensors = load_checkpoint(path)
     next_epoch = tensors.get("meta.next_epoch")
     if next_epoch is None or next_epoch.size != 1:
@@ -359,10 +360,12 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
     stray = [k for k in tensors if k.startswith("velocity.") and k not in names]
     if stray:
         raise CheckpointError(f"{path}: {stray[0]} matches no parameter")
+    if names.isdisjoint(tensors):  # saved before the first step
+        return int(next_epoch)
     for p in params:
         v = tensors.get(f"velocity.{p.name}")
         if v is None:
-            continue
+            raise CheckpointError(f"{path}: velocity.{p.name} missing from a partial set")
         if v.shape != p.shape:
             raise CheckpointError(
                 f"{path}: velocity.{p.name}: shape {v.shape} != parameter shape {p.shape}"

@@ -96,6 +96,17 @@ def test_corrupt_header_rejected(tmp_path, name, extents, match):
         load_checkpoint(path)
 
 
+def test_duplicate_name_rejected(tmp_path):
+    """Two records named ``a``: the header's count of 2 holds, but a load
+    would keep only the second."""
+    record = struct.pack("<H", 1) + b"a" + struct.pack("<BBQ", 1, 1, 1)
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 2)
+                     + record + np.ones(1).tobytes() + record + np.zeros(1).tobytes())
+    with pytest.raises(CheckpointError, match="tensor a appears twice"):
+        load_checkpoint(path)
+
+
 def test_trailing_garbage(tmp_path):
     path = tmp_path / "trail.ckpt"
     save_checkpoint(path, {"x": np.ones(2)})

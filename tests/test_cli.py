@@ -292,10 +292,11 @@ def test_train_dropblock_byte_identical_and_resumable(tmp_path, capsys, monkeypa
     assert (tmp_path / "resumed.ckpt").read_bytes() == ck
 
 
-@pytest.mark.parametrize("shape", [(5,), (1,), "renamed"])
+@pytest.mark.parametrize("shape", [(5,), (1,), "renamed", "missing"])
 def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, monkeypatch, shape):
-    """A velocity of the wrong shape, or one whose name matches no parameter
-    (its momentum would silently restart at zero), exits 2 before any step."""
+    """A velocity of the wrong shape, one whose name matches no parameter, or
+    a missing one while the others are there (either way its momentum would
+    silently restart at zero), exits 2 before any step."""
     main(_train_args(tmp_path, "base"))
     capsys.readouterr()
     tensors = load_checkpoint(tmp_path / "base.ckpt")
@@ -303,6 +304,8 @@ def test_train_resume_rejects_bad_velocity_shape(tmp_path, capsys, monkeypatch, 
     if shape == "renamed":
         name = "velocity.stem.conv1.weighs"
         tensors[name] = tensors.pop("velocity.stem.conv1.weight")
+    elif shape == "missing":
+        del tensors[name]
     else:
         tensors[name] = np.zeros(shape)
     save_checkpoint(tmp_path / "bad.ckpt", tensors)

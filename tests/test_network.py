@@ -207,7 +207,7 @@ class TestNetwork:
         x = make_rng(1).standard_normal((1, 3, 224, 224))
         h = net.stem.forward(to_chwn(x), mode="eval")
         sizes = []
-        for stage in net.stages():
+        for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
             h = stage.forward(h, mode="eval")
             sizes.append(h.shape[2])
         assert sizes == [56, 28, 14, 7]  # input / 2^(i+2)

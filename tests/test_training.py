@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splatnet.checkpoint import load_checkpoint
+from splatnet.checkpoint import CheckpointError, load_checkpoint
 from splatnet.data import make_toy_dataset
 from splatnet.gradcheck import grad_check
 from splatnet.network import NetworkConfig, build_network
@@ -24,6 +24,7 @@ from splatnet.training import (
     mixup_batch,
     one_hot,
     restore_training_state,
+    save_training_state,
     sgd_step,
     smooth_targets,
     train_toy,
@@ -335,6 +336,19 @@ class TestTrainToy:
         velocities = {p.name: np.zeros_like(p.value) for p in net2.parameters()}
         restore_training_state(net2, velocities, ck)
         npt.assert_array_equal(net2.forward(x, mode="eval"), logits)
+
+    def test_restore_holds_every_velocity_or_none(self, tmp_path):
+        """A checkpoint saved before the first step holds no velocity and is
+        a resume point; one that lacks a single velocity is not."""
+        net = build_network(NetworkConfig(**MICRO), spawn_rng(0, 0))
+        ck = tmp_path / "fresh.ckpt"
+        save_training_state(net, {}, 0, ck)
+        velocities = {}
+        assert restore_training_state(net, velocities, ck) == 0 and velocities == {}
+        first, *rest = net.parameters()
+        save_training_state(net, {p.name: np.zeros_like(p.value) for p in rest}, 1, ck)
+        with pytest.raises(CheckpointError, match=f"velocity.{first.name} missing"):
+            restore_training_state(net, {}, ck)
 
     def test_float32_stays_float32_with_dropblock_and_mixup(self, tmp_path):
         cfg = NetworkConfig(**{**MICRO, "dropblock_prob": 0.2, "dropout": 0.2})
