@@ -880,7 +880,7 @@ def _kernel_calls():
     w1 = rng.standard_normal((6, 4, 1, 1))
     gamma, beta, mean = (rng.standard_normal(4) for _ in range(3))
     var = np.abs(rng.standard_normal(4)) + 0.5
-    y, cache, _, _ = ops.batch_norm(x, gamma, beta)
+    _, cache, _, _ = ops.batch_norm(x, gamma, beta)
     yc, yc1 = ops.conv2d(x, w, 2, 1, 2), ops.conv2d(x, w1)
     ya = ops.avg_pool2d(x, 3, 2, 1)
     ym, xp = ops.max_pool2d(x, 3, 2, 1)
