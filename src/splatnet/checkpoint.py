@@ -69,46 +69,47 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         tmp.unlink(missing_ok=True)  # gone already after a successful replace
 
 
-def _unpack(fmt: str, buf: bytes, off: int, path) -> tuple:
-    """``struct.unpack_from`` that reports a short buffer as a truncated file."""
-    if off + struct.calcsize(fmt) > len(buf):
-        raise CheckpointError(f"{path}: truncated header at byte {off}")
-    return struct.unpack_from(fmt, buf, off)
+def _read(f, fmt: str, path) -> tuple:
+    """``struct.unpack`` of the next bytes of ``f``; a short read is a truncated file."""
+    size = struct.calcsize(fmt)
+    buf = f.read(size)
+    if len(buf) < size:
+        raise CheckpointError(f"{path}: truncated header at byte {f.tell() - len(buf)}")
+    return struct.unpack(fmt, buf)
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
-    buf = Path(path).read_bytes()
-    if buf[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    version, count = _unpack("<II", buf, 4, path)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    off = 12
-    tensors: OrderedDict[str, np.ndarray] = OrderedDict()
-    for _ in range(count):
-        (name_len,) = _unpack("<H", buf, off, path)
-        raw, tag, rank = _unpack(f"<{name_len}sBB", buf, off + 2, path)
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name at byte {off} is not UTF-8") from None
-        if name in tensors:
-            raise CheckpointError(f"{path}: tensor {name} appears twice")
-        off += 4 + name_len
-        if tag not in _TAG_DTYPES:
-            raise CheckpointError(f"{path}: tensor {name}: unknown dtype tag {tag}")
-        shape = _unpack(f"<{rank}Q", buf, off, path)
-        off += 8 * rank
-        dtype = _TAG_DTYPES[tag]
-        nbytes = math.prod(shape) * dtype.itemsize
-        if off + nbytes > len(buf):
-            raise CheckpointError(f"{path}: truncated data for tensor {name}")
-        # numpy checks the size of an empty shape over its nonzero extents
-        if math.prod(s for s in shape if s) * dtype.itemsize > np.iinfo(np.intp).max:
-            raise CheckpointError(f"{path}: tensor {name}: shape {shape} is too large")
-        data = np.frombuffer(buf, dtype=dtype, count=nbytes // dtype.itemsize, offset=off)
-        off += nbytes
-        tensors[name] = data.reshape(shape).copy()
-    if off != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes after last tensor")
+    """The tensors of ``path`` in file order, each read into its own array once
+    its size is checked against the file's: a load holds the data once."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if (magic := f.read(4)) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        version, count = _read(f, "<II", path)
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        tensors: OrderedDict[str, np.ndarray] = OrderedDict()
+        for _ in range(count):
+            off = f.tell()
+            (name_len,) = _read(f, "<H", path)
+            raw, tag, rank = _read(f, f"<{name_len}sBB", path)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor name at byte {off} is not UTF-8") from None
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name} appears twice")
+            if tag not in _TAG_DTYPES:
+                raise CheckpointError(f"{path}: tensor {name}: unknown dtype tag {tag}")
+            shape = _read(f, f"<{rank}Q", path)
+            dtype = _TAG_DTYPES[tag]
+            if f.tell() + math.prod(shape) * dtype.itemsize > size:
+                raise CheckpointError(f"{path}: truncated data for tensor {name}")
+            # numpy checks the size of an empty shape over its nonzero extents
+            if math.prod(s for s in shape if s) * dtype.itemsize > np.iinfo(np.intp).max:
+                raise CheckpointError(f"{path}: tensor {name}: shape {shape} is too large")
+            tensors[name] = np.empty(shape, dtype)
+            f.readinto(tensors[name])
+        if f.tell() != size:
+            raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes after last tensor")
     return tensors

@@ -215,8 +215,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ConfigurationError, CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, CheckpointError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -3,12 +3,12 @@
 Each layer keeps what its backward reads in one slot, ``_tape``, and its
 backward pops the slot and hands the kernel exactly what it kept: call
 ``forward`` then ``backward`` once, in that order. Each array is kept once:
-a conv keeps its input (usually the array the ReLU before it keeps), which
-``ops.conv2d_backward`` takes as it is. No layer writes in place into an
-array that an earlier layer's tape holds, and a train forward's input must
-not change before its backward. Each backward writes (replaces) its
-parameters' ``Parameter.grad``; an eval-mode batch-norm backward writes no
-gamma/beta gradient.
+a conv or max pool keeps its input (usually the array the ReLU before it
+keeps), which its backward kernel takes as it is. No layer writes in place
+into an array that an earlier layer's tape holds, and a train forward's
+input must not change before its backward. Each backward writes (replaces)
+its parameters' ``Parameter.grad``; an eval-mode batch-norm backward writes
+no gamma/beta gradient.
 
 Layers take a third mode, :data:`INFER`. What a layer computes branches only
 on ``mode == "train"``, so INFER computes exactly what eval mode computes;
@@ -227,10 +227,9 @@ class AddReLU(Module):
 
 
 class _Pool2d(Module):
-    """The pooling layers' window arguments (the stride defaults to the
-    kernel) and cost, kh*kw ops per output."""
+    """The pooling layers' window arguments and cost, kh*kw ops per output."""
 
-    def __init__(self, kernel, stride=None, padding=0):
+    def __init__(self, kernel, stride, padding=0):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
@@ -251,15 +250,16 @@ class AvgPool2d(_Pool2d):
 
 
 class MaxPool2d(_Pool2d):
+    """Keeps its input and output, from which the backward finds each argmax."""
+
     def forward(self, x, mode="train", rng=None):
-        # the backward finds each window's argmax from the padded input and output
-        y, xp = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-        self._tape = xp, y
+        y = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
+        self._tape = x, y
         return y
 
     def backward(self, grad_out):
-        (xp, y), self._tape = self._tape, None
-        return ops.max_pool2d_backward(grad_out, xp, y, self.kernel, self.stride,
+        (x, y), self._tape = self._tape, None
+        return ops.max_pool2d_backward(grad_out, x, y, self.kernel, self.stride,
                                        self.padding)
 
 

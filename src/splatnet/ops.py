@@ -7,9 +7,11 @@ make but an ``out`` it is handed. Activations are batch-innermost:
 whole batch form one contiguous row (cuda-convnet's layout). The network
 converts from and to NCHW once, at its boundary (``to_chwn``, ``to_nchw``).
 Each forward has a matching ``*_backward`` that returns exact analytic
-gradients. There is no graph engine: :mod:`splatnet.layers` wraps each
-kernel in a layer, and a composite module runs its backward over the same
-layer list as its forward.
+gradients. A conv or pool forward returns its output alone; its backward
+takes the forward's input or its shape (the max pool's output too) and
+rebuilds from it what it needs. There is no graph engine:
+:mod:`splatnet.layers` wraps each kernel in a layer, and a composite module
+runs its backward over the same layer list as its forward.
 
 Conventions:
     * convolution is cross-correlation (no kernel flip), zero padding only;
@@ -192,12 +194,6 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
 # ---------------------------------------------------------------------------
 
 
-def _pool_window(x_shape, kernel, stride, padding):
-    """``_window`` of a pooling kernel, whose stride defaults to the kernel."""
-    return _window(x_shape, kernel, kernel if stride is None else stride, padding,
-                   "pool kernel")
-
-
 def _window_counts(h, w, window):
     """In-bounds positions of each pooling window over an H x W input, [Ho, Wo].
 
@@ -224,71 +220,64 @@ def _pool_divisors(h, w, window, dtype):
     return divisors
 
 
-def avg_pool2d(x, kernel, stride=None, padding=0):
+def avg_pool2d(x, kernel, stride, padding=0):
     """Mean over each window; zero padding, which the divisor does not count.
 
     The kh*kw strided slices of the padded input, one per window offset,
     are summed into one accumulator in window order, then divided.
     """
-    window = _pool_window(x.shape, kernel, stride, padding)
-    c, h, w, n = x.shape
+    window = _window(x.shape, kernel, stride, padding, "pool kernel")
     slices = _window_slices(_pad_spatial(x, *window[4:6]), window)
     out = slices[0].copy()
     for s in slices[1:]:
         out += s
-    out /= _pool_divisors(h, w, window, x.dtype)
+    out /= _pool_divisors(x.shape[1], x.shape[2], window, x.dtype)
     return out
 
 
-def avg_pool2d_backward(grad_out, x_shape, kernel, stride=None, padding=0):
+def avg_pool2d_backward(grad_out, x_shape, kernel, stride, padding=0):
     """Distributes each window's gradient uniformly over its contributors.
 
     Returns a C-contiguous array of grad_out's dtype.
     """
-    window = _pool_window(x_shape, kernel, stride, padding)
+    window = _window(x_shape, kernel, stride, padding, "pool kernel")
     g = grad_out / _pool_divisors(x_shape[1], x_shape[2], window, grad_out.dtype)
     return _scatter_windows(lambda i, j: g, x_shape, window, grad_out.dtype)
 
 
-def max_pool2d(x, kernel, stride=None, padding=0):
+def max_pool2d(x, kernel, stride, padding=0):
     """Max over each window; padding filled with -inf so it never wins.
 
     An elementwise maximum over the kh*kw strided slices of the padded
-    input. Returns (y, xp); ``max_pool2d_backward`` takes the padded input
-    xp, so it does not pad again, and a forward does no index work.
+    input. Returns y; ``max_pool2d_backward`` takes the same x and pads it
+    again, so a forward does no index work and keeps no padded copy.
     """
-    window = _pool_window(x.shape, kernel, stride, padding)
-    xp = _pad_spatial(x, *window[4:6], -np.inf)
-    slices = _window_slices(xp, window)
+    window = _window(x.shape, kernel, stride, padding, "pool kernel")
+    slices = _window_slices(_pad_spatial(x, *window[4:6], -np.inf), window)
     best = slices[0].copy()
     for s in slices[1:]:
         np.maximum(best, s, out=best)
-    return best, xp
+    return best
 
 
-def max_pool2d_backward(grad_out, xp, y, kernel, stride=None, padding=0):
+def max_pool2d_backward(grad_out, x, y, kernel, stride, padding=0):
     """Routes each window's gradient to its first argmax position.
 
-    xp and y are ``max_pool2d``'s padded input and output. A window hits at
-    the first offset, in row-major order, whose slice equals its maximum.
-    Each offset's hits take grad_out and the rest zero, added onto the input
-    by ``_scatter_windows``. Returns an array of grad_out's dtype.
+    x and y are ``max_pool2d``'s input and output. A window hits at the first
+    offset, in row-major order, whose slice of the -inf-padded x equals its
+    maximum. Each offset's hits take grad_out and the rest zero, added onto
+    the input by ``_scatter_windows``. Returns an array of grad_out's dtype.
     """
-    ph, pw = _pair(padding)
-    c, hp, wp, n = xp.shape
-    x_shape = (c, hp - 2 * ph, wp - 2 * pw, n)
-    window = _pool_window(x_shape, kernel, stride, padding)
+    window = _window(x.shape, kernel, stride, padding, "pool kernel")
     taken = np.zeros(y.shape, dtype=bool)
     hits = []
-    for s in _window_slices(xp, window):
+    for s in _window_slices(_pad_spatial(x, *window[4:6], -np.inf), window):
         hit = s == y
         np.greater(hit, taken, out=hit)  # not taken by an earlier offset
         taken |= hit
         hits.append(hit)
-    zero = np.zeros((), dtype=grad_out.dtype)
-    kw = window[1]
-    return _scatter_windows(lambda i, j: np.where(hits[i * kw + j], grad_out, zero),
-                            x_shape, window, grad_out.dtype)
+    return _scatter_windows(lambda i, j: np.where(hits[i * window[1] + j], grad_out, 0),
+                            x.shape, window, grad_out.dtype)
 
 
 def global_avg_pool(x):

@@ -1,6 +1,7 @@
 """Checkpoint format: golden bytes, round trips, and corruption handling."""
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,23 @@ def test_round_trip_exact(tmp_path):
     for name in tensors:
         assert loaded[name].dtype == tensors[name].dtype
         npt.assert_array_equal(loaded[name], tensors[name])
+
+
+def test_load_holds_the_file_once(tmp_path):
+    """Each tensor is read straight into its own array: a load's traced peak
+    is the tensors themselves, with no whole-file buffer beside them."""
+    rng = np.random.default_rng(1)
+    tensors = {f"t{i}": rng.standard_normal((256, 1024)) for i in range(4)}  # 8 MiB
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, tensors)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + (1 << 20)
+    assert all(loaded[k].tobytes() == v.tobytes() for k, v in tensors.items())
 
 
 def test_bad_magic(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output contracts, determinism."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +213,24 @@ def test_negative_seed_exit_2(argv, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "seed" in err
+
+
+TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--classes", "10000000000000"],
+    ["bench", "--config", TOY_CONFIG, "--batch", "1000000000000"],
+    ["train", "--config", TOY_CONFIG, "--samples", "1000000000000"],
+], ids=["analyze-classes", "bench-batch", "train-samples"])
+def test_unallocatable_size_exit_2(argv, capsys):
+    """Each setting needs an array of more than 2**47 bytes, which no host
+    maps even under overcommit, so the allocation itself fails."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "allocate" in err
 
 
 def test_train_writes_log_and_checkpoint(tmp_path, capsys):

@@ -348,12 +348,12 @@ class TestPooling:
 
     def test_avg_kernel_too_large(self):
         with pytest.raises(ConfigurationError, match="pool kernel"):
-            ops.avg_pool2d(np.zeros((1, 3, 3, 1)), 5)
+            ops.avg_pool2d(np.zeros((1, 3, 3, 1)), 5, 5)
         with pytest.raises(ConfigurationError, match="pool kernel"):
-            ops.avg_pool2d_backward(np.zeros((1, 1, 1, 1)), (1, 3, 3, 1), 5)
+            ops.avg_pool2d_backward(np.zeros((1, 1, 1, 1)), (1, 3, 3, 1), 5, 5)
         with pytest.raises(ConfigurationError, match="pool kernel"):
             ops.max_pool2d_backward(np.zeros((1, 1, 1, 1)), np.zeros((1, 3, 3, 1)),
-                                    np.zeros((1, 1, 1, 1)), 5)
+                                    np.zeros((1, 1, 1, 1)), 5, 5)
 
     def test_avg_backward_fd(self):
         rng = make_rng(7)
@@ -370,7 +370,7 @@ class TestPooling:
     def test_max_pool_and_backward(self):
         rng = make_rng(8)
         x = rng.standard_normal((2, 3, 7, 7))
-        y = to_nchw(ops.max_pool2d(to_chwn(x), 3, 2, 1)[0])
+        y = to_nchw(ops.max_pool2d(to_chwn(x), 3, 2, 1))
         # oracle via explicit windows
         for b in range(2):
             for c in range(3):
@@ -387,8 +387,8 @@ class TestPooling:
         proj = rng.standard_normal((3, 4, 4, 2))
 
         def loss():
-            yy, xp = ops.max_pool2d(xc, 3, 2, 1)
-            gx = ops.max_pool2d_backward(proj, xp, yy, 3, 2, 1)
+            yy = ops.max_pool2d(xc, 3, 2, 1)
+            gx = ops.max_pool2d_backward(proj, xc, yy, 3, 2, 1)
             return float((yy * proj).sum()), {"x": gx}
 
         assert grad_check(loss, {"x": xc}, tolerance=1e-8).passed
@@ -491,11 +491,11 @@ class TestPoolingReference:
         npt.assert_allclose(to_nchw(gx), want, rtol=0, atol=1e-14)
         assert gx.flags.c_contiguous and gx.dtype == grad_out.dtype
 
-        y, xp = ops.max_pool2d(xc, kernel, stride, padding)
+        y = ops.max_pool2d(xc, kernel, stride, padding)
         want_y, want_idx = max_pool_oracle(x, kernel, stride, padding)
         npt.assert_array_equal(to_nchw(y), want_y)
         # the routed gradient sees the argmax, first occurrence on ties
-        gx = ops.max_pool2d_backward(grad_out, xp, y, kernel, stride, padding)
+        gx = ops.max_pool2d_backward(grad_out, xc, y, kernel, stride, padding)
         want = max_pool_backward_oracle(to_nchw(grad_out), want_idx, x.shape, kernel,
                                         stride, padding)
         npt.assert_array_equal(to_nchw(gx), want)
@@ -830,9 +830,9 @@ class TestFloat32:
         g = rng.standard_normal(y.shape).astype(f32)
         gx = ops.avg_pool2d_backward(g, x.shape, 3, 2, 1)
         assert y.dtype == f32 and gx.dtype == f32
-        y, xp = ops.max_pool2d(x, 3, 2, 1)
-        gx = ops.max_pool2d_backward(g, xp, y, 3, 2, 1)
-        assert y.dtype == f32 and xp.dtype == f32 and gx.dtype == f32
+        y = ops.max_pool2d(x, 3, 2, 1)
+        gx = ops.max_pool2d_backward(g, x, y, 3, 2, 1)
+        assert y.dtype == f32 and gx.dtype == f32
 
         w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
         y = ops.conv2d(x, w, 2, 1)
@@ -883,7 +883,7 @@ def _kernel_calls():
     _, cache, _, _ = ops.batch_norm(x, gamma, beta)
     yc, yc1 = ops.conv2d(x, w, 2, 1, 2), ops.conv2d(x, w1)
     ya = ops.avg_pool2d(x, 3, 2, 1)
-    ym, xp = ops.max_pool2d(x, 3, 2, 1)
+    ym = ops.max_pool2d(x, 3, 2, 1)
     p = ops.softmax(x[:, 0, 0], axis=0)
     s = ops.sigmoid(x)
     return {
@@ -893,8 +893,8 @@ def _kernel_calls():
         "conv2d_backward": [((yc, x, w, 2, 1, 2), {}), ((yc1, x, w1), {})],
         "avg_pool2d": [((x, 3, 2, 1), {})],
         "avg_pool2d_backward": [((ya, x.shape, 3, 2, 1), {})],
-        "max_pool2d": [((x, 3, 2, 1), {}), ((x, 2), {})],
-        "max_pool2d_backward": [((ym, xp, ym, 3, 2, 1), {})],
+        "max_pool2d": [((x, 3, 2, 1), {}), ((x, 2, 2), {})],
+        "max_pool2d_backward": [((ym, x, ym, 3, 2, 1), {})],
         "global_avg_pool": [((x,), {})],
         "global_avg_pool_backward": [((x[:, 0, 0], x.shape), {})],
         "batch_norm": [((x, gamma, beta), {}), ((x[:, 0, 0], gamma, beta), {})],
