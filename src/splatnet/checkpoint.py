@@ -48,7 +48,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr)
+        a = np.asarray(arr, order="C")  # C-contiguous, and a 0-d array stays 0-d
         key = np.dtype(a.dtype).newbyteorder("<")
         if key not in _DTYPE_TAGS:
             raise CheckpointError(f"tensor {name}: unsupported dtype {a.dtype}")

@@ -10,8 +10,9 @@ relative error, with the symmetric normalization
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -64,12 +65,15 @@ def grad_check(
     tolerance: float = 1e-6,
     max_entries_per_param: int | None = None,
     rng: np.random.Generator | None = None,
+    writing: Callable[[], ContextManager] = nullcontext,
 ) -> GradCheckReport:
     """Compare analytic gradients with central differences.
 
     ``loss_and_grads`` must recompute everything from the live ``params``
-    arrays (which are perturbed in place and restored). When a parameter is
-    large, ``max_entries_per_param`` limits the check to a random subset of
+    arrays (which are perturbed in place and restored, each write inside a
+    ``writing()`` block: pass the owning module's ``Module.writing`` when
+    ``params`` holds parameter values). When a parameter is large,
+    ``max_entries_per_param`` limits the check to a random subset of
     elements (requires ``rng``).
     """
     for name, arr in params.items():
@@ -90,11 +94,14 @@ def grad_check(
             # index the array itself: a reshape of a non-contiguous one is a copy
             idx = tuple(int(j) for j in np.unravel_index(int(i), arr.shape))
             orig = arr[idx]
-            arr[idx] = orig + h
+            with writing():
+                arr[idx] = orig + h
             lp = loss_and_grads()[0]
-            arr[idx] = orig - h
+            with writing():
+                arr[idx] = orig - h
             lm = loss_and_grads()[0]
-            arr[idx] = orig
+            with writing():
+                arr[idx] = orig
             numeric = (lp - lm) / (2.0 * h)
             analytic = g[idx]
             e = rel_err(analytic, numeric)

@@ -29,6 +29,13 @@ forward order (``None`` for a layer the configuration leaves out):
 Only the joins of two paths (the residual sum, the attention-weighted
 fusion) route gradients by hand.
 
+Parameter values and batch-norm running buffers are read-only; their
+writers (the build, ``load_state_dict``, the SGD update and a train-mode
+batch norm's running update) go through :meth:`Module.writing`, which bumps
+the owning modules' ``version`` (:mod:`splatnet.params`). So a
+:class:`BatchNorm` keeps its eval constants keyed by (version, input shape)
+and rebuilds them only when that key changes.
+
 Every layer takes [C, H, W, N] or [F, N] activations (:mod:`splatnet.ops`)
 and prices one image: ``cost(x_shape, y_shape)`` returns ``(macs, aux_ops)``
 from the per-image shapes (all axes but the last) of its first input and its
@@ -150,8 +157,14 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Per-channel batch norm (``ops.BN_*`` constants). Besides ``load_state_dict``
-    and the build, only a train forward writes its running buffers."""
+    """Per-channel batch norm (``ops.BN_*`` constants).
+
+    Its gamma, beta and read-only running buffers change only through
+    :meth:`Module.writing`: in the build, ``load_state_dict``, the SGD update
+    (gamma and beta) and a train forward, which folds the batch statistics
+    into the running buffers. An eval forward applies the constants of
+    ``ops.batch_norm_eval_constants``, built once per (``version``, input
+    shape) and kept until either changes."""
 
     def __init__(self, num_features, dtype=np.float64):
         self.num_features = num_features
@@ -159,6 +172,8 @@ class BatchNorm(Module):
         self.beta = Parameter(np.zeros(num_features, dtype=dtype), decay_eligible=False)
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
+        self.running_mean.flags.writeable = self.running_var.flags.writeable = False
+        self._eval = None, ()  # (version, input shape) and the eval constants for it
 
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -166,12 +181,17 @@ class BatchNorm(Module):
     def forward(self, x, mode="train", rng=None):
         if mode != "train":
             self._tape = None
-            return ops.batch_norm_eval(x, self.gamma.value, self.beta.value, self.running_mean,
-                                       self.running_var, out=x if mode == INFER else None)
+            key = (self.version, x.shape)
+            if self._eval[0] != key:
+                self._eval = key, ops.batch_norm_eval_constants(
+                    x.shape, self.gamma.value, self.beta.value, self.running_mean,
+                    self.running_var)
+            return ops.batch_norm_affine(x, *self._eval[1], out=x if mode == INFER else None)
         y, self._tape, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
-        for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
-            buf *= 1.0 - ops.BN_MOMENTUM
-            buf += ops.BN_MOMENTUM * stat
+        with self.writing():
+            for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
+                buf *= 1.0 - ops.BN_MOMENTUM
+                buf += ops.BN_MOMENTUM * stat
         return y
 
     def cost(self, x_shape, y_shape):

@@ -163,7 +163,8 @@ class Bottleneck(Module):
         self.conv3 = Conv2d(gw, spec.out_channels, 1, rng=rng, dtype=dtype)
         self.bn3 = BatchNorm(spec.out_channels, dtype=dtype)
         # silence the residual branch at initialization
-        self.bn3.gamma.value[...] = 0.0
+        with self.bn3.writing():
+            self.bn3.gamma.value[...] = 0.0
 
         if spec.needs_projection:
             self.down_pool = (
@@ -272,7 +273,8 @@ class Network(Module):
         self.head_dropout = Dropout(cfg.dropout) if cfg.dropout > 0 else None
         self.fc = Linear(in_ch, cfg.num_classes, bias=True, dtype=dtype)
         if rng is not None:
-            normal_fill(rng, self.fc.weight.value, 0.01)
+            with self.fc.writing():
+                normal_fill(rng, self.fc.weight.value, 0.01)
         self._eval_input = None  # of the last forward if eval, until a backward replays it
         self.assign_names()
 

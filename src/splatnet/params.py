@@ -5,6 +5,15 @@ tensor, the gradient its layer's last backward wrote (``None`` until then),
 and a weight-decay eligibility flag (decay applies to conv / fully-connected
 weights only, never to biases or normalization scale/shift).
 
+Parameter values and a module's extra state (the batch-norm running buffers)
+are read-only arrays. :meth:`Module.writing` is the one door for writes to
+them, and only these writers go through it: the build, ``load_state_dict``,
+the SGD update (:func:`splatnet.training.sgd_step`) and a train-mode batch
+norm's running update. Leaving the door bumps ``Module.version`` of every
+module it opened, so a module can key what it derives from its tensors on
+its version: :class:`splatnet.layers.BatchNorm` keeps its eval constants per
+(version, input shape).
+
 All randomness flows through explicit ``numpy.random.Generator`` objects
 seeded from a 64-bit integer via PCG64, so identical seeds give identical
 streams on every platform.
@@ -12,6 +21,7 @@ streams on every platform.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +48,17 @@ class Parameter:
     ``grad`` is None until a backward writes it; each backward replaces it,
     so nothing needs clearing between steps. ``decay_eligible`` is True only
     for convolution and fully-connected weights; the optimizer skips L2
-    decay for everything else.
+    decay for everything else. ``value`` is made read-only here; its owning
+    module's :meth:`Module.writing` lets writers change it.
     """
 
     value: np.ndarray
     decay_eligible: bool
     name: str = ""
     grad: np.ndarray | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        self.value.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,6 +83,7 @@ class Module:
     """
 
     _tape = None  # what a leaf layer's backward reads (splatnet.layers)
+    version = 0  # bumped on leaving each writing() block that opened this module
 
     def _children(self):
         for attr, obj in vars(self).items():
@@ -103,15 +118,37 @@ class Module:
         """Non-trainable arrays to persist (e.g. normalization running stats)."""
         return {}
 
-    def named_state(self, prefix: str = ""):
-        """All persistent tensors: parameters plus extra state, path-named."""
+    def own_state(self):
+        """(name, array) for this module's own parameter values and extra state."""
         for attr, obj in vars(self).items():
             if isinstance(obj, Parameter):
-                yield (f"{prefix}{attr}", obj.value)
-        for key, arr in self.extra_state().items():
+                yield attr, obj.value
+        yield from self.extra_state().items()
+
+    def named_state(self, prefix: str = ""):
+        """All persistent tensors: parameters plus extra state, path-named."""
+        for key, arr in self.own_state():
             yield (f"{prefix}{key}", arr)
         for name, child in self._children():
             yield from child.named_state(f"{prefix}{name}.")
+
+    @contextmanager
+    def writing(self):
+        """The one door for writes to persistent tensors: inside the block the
+        parameter values and extra state of this module and every module below
+        it are writeable; on leaving, they are read-only again and each of
+        those modules' ``version`` moves on. Blocks do not nest."""
+        modules = [self, *(m for _, m in self.named_modules())]
+        arrays = [arr for m in modules for _, arr in m.own_state()]
+        for arr in arrays:
+            arr.flags.writeable = True
+        try:
+            yield
+        finally:
+            for arr in arrays:
+                arr.flags.writeable = False
+            for m in modules:
+                m.version += 1
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return dict(self.named_state())
@@ -130,7 +167,9 @@ class Module:
                 raise ConfigurationError(
                     f"state tensor {key}: shape {src.shape} != expected {arr.shape}"
                 )
-            arr[...] = src
+        with self.writing():
+            for key, arr in own.items():
+                arr[...] = state[key]
 
 
 # values per float64 draw buffer of ``normal_fill``: 128 KiB

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .params import ConfigurationError, Parameter, spawn_rng
+from .params import ConfigurationError, Module, spawn_rng
 
 
 class TrainingDiverged(RuntimeError):
@@ -208,22 +208,24 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def sgd_step(params: list[Parameter], velocities: dict[str, np.ndarray],
+def sgd_step(model: Module, velocities: dict[str, np.ndarray],
              lr: float, opt: OptimizerConfig) -> None:
-    """Classical momentum update with decay on decay-eligible weights only.
+    """Classical momentum update of every parameter of ``model``, through its
+    ``writing`` door, with decay on decay-eligible weights only.
 
     v <- momentum * v + (grad + wd * w), v starting at 0;  w <- w - lr * v.
     """
-    for p in params:
-        g = p.grad
-        if opt.weight_decay != 0.0 and p.decay_eligible:
-            g = g + opt.weight_decay * p.value
-        v = velocities.get(p.name)
-        if v is None:
-            v = velocities[p.name] = np.zeros_like(p.value)
-        v *= opt.momentum
-        v += g
-        p.value -= lr * v
+    with model.writing():
+        for p in model.parameters():
+            g = p.grad
+            if opt.weight_decay != 0.0 and p.decay_eligible:
+                g = g + opt.weight_decay * p.value
+            v = velocities.get(p.name)
+            if v is None:
+                v = velocities[p.name] = np.zeros_like(p.value)
+            v *= opt.momentum
+            v += g
+            p.value -= lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
             network.backward(dlogits)
             last_lr = lr_at(gstep, sched)
             result.lr_trace.append(last_lr)
-            sgd_step(network.parameters(), velocities, last_lr, opt_cfg)
+            sgd_step(network, velocities, last_lr, opt_cfg)
 
             epoch_loss += float(loss) * len(idx)
             # accuracy against the un-mixed labels of the batch

@@ -253,7 +253,7 @@ def splat_gradcheck(seed: int = 0):
         return loss, grads
 
     return grad_check(loss_and_grads, params, tolerance=1e-4,
-                      max_entries_per_param=6, rng=rng)
+                      max_entries_per_param=6, rng=rng, writing=unit.writing)
 
 
 def run_gradcheck(seed: int = 0) -> list[CheckResult]:

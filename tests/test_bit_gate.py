@@ -88,10 +88,11 @@ def _seeded_network(cfg, dtype=np.float64):
     for _, module in net.named_modules():
         if isinstance(module, BatchNorm):
             c = module.num_features
-            module.gamma.value[...] = rng.normal(1.0, 0.5, c)
-            module.beta.value[...] = rng.normal(0.0, 0.2, c)
-            module.running_mean[...] = rng.normal(0.0, 0.5, c)
-            module.running_var[...] = rng.uniform(0.5, 2.0, c)
+            with module.writing():
+                module.gamma.value[...] = rng.normal(1.0, 0.5, c)
+                module.beta.value[...] = rng.normal(0.0, 0.2, c)
+                module.running_mean[...] = rng.normal(0.0, 0.5, c)
+                module.running_var[...] = rng.uniform(0.5, 2.0, c)
     if dtype == np.float64:
         return net
     cast = build_network(cfg, None, dtype=dtype)
@@ -340,13 +341,15 @@ def directional_error(net, size=SIZE, channels=1, batch=16):
     for h in STEPS:
         sides = []
         for sign in (1.0, -1.0):
-            for p, s, d in zip(params, start, v):
-                p.value[...] = s + (sign * h / norm) * d
+            with net.writing():
+                for p, s, d in zip(params, start, v):
+                    p.value[...] = s + (sign * h / norm) * d
             sides.append(loss())
         fd = (sides[0] - sides[1]) / (2.0 * h)
         errors.append(abs(fd - analytic) / max(abs(fd), abs(analytic)))
-    for p, s in zip(params, start):
-        p.value[...] = s
+    with net.writing():
+        for p, s in zip(params, start):
+            p.value[...] = s
     return min(errors)
 
 

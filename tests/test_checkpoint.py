@@ -47,6 +47,14 @@ def test_round_trip_exact(tmp_path):
         npt.assert_array_equal(loaded[name], tensors[name])
 
 
+def test_round_trip_keeps_rank_0(tmp_path):
+    path = tmp_path / "scalar.ckpt"
+    save_checkpoint(path, {"scalar": np.array(3.5), "vector": np.array([3.5])})
+    loaded = load_checkpoint(path)
+    assert loaded["scalar"].shape == () and loaded["scalar"] == 3.5
+    assert loaded["vector"].shape == (1,)
+
+
 def test_load_holds_the_file_once(tmp_path):
     """Each tensor is read straight into its own array: a load's traced peak
     is the tensors themselves, with no whole-file buffer beside them."""

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatnet import ops
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
@@ -23,7 +25,9 @@ from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropo
                              run_backward, run_forward)
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
+from splatnet.training import OptimizerConfig, sgd_step
 from shortcut import shortcut_only_forward
+from strategies import network_configs
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -43,10 +47,11 @@ def randomize_batch_norm(net):
     for _, module in net.named_modules():
         if isinstance(module, BatchNorm):
             c = module.num_features
-            module.gamma.value[...] = stats.normal(1.0, 0.5, c)
-            module.beta.value[...] = stats.normal(0.0, 0.2, c)
-            module.running_mean[...] = stats.normal(0.0, 0.5, c)
-            module.running_var[...] = stats.uniform(0.5, 2.0, c)
+            with module.writing():
+                module.gamma.value[...] = stats.normal(1.0, 0.5, c)
+                module.beta.value[...] = stats.normal(0.0, 0.2, c)
+                module.running_mean[...] = stats.normal(0.0, 0.5, c)
+                module.running_var[...] = stats.uniform(0.5, 2.0, c)
     return net
 
 
@@ -224,7 +229,8 @@ class TestNetwork:
 
     def test_uniform_logits_on_fresh_zero_bias_head(self):
         net = micro_net()
-        net.fc.weight.value[...] = 0.0
+        with net.fc.writing():
+            net.fc.weight.value[...] = 0.0
         logits = net.forward(np.zeros((2, 1, 32, 32)), mode="eval")
         npt.assert_allclose(logits, logits[0, 0], atol=1e-12)
 
@@ -314,7 +320,7 @@ class TestNetwork:
             return float((logits * proj).sum()), grads
 
         report = grad_check(loss, picked, tolerance=1e-5,
-                            max_entries_per_param=4, rng=rng)
+                            max_entries_per_param=4, rng=rng, writing=net.writing)
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("overrides, names", [
@@ -351,7 +357,7 @@ class TestNetwork:
 
         analytic = loss()[1]
         report = grad_check(loss, picked, tolerance=1e-5,
-                            max_entries_per_param=4, rng=rng)
+                            max_entries_per_param=4, rng=rng, writing=net.writing)
         assert report.passed, report.summary()
         for name, entries in checked.items():
             assert entries and analytic[name].ravel()[sorted(entries)].any(), name
@@ -607,8 +613,9 @@ def kept_arrays(module):
 
 def held_arrays(net):
     """Dotted paths of the arrays the modules of ``net`` hold beyond the
-    batch-norm running buffers."""
-    buffers = ("running_mean", "running_var")
+    batch-norm running buffers and the eval constants a batch norm makes
+    from its state."""
+    buffers = ("running_mean", "running_var", "_eval")
     return [f"{path}.{attr}" for path, m in net.named_modules()
             for attr, _ in kept_arrays(m)
             if not (isinstance(m, BatchNorm) and attr in buffers)]
@@ -744,6 +751,52 @@ class TestTrainTape:
         assert held_arrays(net) == []
 
 
+class TestParameterWrites:
+    """Parameter values and batch-norm buffers change only through
+    ``Module.writing``, so no eval constant a batch norm keeps goes stale."""
+
+    def test_write_outside_the_door_raises(self):
+        net = micro_net()
+        p, bn = net.fc.weight, net.stem.bn1
+        before = {k: v.tobytes() for k, v in net.state_dict().items()}
+        with pytest.raises(ValueError, match="read-only"):
+            p.value[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            bn.running_mean += 1
+        with pytest.raises(ValueError, match="read-only"):
+            p.value -= 1
+        assert {k: v.tobytes() for k, v in net.state_dict().items()} == before
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(cfg=network_configs(), dtype=st.sampled_from((np.float64, np.float32)))
+    def test_eval_after_each_writer_matches_a_fresh_load(self, cfg, dtype):
+        """After the build, a train forward (running update), an SGD step and
+        ``load_state_dict``, each following an eval forward that built the
+        constants, an eval forward gives the bytes of a fresh network loaded
+        with the same state, in the network's dtype."""
+        net = build_network(cfg, spawn_rng(0, 0), dtype=dtype)
+        x = spawn_rng(0, 7).standard_normal((2, cfg.input_channels, 32, 32)).astype(dtype)
+
+        def assert_fresh(writer):
+            logits = net.forward(x, mode="eval")
+            fresh = build_network(cfg, None, dtype=dtype)
+            fresh.load_state_dict(net.state_dict())
+            want = fresh.forward(x, mode="eval")
+            assert logits.dtype == dtype and logits.tobytes() == want.tobytes(), writer
+
+        assert_fresh("build")
+        logits = net.forward(x, mode="train", rng=spawn_rng(0, 8))
+        assert_fresh("train forward")
+        net.forward(x, mode="train", rng=spawn_rng(0, 8))
+        net.backward(np.ones_like(logits))
+        sgd_step(net, {}, 0.1, OptimizerConfig(momentum=0.9, weight_decay=1e-4))
+        assert_fresh("sgd step")
+        other = build_network(cfg, spawn_rng(0, 9), dtype=dtype)
+        other.forward(x, mode="train", rng=spawn_rng(0, 8))
+        net.load_state_dict(other.state_dict())
+        assert_fresh("load_state_dict")
+
+
 def traced_peak(fn, *args):
     """(result, peak bytes traced while ``fn(*args)`` ran)."""
     tracemalloc.start()
@@ -782,8 +835,9 @@ class TestEvalMemory:
     def test_infer_writes_into_the_input(self):
         rng = make_rng(17)
         bn = BatchNorm(4)
-        bn.gamma.value[...] = rng.normal(1.0, 0.5, 4)
-        bn.running_mean[...] = rng.normal(0.0, 0.5, 4)
+        with bn.writing():
+            bn.gamma.value[...] = rng.normal(1.0, 0.5, 4)
+            bn.running_mean[...] = rng.normal(0.0, 0.5, 4)
         for layer, args in [(bn, ()), (ReLU(), ()),
                             (AddReLU(), (rng.standard_normal((4, 3, 3, 2)),))]:
             x = rng.standard_normal((4, 3, 3, 2))

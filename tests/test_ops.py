@@ -511,9 +511,10 @@ def linear(w, b=None, groups=1):
     """A Linear layer holding weight ``w`` [O, F/groups] and bias ``b``."""
     layer = Linear(w.shape[1] * groups, w.shape[0], groups, bias=b is not None,
                    dtype=w.dtype)
-    layer.weight.value = w
-    if b is not None:
-        layer.bias.value = b
+    with layer.writing():
+        layer.weight.value[...] = w
+        if b is not None:
+            layer.bias.value[...] = b
     return layer
 
 
@@ -604,7 +605,7 @@ class TestFullyConnected:
                                               "b": layer.bias.grad}
 
         params = {"x": x, "w": layer.weight.value, "b": layer.bias.value}
-        assert grad_check(loss, params, tolerance=1e-7).passed
+        assert grad_check(loss, params, tolerance=1e-7, writing=layer.writing).passed
 
     def test_keeps_float32(self):
         rng = make_rng(30)
@@ -881,6 +882,8 @@ def _kernel_calls():
     gamma, beta, mean = (rng.standard_normal(4) for _ in range(3))
     var = np.abs(rng.standard_normal(4)) + 0.5
     _, cache, _, _ = ops.batch_norm(x, gamma, beta)
+    flat = ops.batch_norm_eval_constants(x.shape, gamma, beta, mean, var)
+    cols = ops.batch_norm_eval_constants((4, ops.BN_FLAT_SIZE, 1, 1), gamma, beta, mean, var)
     yc, yc1 = ops.conv2d(x, w, 2, 1, 2), ops.conv2d(x, w1)
     ya = ops.avg_pool2d(x, 3, 2, 1)
     ym = ops.max_pool2d(x, 3, 2, 1)
@@ -900,6 +903,9 @@ def _kernel_calls():
         "batch_norm": [((x, gamma, beta), {}), ((x[:, 0, 0], gamma, beta), {})],
         "batch_norm_eval": [((x, gamma, beta, mean, var), {}),
                             ((x, gamma, beta, mean, var), {"out": np.empty_like(x)})],
+        "batch_norm_eval_constants": [((x.shape, gamma, beta, mean, var), {}),
+                                      (((4, ops.BN_FLAT_SIZE, 1, 1), gamma, beta, mean, var), {})],
+        "batch_norm_affine": [((x, *flat), {}), ((x, *cols), {"out": np.empty_like(x)})],
         "batch_norm_backward": [((g1, cache), {})],
         "batch_norm_eval_backward": [((g1, gamma, var), {})],
         "relu": [((x,), {}), ((x,), {"out": np.empty_like(x)})],

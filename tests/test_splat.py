@@ -298,8 +298,9 @@ class TestUnitForward:
         # zero 3x3 weights and zero shift: attention sees zeros, gates zeros
         cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=1)
         unit = SplitAttentionUnit(cfg, rng=make_rng(50))
-        unit.conv_split.weight.value[...] = 0.0
-        unit.bn_split.beta.value[...] = 0.0
+        with unit.writing():
+            unit.conv_split.weight.value[...] = 0.0
+            unit.bn_split.beta.value[...] = 0.0
         x = make_rng(51).standard_normal((3, 6, 6, 2))
         y = unit.forward(x, mode="train")
         npt.assert_allclose(y, 0.0, atol=1e-15)

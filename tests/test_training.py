@@ -10,7 +10,7 @@ from splatnet.data import make_toy_dataset
 from splatnet.gradcheck import grad_check
 from splatnet.network import NetworkConfig, build_network
 from splatnet.ops import dropblock_mask
-from splatnet.params import ConfigurationError, Parameter, make_rng, spawn_rng
+from splatnet.params import ConfigurationError, Module, Parameter, make_rng, spawn_rng
 from splatnet.training import (
     LossConfig,
     MixupConfig,
@@ -233,25 +233,32 @@ class TestDropBlock:
             dropblock_mask((1, 4, 4, 1), 5, 0.1, make_rng(0))
 
 
+def holding(p):
+    """A module whose one parameter is ``p``, for ``sgd_step`` to update."""
+    module = Module()
+    module.p = p
+    return module
+
+
 class TestSgd:
     def test_decay_skips_ineligible(self):
         gamma = Parameter(np.ones(4), decay_eligible=False, name="bn.gamma")
         gamma.set_grad(np.zeros(4))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
-        sgd_step([gamma], {}, lr=0.1, opt=opt)
+        sgd_step(holding(gamma), {}, lr=0.1, opt=opt)
         npt.assert_array_equal(gamma.value, np.ones(4))
 
     def test_decay_applies_to_weights(self):
         w = Parameter(np.ones(3), decay_eligible=True, name="conv.weight")
         w.set_grad(np.zeros(3))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
-        sgd_step([w], {}, lr=0.1, opt=opt)
+        sgd_step(holding(w), {}, lr=0.1, opt=opt)
         npt.assert_allclose(w.value, 1.0 - 0.1 * 0.5)
 
     def test_zero_grad_zero_velocity_noop(self):
         p = Parameter(np.full(3, 2.0), decay_eligible=False, name="bias")
         p.set_grad(np.zeros(3))
-        sgd_step([p], {}, lr=0.1, opt=OptimizerConfig(momentum=0.9, weight_decay=1e-4))
+        sgd_step(holding(p), {}, lr=0.1, opt=OptimizerConfig(momentum=0.9, weight_decay=1e-4))
         npt.assert_array_equal(p.value, np.full(3, 2.0))
 
     def test_quadratic_recurrence_oracle(self):
@@ -262,7 +269,7 @@ class TestSgd:
         w_ref, v_ref = 1.0, 0.0
         for step in range(6):
             p.set_grad(p.value.copy())  # grad = w
-            sgd_step([p], velocities, lr=0.1, opt=opt)
+            sgd_step(holding(p), velocities, lr=0.1, opt=opt)
             v_ref = 0.9 * v_ref + w_ref
             w_ref = w_ref - 0.1 * v_ref
             assert p.value[0] == pytest.approx(w_ref, abs=1e-15)
