@@ -104,6 +104,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for path in (args.out, args.checkpoint):  # fail before training, not after
+        if path is not None and not path.parent.is_dir():
+            raise ConfigurationError(f"directory {path.parent} of {path} does not exist")
     settings = _gather_settings(args)
     cfg = network_config(settings)
     ts = train_settings(settings)

@@ -18,10 +18,9 @@ joins, called directly, empty their own). In INFER, :class:`BatchNorm`,
 input: in every chain that input is an array the previous layer has just
 made and nothing else holds, a conv or FC output or a batch-norm output.
 A network's eval forward runs its layers in INFER, so inference holds no
-activations and allocates none for these layers; a backward after it first
-reruns that forward in eval mode from the same input array
-(:meth:`splatnet.network.Network.backward`). Layers and units called
-directly in eval mode keep their tapes and leave their inputs as they were.
+activations and allocates none for these layers, and leaves nothing for a
+backward. Layers and units called directly in eval mode keep their tapes
+and leave their inputs as they were.
 
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):

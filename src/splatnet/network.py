@@ -23,8 +23,8 @@ the way in and once on the way out; every module inside takes [C, H, W, N]
 
 A network's eval forward keeps no activations: it runs its layers in the
 tape-free mode ``INFER`` (:mod:`splatnet.layers`), in which batch norms,
-ReLUs and residual joins write in place, and a backward after it first
-recomputes the forward in eval mode from the same input array.
+ReLUs and residual joins write in place. A backward follows only a train
+forward.
 """
 
 from __future__ import annotations
@@ -275,7 +275,6 @@ class Network(Module):
         if rng is not None:
             with self.fc.writing():
                 normal_fill(rng, self.fc.weight.value, 0.01)
-        self._eval_input = None  # of the last forward if eval, until a backward replays it
         self.assign_names()
 
     def layers(self):
@@ -285,8 +284,8 @@ class Network(Module):
     def forward(self, x, mode="train", rng=None):
         """NCHW images -> logits [N, classes].
 
-        An eval forward keeps no activations, only a reference to ``x``; a
-        train forward keeps every layer's tape for :meth:`backward`.
+        An eval forward keeps no activations; a train forward keeps every
+        layer's tape for one :meth:`backward`.
         """
         layer_mode = _layer_mode(mode)
         n, c, h, w = x.shape
@@ -299,18 +298,17 @@ class Network(Module):
                 f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
                 f"required by the stride chain"
             )
-        self._eval_input = x if mode == "eval" else None
         return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng))
 
     def backward(self, grad_logits):
         """Gradient of the logits [N, classes] -> gradient of the NCHW input.
 
-        After an eval forward this first recomputes that forward in eval mode
-        from the same input array, so the input must not have changed since.
+        It uses up the tapes the layers kept, which only a train forward
+        (or an eval-mode ``run_forward`` of :meth:`layers`) leaves.
         """
-        if self._eval_input is not None:
-            run_forward(self.layers(), ops.to_chwn(self._eval_input), "eval")
-            self._eval_input = None
+        if self.fc._tape is None:
+            raise ConfigurationError("backward needs the tapes of a train forward: an eval "
+                                     "forward keeps none, and a backward uses them up")
         return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
 
 

@@ -331,13 +331,6 @@ def batch_norm(x, gamma, beta):
     return y.reshape(x.shape), (xhat, inv_std, gamma), mean, var * m / max(m - 1, 1)
 
 
-def batch_norm_eval(x, gamma, beta, mean, var, out=None):
-    """Batch normalization with given statistics: y = (x - mean)·(gamma/σ) +
-    beta, by ``batch_norm_affine`` with ``batch_norm_eval_constants``."""
-    return batch_norm_affine(x, *batch_norm_eval_constants(x.shape, gamma, beta, mean, var),
-                             out=out)
-
-
 def batch_norm_eval_constants(x_shape, gamma, beta, mean, var):
     """The operands (mean, scale, beta) of y = (x - mean)·scale + beta for a
     rank 2 or 4 input of ``x_shape``, scale = gamma/σ. A nonempty input of

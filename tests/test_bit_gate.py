@@ -55,8 +55,9 @@ from hypothesis import given, settings
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
 from splatnet.cli import main
 from splatnet.configio import network_config, parse_settings, read_config_file
-from splatnet.layers import BatchNorm
+from splatnet.layers import BatchNorm, run_forward
 from splatnet.network import NetworkConfig, build_network
+from splatnet.ops import to_chwn
 from splatnet.params import spawn_rng
 from strategies import input_sizes, network_configs
 
@@ -107,9 +108,12 @@ def _inputs(dtype=np.float64):
 
 
 def eval_logits_and_input_grad(variant):
+    """The eval forward's logits, and the input gradient of a backward after
+    an eval-mode run of the same layers, which keeps their tapes."""
     net = _network(variant)
     x, grad_logits = _inputs()
     logits = net.forward(x, mode="eval")
+    run_forward(net.layers(), to_chwn(x), "eval")
     return logits, net.backward(grad_logits)
 
 

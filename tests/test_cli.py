@@ -245,6 +245,18 @@ def test_train_writes_log_and_checkpoint(tmp_path, capsys):
     assert "fc.weight" in ck
 
 
+@pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+def test_train_rejects_missing_directory_before_training(flag, tmp_path, capsys):
+    missing = tmp_path / "missing" / "run.file"
+    rc = main(_train_args(tmp_path, "a", extra=[flag, str(missing)]))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and str(missing) in captured.err
+    assert ".tmp" not in captured.err
+    assert [l for l in captured.out.splitlines() if not l.startswith("#")] == []  # no epoch row
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_byte_identical_runs(tmp_path, capsys):
     rc1 = main(_train_args(tmp_path, "r1"))
     capsys.readouterr()

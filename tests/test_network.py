@@ -22,8 +22,8 @@ from splatnet.network import (
     build_network,
 )
 from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, ReLU,
-                             run_backward, run_forward)
-from splatnet.ops import to_chwn, to_nchw
+                             run_forward)
+from splatnet.ops import to_chwn
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 from splatnet.training import OptimizerConfig, sgd_step
 from shortcut import shortcut_only_forward
@@ -350,6 +350,7 @@ class TestNetwork:
             for name, v in picked.items():
                 checked[name].update(np.flatnonzero(v != start[name]).tolist())
             logits = net.forward(x, mode="eval")
+            run_forward(net.layers(), to_chwn(x), "eval")  # keeps the tapes for the backward
             net.backward(proj)
             grads = {name: p.grad.copy() for name, p in net.named_parameters()
                      if name in picked}
@@ -633,8 +634,8 @@ def grad_bytes(net):
 
 
 class TestTapeFreeEval:
-    """A network's eval forward keeps no activations; a backward after it
-    recomputes the forward in eval mode from the same input array."""
+    """A network's eval forward keeps no activations, so a backward follows
+    only a train forward, and only once."""
 
     @pytest.mark.parametrize("radix", [0, 2])
     def test_eval_forward_keeps_no_activations(self, radix):
@@ -646,21 +647,27 @@ class TestTapeFreeEval:
         net.forward(x, mode="eval")
         assert held_arrays(net) == []
 
-    @pytest.mark.parametrize("radix", [0, 2])
-    def test_eval_backward_matches_eval_tape(self, radix):
-        net, ref = (randomize_batch_norm(micro_net(radix=radix)) for _ in range(2))
+    @pytest.mark.parametrize("train_first", [False, True])
+    def test_backward_after_eval_forward_raises(self, train_first):
+        net = micro_net()
         rng = make_rng(8)
         x = rng.standard_normal((2, 1, 32, 32))
-        g = rng.standard_normal((2, 2))
-        logits = net.forward(x, mode="eval")
-        gx = net.backward(g)
-        ref_logits = to_nchw(run_forward(ref.layers(), to_chwn(x), "eval"))
-        ref_gx = to_nchw(run_backward(ref.layers(), to_chwn(g)))
-        assert logits.tobytes() == ref_logits.tobytes()
-        assert gx.tobytes() == ref_gx.tobytes()
-        assert grad_bytes(net) == grad_bytes(ref)
+        if train_first:
+            net.forward(x, mode="train")
+        net.forward(x, mode="eval")
+        with pytest.raises(ConfigurationError, match="train forward"):
+            net.backward(rng.standard_normal((2, 2)))
 
-    def test_train_forward_clears_the_replay(self):
+    def test_second_backward_raises(self):
+        net = micro_net()
+        rng = make_rng(8)
+        g = rng.standard_normal((2, 2))
+        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
+        net.backward(g)
+        with pytest.raises(ConfigurationError, match="train forward"):
+            net.backward(g)
+
+    def test_eval_forward_leaves_nothing_a_train_step_sees(self):
         net, ref = (randomize_batch_norm(micro_net()) for _ in range(2))
         rng = make_rng(9)
         x = rng.standard_normal((2, 1, 32, 32))

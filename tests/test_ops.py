@@ -661,7 +661,7 @@ class TestBatchNorm:
         rv = np.abs(rng.standard_normal(3)) + 0.5
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        y = ops.batch_norm_eval(x, gamma, beta, rm, rv)
+        y = ops.batch_norm_affine(x, *ops.batch_norm_eval_constants(x.shape, gamma, beta, rm, rv))
         col = (slice(None), None, None, None)
         want = (x - rm[col]) / np.sqrt(rv + 1e-5)[col]
         want = want * gamma[col] + beta[col]
@@ -670,7 +670,8 @@ class TestBatchNorm:
     def test_fresh_eval_is_affine_identity(self):
         # eval before any training: initialized stats are mean 0, var 1
         x = make_rng(18).standard_normal((3, 4, 4, 2))
-        y = ops.batch_norm_eval(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        y = ops.batch_norm_affine(x, *ops.batch_norm_eval_constants(
+            x.shape, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3)))
         npt.assert_allclose(y, x / np.sqrt(1.0 + ops.BN_EPS), atol=1e-12)
 
     def test_running_stats_update(self):
@@ -901,8 +902,6 @@ def _kernel_calls():
         "global_avg_pool": [((x,), {})],
         "global_avg_pool_backward": [((x[:, 0, 0], x.shape), {})],
         "batch_norm": [((x, gamma, beta), {}), ((x[:, 0, 0], gamma, beta), {})],
-        "batch_norm_eval": [((x, gamma, beta, mean, var), {}),
-                            ((x, gamma, beta, mean, var), {"out": np.empty_like(x)})],
         "batch_norm_eval_constants": [((x.shape, gamma, beta, mean, var), {}),
                                       (((4, ops.BN_FLAT_SIZE, 1, 1), gamma, beta, mean, var), {})],
         "batch_norm_affine": [((x, *flat), {}), ((x, *cols), {"out": np.empty_like(x)})],
