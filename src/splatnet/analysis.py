@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ConfigurationError, Module
+from .params import ConfigurationError, Module, check_allocatable, make_rng
 from .network import Bottleneck, BottleneckSpec, Network
 
 
@@ -110,6 +110,7 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
     for path, m in module.named_modules(prefix):
         if next(m.named_modules(), None) is None:
             m.forward = recording(path, m)
+    check_allocatable("the traced input", input_shape)
     module.forward(np.zeros(input_shape), mode="eval")
     return rows
 
@@ -317,8 +318,7 @@ def bench_forward(network, batch_shape, reps: int = 30, warmup: int = 5,
                                  f"got batch shape {tuple(batch_shape)}")
     if warmup < 0:
         raise ConfigurationError(f"bench warmup must be >= 0, got {warmup}")
-    from .params import make_rng
-
+    check_allocatable("the bench batch", batch_shape)
     rng = make_rng(seed)
     dtype = network.fc.weight.value.dtype
     x = rng.standard_normal(batch_shape).astype(dtype)

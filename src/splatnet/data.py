@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ConfigurationError, make_rng
+from .params import ConfigurationError, check_allocatable, make_rng
 
 
 @dataclass
@@ -43,6 +43,7 @@ def make_toy_dataset(n: int, size: int = 32, noise: float = 0.6,
     if n < 1 or size < 1 or not np.isfinite(noise):
         raise ConfigurationError(f"toy dataset needs samples and image size >= 1 and a "
                                  f"finite noise, got {n}, {size}, {noise}")
+    check_allocatable("the toy dataset", (n, 1, size, size), dtype)
     rng = make_rng(seed)
     images = np.empty((n, 1, size, size), dtype=dtype)
     labels = np.empty(n, dtype=np.int64)

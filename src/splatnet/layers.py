@@ -78,28 +78,23 @@ class Conv2d(Module):
                 f"conv channels ({in_channels} -> {out_channels}) not divisible "
                 f"by groups {groups}"
             )
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = (kh, kw)
         self.stride = ops._pair(stride)
         self.padding = ops._pair(padding)
         self.groups = groups
-        fan_in = (in_channels // groups) * kh * kw
         shape = (out_channels, in_channels // groups, kh, kw)
         if rng is None:
             w = np.zeros(shape, dtype=dtype)
         else:
-            w = kaiming_normal(rng, shape, fan_in, dtype)
-        self.weight = Parameter(w, decay_eligible=True)
+            w = kaiming_normal(rng, shape, prod(shape[1:]), dtype)
+        self.weight = Parameter(w)
 
     def forward(self, x, mode="train", rng=None):
         self._tape = x
         return ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
 
     def cost(self, x_shape, y_shape):
-        kh, kw = self.kernel
-        macs = prod(y_shape) * (self.in_channels // self.groups) * kh * kw
-        return macs, 0
+        # each output element sums one filter: Cin/groups * kh * kw products
+        return prod(y_shape) * prod(self.weight.value.shape[1:]), 0
 
     def backward(self, grad_out):
         x, self._tape = self._tape, None
@@ -121,15 +116,14 @@ class Linear(Module):
                 f"by groups {groups}"
             )
         self.in_features = in_features
-        self.out_features = out_features
         self.groups = groups
         shape = (out_features, in_features // groups)
         if rng is None:
             w = np.zeros(shape, dtype=dtype)
         else:
             w = kaiming_normal(rng, shape, in_features // groups, dtype)
-        self.weight = Parameter(w, decay_eligible=True)
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype), decay_eligible=False) if bias else None
+        self.weight = Parameter(w)
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
 
     def forward(self, x, mode="train", rng=None):
         if x.shape[0] != self.in_features:
@@ -142,8 +136,7 @@ class Linear(Module):
         return y
 
     def cost(self, x_shape, y_shape):
-        macs = self.out_features * (self.in_features // self.groups)
-        return macs, self.out_features if self.bias is not None else 0
+        return self.weight.value.size, 0 if self.bias is None else self.bias.value.size
 
     def backward(self, grad_out):
         x, self._tape = self._tape, None
@@ -166,9 +159,8 @@ class BatchNorm(Module):
     shape) and kept until either changes."""
 
     def __init__(self, num_features, dtype=np.float64):
-        self.num_features = num_features
-        self.gamma = Parameter(np.ones(num_features, dtype=dtype), decay_eligible=False)
-        self.beta = Parameter(np.zeros(num_features, dtype=dtype), decay_eligible=False)
+        self.gamma = Parameter(np.ones(num_features, dtype=dtype))
+        self.beta = Parameter(np.zeros(num_features, dtype=dtype))
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
         self.running_mean.flags.writeable = self.running_var.flags.writeable = False

@@ -23,8 +23,8 @@ the way in and once on the way out; every module inside takes [C, H, W, N]
 
 A network's eval forward keeps no activations: it runs its layers in the
 tape-free mode ``INFER`` (:mod:`splatnet.layers`), in which batch norms,
-ReLUs and residual joins write in place. A backward follows only a train
-forward.
+ReLUs and residual joins write in place. A backward follows only a
+completed train forward: a forward that raises drops every tape.
 """
 
 from __future__ import annotations
@@ -275,7 +275,6 @@ class Network(Module):
         if rng is not None:
             with self.fc.writing():
                 normal_fill(rng, self.fc.weight.value, 0.01)
-        self.assign_names()
 
     def layers(self):
         return [self.stem, self.stage1, self.stage2, self.stage3, self.dropblock3,
@@ -285,34 +284,40 @@ class Network(Module):
         """NCHW images -> logits [N, classes].
 
         An eval forward keeps no activations; a train forward keeps every
-        layer's tape for one :meth:`backward`.
+        layer's tape for one :meth:`backward`. A forward that raises drops
+        every tape, but the batch norms it ran keep their updated buffers.
         """
-        layer_mode = _layer_mode(mode)
-        n, c, h, w = x.shape
-        if c != self.cfg.input_channels:
-            raise ConfigurationError(
-                f"expected {self.cfg.input_channels} input channels, got {c}"
-            )
-        if h < MIN_INPUT_SIZE or w < MIN_INPUT_SIZE:
-            raise ConfigurationError(
-                f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
-                f"required by the stride chain"
-            )
-        return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng))
+        try:
+            layer_mode = _layer_mode(mode)
+            n, c, h, w = x.shape
+            if c != self.cfg.input_channels:
+                raise ConfigurationError(
+                    f"expected {self.cfg.input_channels} input channels, got {c}"
+                )
+            if h < MIN_INPUT_SIZE or w < MIN_INPUT_SIZE:
+                raise ConfigurationError(
+                    f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
+                    f"required by the stride chain"
+                )
+            return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng))
+        except BaseException:
+            for _, m in self.named_modules():
+                m._tape = None
+            raise
 
     def backward(self, grad_logits):
         """Gradient of the logits [N, classes] -> gradient of the NCHW input.
 
-        It uses up the tapes the layers kept, which only a train forward
-        (or an eval-mode ``run_forward`` of :meth:`layers`) leaves.
+        It uses up the tapes the layers kept, which only a completed train
+        forward (or an eval-mode ``run_forward`` of :meth:`layers`) leaves.
         """
         if self.fc._tape is None:
-            raise ConfigurationError("backward needs the tapes of a train forward: an eval "
-                                     "forward keeps none, and a backward uses them up")
+            raise ConfigurationError("backward needs the tapes of a completed train "
+                                     "forward that no backward has used yet")
         return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator,
                   dtype=np.float64) -> Network:
-    """Build and initialize a network; parameter names are dotted paths."""
+    """Build and initialize a network."""
     return Network(cfg, rng=rng, dtype=dtype)

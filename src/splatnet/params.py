@@ -1,9 +1,10 @@
 """Parameters, module tree, RNG, and weight initialization.
 
-Every trainable array in the library is a :class:`Parameter`: a named value
-tensor, the gradient its layer's last backward wrote (``None`` until then),
-and a weight-decay eligibility flag (decay applies to conv / fully-connected
-weights only, never to biases or normalization scale/shift).
+Every trainable array in the library is a :class:`Parameter`: a value tensor
+and the gradient its layer's last backward wrote (``None`` until then). A
+parameter is named by its dotted path in the module tree
+(:meth:`Module.named_parameters`); checkpoints, the SGD velocities and
+reports all use that path.
 
 Parameter values and a module's extra state (the batch-norm running buffers)
 are read-only arrays. :meth:`Module.writing` is the one door for writes to
@@ -22,13 +23,27 @@ streams on every platform.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 
 class ConfigurationError(ValueError):
     """Raised for invalid shapes, divisibility violations, or bad settings."""
+
+
+# beyond a 47-bit address space: no host maps an array this large
+MAX_ARRAY_BYTES = 1 << 47
+
+
+def check_allocatable(what: str, shape, dtype=np.float64) -> None:
+    """Reject an array of more than ``MAX_ARRAY_BYTES`` before it is made. A
+    zero extent counts as 1, as numpy counts it, so an empty batch is priced
+    per image."""
+    nbytes = np.dtype(dtype).itemsize * prod(max(d, 1) for d in shape)
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigurationError(f"cannot allocate {what}: shape {tuple(shape)} of "
+                                 f"{np.dtype(dtype)} needs {nbytes} bytes")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -41,35 +56,23 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
 
 
-@dataclass
 class Parameter:
-    """A named tensor and the gradient of its layer's last backward.
+    """A tensor and the gradient of its layer's last backward.
 
     ``grad`` is None until a backward writes it; each backward replaces it,
-    so nothing needs clearing between steps. ``decay_eligible`` is True only
-    for convolution and fully-connected weights; the optimizer skips L2
-    decay for everything else. ``value`` is made read-only here; its owning
-    module's :meth:`Module.writing` lets writers change it.
+    so nothing needs clearing between steps. ``value`` is made read-only
+    here; its owning module's :meth:`Module.writing` lets writers change it.
     """
 
-    value: np.ndarray
-    decay_eligible: bool
-    name: str = ""
-    grad: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        self.value.flags.writeable = False
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
+    def __init__(self, value: np.ndarray):
+        value.flags.writeable = False
+        self.value = value
+        self.grad: np.ndarray | None = None
 
     def set_grad(self, g: np.ndarray) -> None:
         if g.shape != self.value.shape or g.dtype != self.value.dtype:
-            raise ConfigurationError(
-                f"gradient {g.shape} {g.dtype} does not match parameter "
-                f"{self.name or '<unnamed>'} {self.value.shape} {self.value.dtype}"
-            )
+            raise ConfigurationError(f"gradient {g.shape} {g.dtype} does not match "
+                                     f"parameter {self.value.shape} {self.value.dtype}")
         self.grad = g
 
 
@@ -78,8 +81,8 @@ class Module:
 
     Children are discovered by scanning instance attributes (including lists
     of modules), which is enough for the fixed, small topologies built here.
-    ``assign_names`` stamps dotted path names onto every Parameter so that
-    checkpoints and reports can refer to them stably.
+    The dotted attribute paths they give are the stable names of modules,
+    parameters and persistent tensors.
     """
 
     _tape = None  # what a leaf layer's backward reads (splatnet.layers)
@@ -109,10 +112,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def assign_names(self, prefix: str = "") -> None:
-        for name, p in self.named_parameters(prefix):
-            p.name = name
 
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays to persist (e.g. normalization running stats)."""

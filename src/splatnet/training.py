@@ -2,8 +2,8 @@
 
 Covers the learning-rate schedule (linear warmup into cosine decay with
 batch-size scaled peak), label-smoothed cross entropy, mixup, and momentum
-SGD with selective weight decay. ``train_toy`` wires them into a small,
-fully seeded training loop over a synthetic two-class image task; given
+SGD that decays conv and FC weights only. ``train_toy`` wires them into a
+small, fully seeded training loop over a synthetic two-class image task; given
 (seed, config) a run is bit-reproducible, including across an
 interrupt/resume at an epoch boundary.
 """
@@ -211,18 +211,19 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float,
 def sgd_step(model: Module, velocities: dict[str, np.ndarray],
              lr: float, opt: OptimizerConfig) -> None:
     """Classical momentum update of every parameter of ``model``, through its
-    ``writing`` door, with decay on decay-eligible weights only.
+    ``writing`` door, with ``velocities`` keyed by parameter path.
 
     v <- momentum * v + (grad + wd * w), v starting at 0;  w <- w - lr * v.
+    Only parameters of rank >= 2 (conv and FC weights) take the decay wd * w.
     """
     with model.writing():
-        for p in model.parameters():
+        for name, p in model.named_parameters():
             g = p.grad
-            if opt.weight_decay != 0.0 and p.decay_eligible:
+            if opt.weight_decay != 0.0 and p.value.ndim > 1:
                 g = g + opt.weight_decay * p.value
-            v = velocities.get(p.name)
+            v = velocities.get(name)
             if v is None:
-                v = velocities[p.name] = np.zeros_like(p.value)
+                v = velocities[name] = np.zeros_like(p.value)
             v *= opt.momentum
             v += g
             p.value -= lr * v
@@ -343,8 +344,9 @@ def save_training_state(network, velocities: dict[str, np.ndarray],
 
 def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> int:
     """Load a training checkpoint into ``network`` and ``velocities`` (cast to
-    the parameter dtypes); returns the epoch to resume from. A checkpoint
-    holds every parameter's velocity or, saved before any step, none."""
+    the parameter dtypes, keyed by parameter path); returns the epoch to
+    resume from. It holds every parameter's velocity or, saved before any
+    step, none."""
     tensors = load_checkpoint(path)
     next_epoch = tensors.get("meta.next_epoch")
     if next_epoch is None or next_epoch.size != 1:
@@ -357,20 +359,20 @@ def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> 
     state = {k: v for k, v in tensors.items()
              if not k.startswith("velocity.") and not k.startswith("meta.")}
     network.load_state_dict(state)
-    params = network.parameters()
-    names = {f"velocity.{p.name}" for p in params}
-    stray = [k for k in tensors if k.startswith("velocity.") and k not in names]
+    params = dict(network.named_parameters())
+    keys = {f"velocity.{name}" for name in params}
+    stray = [k for k in tensors if k.startswith("velocity.") and k not in keys]
     if stray:
         raise CheckpointError(f"{path}: {stray[0]} matches no parameter")
-    if names.isdisjoint(tensors):  # saved before the first step
+    if keys.isdisjoint(tensors):  # saved before the first step
         return int(next_epoch)
-    for p in params:
-        v = tensors.get(f"velocity.{p.name}")
+    for name, p in params.items():
+        v = tensors.get(f"velocity.{name}")
         if v is None:
-            raise CheckpointError(f"{path}: velocity.{p.name} missing from a partial set")
-        if v.shape != p.shape:
+            raise CheckpointError(f"{path}: velocity.{name} missing from a partial set")
+        if v.shape != p.value.shape:
             raise CheckpointError(
-                f"{path}: velocity.{p.name}: shape {v.shape} != parameter shape {p.shape}"
+                f"{path}: velocity.{name}: shape {v.shape} != parameter shape {p.value.shape}"
             )
-        velocities[p.name] = v.astype(p.value.dtype)
+        velocities[name] = v.astype(p.value.dtype)
     return int(next_epoch)

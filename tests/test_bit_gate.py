@@ -55,10 +55,11 @@ from hypothesis import given, settings
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
 from splatnet.cli import main
 from splatnet.configio import network_config, parse_settings, read_config_file
-from splatnet.layers import BatchNorm, run_forward
+from splatnet.layers import run_forward
 from splatnet.network import NetworkConfig, build_network
 from splatnet.ops import to_chwn
 from splatnet.params import spawn_rng
+from shortcut import randomize_batch_norm
 from strategies import input_sizes, network_configs
 
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
@@ -84,16 +85,7 @@ def _network(variant, dtype=np.float64, dropout=0.2, dropblock_prob=0.1):
 def _seeded_network(cfg, dtype=np.float64):
     """Weights from stream (0, 0), batch-norm state from stream (0, 1); a
     float32 network is a weightless build given the float64 state."""
-    net = build_network(cfg, spawn_rng(0, 0))
-    rng = spawn_rng(0, 1)
-    for _, module in net.named_modules():
-        if isinstance(module, BatchNorm):
-            c = module.num_features
-            with module.writing():
-                module.gamma.value[...] = rng.normal(1.0, 0.5, c)
-                module.beta.value[...] = rng.normal(0.0, 0.2, c)
-                module.running_mean[...] = rng.normal(0.0, 0.5, c)
-                module.running_var[...] = rng.uniform(0.5, 2.0, c)
+    net = randomize_batch_norm(build_network(cfg, spawn_rng(0, 0)))
     if dtype == np.float64:
         return net
     cast = build_network(cfg, None, dtype=dtype)

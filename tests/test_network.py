@@ -21,12 +21,12 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, ReLU,
-                             run_forward)
+from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, Linear,
+                             ReLU, run_forward)
 from splatnet.ops import to_chwn
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 from splatnet.training import OptimizerConfig, sgd_step
-from shortcut import shortcut_only_forward
+from shortcut import randomize_batch_norm, shortcut_only_forward
 from strategies import network_configs
 
 
@@ -38,21 +38,6 @@ MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
 def micro_net(seed=0, **overrides):
     cfg = NetworkConfig(**{**MICRO, **overrides})
     return build_network(cfg, make_rng(seed))
-
-
-def randomize_batch_norm(net):
-    """Random batch-norm state (as in the bit gate): every bn3 gets a nonzero
-    gamma, so the residual branches reach the logits."""
-    stats = spawn_rng(0, 1)
-    for _, module in net.named_modules():
-        if isinstance(module, BatchNorm):
-            c = module.num_features
-            with module.writing():
-                module.gamma.value[...] = stats.normal(1.0, 0.5, c)
-                module.beta.value[...] = stats.normal(0.0, 0.2, c)
-                module.running_mean[...] = stats.normal(0.0, 0.5, c)
-                module.running_var[...] = stats.uniform(0.5, 2.0, c)
-    return net
 
 
 def toy_net():
@@ -383,15 +368,23 @@ class TestNetwork:
             net.load_state_dict(state)
 
     def test_decay_eligibility_convention(self):
-        # conv / FC weights decay; biases and normalization affine terms never
-        net = build_network(NetworkConfig(depth=50), make_rng(0))
+        """Weight decay moves conv and FC weights, never biases or normalization
+        affine terms: with zero gradients, lr 1 and momentum 0, one step halves
+        exactly the weights of every Conv2d and Linear and moves nothing else."""
+        net = micro_net()
+        with net.writing():
+            for p in net.parameters():
+                p.value[...] = 1.0
+        for p in net.parameters():
+            p.set_grad(np.zeros_like(p.value))
+        sgd_step(net, {}, lr=1.0, opt=OptimizerConfig(momentum=0.0, weight_decay=0.5))
+        weights = {f"{path}.weight" for path, m in net.named_modules()
+                   if isinstance(m, (Conv2d, Linear))}
+        assert {"fc.weight", "stage1.block0.splat.fc2.weight"} <= weights
+        moved = {name for name, p in net.named_parameters() if (p.value != 1.0).any()}
+        assert moved == weights
         for name, p in net.named_parameters():
-            if name.endswith(".weight") and ("conv" in name.rsplit(".", 2)[-2]
-                                             or name.startswith("fc")
-                                             or ".fc" in name):
-                assert p.decay_eligible, name
-            if name.endswith((".bias", ".gamma", ".beta")):
-                assert not p.decay_eligible, name
+            assert (p.value == (0.5 if name in weights else 1.0)).all(), name
 
     def test_dropblock_applied_in_last_two_stages_only(self):
         net = micro_net(dropblock_prob=0.3, dropblock_size=3, dropout=0.2)
@@ -474,7 +467,7 @@ class TestFloat32Network:
         assert len(dtypes) > 100
         assert [(p, d) for p, d in dtypes if d != np.float32] == []
         assert logits.dtype == gx.dtype == np.float32
-        assert [p.name for p in net.parameters() if p.grad.dtype != np.float32] == []
+        assert [name for name, p in net.named_parameters() if p.grad.dtype != np.float32] == []
 
 
 class TestGradientContract:
@@ -485,8 +478,8 @@ class TestGradientContract:
         assert all(p.grad is None for p in net.parameters())
 
     def test_set_grad_rejects_wrong_shape_and_dtype(self):
-        p = Parameter(np.zeros((2, 3)), decay_eligible=True, name="w")
-        with pytest.raises(ConfigurationError, match="does not match parameter w"):
+        p = Parameter(np.zeros((2, 3)))
+        with pytest.raises(ConfigurationError, match=r"does not match parameter \(2, 3\)"):
             p.set_grad(np.zeros((3, 2)))
         with pytest.raises(ConfigurationError, match="float32"):
             p.set_grad(np.zeros((2, 3), dtype=np.float32))
@@ -503,8 +496,8 @@ class TestGradientContract:
         net.backward(g2)
         ref.forward(x, mode="train")
         ref.backward(g2)
-        for p, q in zip(net.parameters(), ref.parameters()):
-            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+        for (name, p), q in zip(net.named_parameters(), ref.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
 
 
 class TestConvKeepsItsInput:
@@ -630,7 +623,8 @@ def traced_array_bytes():
 
 
 def grad_bytes(net):
-    return {p.name: None if p.grad is None else p.grad.tobytes() for p in net.parameters()}
+    return {name: None if p.grad is None else p.grad.tobytes()
+            for name, p in net.named_parameters()}
 
 
 class TestTapeFreeEval:
@@ -666,6 +660,19 @@ class TestTapeFreeEval:
         net.backward(g)
         with pytest.raises(ConfigurationError, match="train forward"):
             net.backward(g)
+
+    def test_forward_that_raises_drops_every_tape(self):
+        """A train forward that fails partway (the residual join of a 40x40
+        input) leaves no tape, none of an earlier forward either, so no
+        backward runs on a mix of two forwards' tapes."""
+        net = micro_net()
+        rng = make_rng(12)
+        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            net.forward(rng.standard_normal((2, 1, 40, 40)), mode="train")
+        assert [path for path, m in net.named_modules() if m._tape is not None] == []
+        with pytest.raises(ConfigurationError, match="completed train forward"):
+            net.backward(rng.standard_normal((2, 2)))
 
     def test_eval_forward_leaves_nothing_a_train_step_sees(self):
         net, ref = (randomize_batch_norm(micro_net()) for _ in range(2))

@@ -8,9 +8,11 @@ import pytest
 from splatnet.checkpoint import CheckpointError, load_checkpoint
 from splatnet.data import make_toy_dataset
 from splatnet.gradcheck import grad_check
+from splatnet.layers import BatchNorm
 from splatnet.network import NetworkConfig, build_network
 from splatnet.ops import dropblock_mask
 from splatnet.params import ConfigurationError, Module, Parameter, make_rng, spawn_rng
+from splatnet.splat import SplatConfig, SplitAttentionUnit
 from splatnet.training import (
     LossConfig,
     MixupConfig,
@@ -242,28 +244,28 @@ def holding(p):
 
 class TestSgd:
     def test_decay_skips_ineligible(self):
-        gamma = Parameter(np.ones(4), decay_eligible=False, name="bn.gamma")
+        gamma = Parameter(np.ones(4))
         gamma.set_grad(np.zeros(4))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
         sgd_step(holding(gamma), {}, lr=0.1, opt=opt)
         npt.assert_array_equal(gamma.value, np.ones(4))
 
     def test_decay_applies_to_weights(self):
-        w = Parameter(np.ones(3), decay_eligible=True, name="conv.weight")
-        w.set_grad(np.zeros(3))
+        w = Parameter(np.ones((3, 2)))
+        w.set_grad(np.zeros((3, 2)))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
         sgd_step(holding(w), {}, lr=0.1, opt=opt)
         npt.assert_allclose(w.value, 1.0 - 0.1 * 0.5)
 
     def test_zero_grad_zero_velocity_noop(self):
-        p = Parameter(np.full(3, 2.0), decay_eligible=False, name="bias")
+        p = Parameter(np.full(3, 2.0))
         p.set_grad(np.zeros(3))
         sgd_step(holding(p), {}, lr=0.1, opt=OptimizerConfig(momentum=0.9, weight_decay=1e-4))
         npt.assert_array_equal(p.value, np.full(3, 2.0))
 
     def test_quadratic_recurrence_oracle(self):
         # f(w) = w^2 / 2, so grad = w; independent scalar recurrence
-        p = Parameter(np.array([1.0]), decay_eligible=True, name="w")
+        p = Parameter(np.array([1.0]))
         velocities = {}
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.0)
         w_ref, v_ref = 1.0, 0.0
@@ -275,6 +277,30 @@ class TestSgd:
             assert p.value[0] == pytest.approx(w_ref, abs=1e-15)
             if step == 0:
                 assert v_ref == 1.0 and w_ref == pytest.approx(0.9)
+
+    def test_bare_batch_norm_keeps_one_velocity_per_parameter(self):
+        """Outside a network too, each parameter has its own velocity: on the
+        first momentum step beta moves by exactly -lr * its own gradient."""
+        bn = BatchNorm(4)
+        g_gamma, g_beta = make_rng(0).standard_normal((2, 4))
+        bn.gamma.set_grad(g_gamma)
+        bn.beta.set_grad(g_beta)
+        velocities = {}
+        sgd_step(bn, velocities, lr=0.1, opt=OptimizerConfig(momentum=0.9, weight_decay=1e-4))
+        assert bn.beta.value.tobytes() == (0.0 - 0.1 * g_beta).tobytes()
+        assert bn.gamma.value.tobytes() == (1.0 - 0.1 * g_gamma).tobytes()
+        assert list(velocities) == ["gamma", "beta"]
+
+    def test_bare_split_attention_unit_keys_velocities_by_path(self):
+        unit = SplitAttentionUnit(SplatConfig(8, 8, radix=2, cardinality=2), rng=make_rng(1))
+        grads = make_rng(2)
+        for p in unit.parameters():
+            p.set_grad(grads.standard_normal(p.value.shape))
+        velocities = {}
+        sgd_step(unit, velocities, lr=0.1, opt=OptimizerConfig())
+        assert list(velocities) == [name for name, _ in unit.named_parameters()]
+        for name, p in unit.named_parameters():
+            assert velocities[name].shape == p.value.shape, name
 
 
 MICRO = dict(depth=50, stage_blocks=(1, 1, 1, 1), radix=2, cardinality=1,
@@ -340,7 +366,7 @@ class TestTrainToy:
         x = make_rng(6).standard_normal((2, 1, 32, 32))
         logits = net.forward(x, mode="eval")
         net2 = build_network(NetworkConfig(**MICRO), spawn_rng(123, 0))
-        velocities = {p.name: np.zeros_like(p.value) for p in net2.parameters()}
+        velocities = {name: np.zeros_like(p.value) for name, p in net2.named_parameters()}
         restore_training_state(net2, velocities, ck)
         npt.assert_array_equal(net2.forward(x, mode="eval"), logits)
 
@@ -352,9 +378,9 @@ class TestTrainToy:
         save_training_state(net, {}, 0, ck)
         velocities = {}
         assert restore_training_state(net, velocities, ck) == 0 and velocities == {}
-        first, *rest = net.parameters()
-        save_training_state(net, {p.name: np.zeros_like(p.value) for p in rest}, 1, ck)
-        with pytest.raises(CheckpointError, match=f"velocity.{first.name} missing"):
+        (first, _), *rest = net.named_parameters()
+        save_training_state(net, {name: np.zeros_like(p.value) for name, p in rest}, 1, ck)
+        with pytest.raises(CheckpointError, match=f"velocity.{first} missing"):
             restore_training_state(net, {}, ck)
 
     def test_float32_stays_float32_with_dropblock_and_mixup(self, tmp_path):
@@ -377,8 +403,8 @@ class TestTrainToy:
                   MixupConfig(alpha=0.2, enabled=True), OptimizerConfig(),
                   seed=0, checkpoint_path=ck, end_epoch=1)
         assert logit_dtypes == [np.float32] * 4
-        for p in net.parameters():
-            assert p.grad.dtype == np.float32, p.name
+        for name, p in net.named_parameters():
+            assert p.grad.dtype == np.float32, name
         tensors = load_checkpoint(ck)
         velocities = [k for k in tensors if k.startswith("velocity.")]
         assert len(velocities) == len(net.parameters())
