@@ -82,11 +82,7 @@ class Conv2d(Module):
         self.padding = ops._pair(padding)
         self.groups = groups
         shape = (out_channels, in_channels // groups, kh, kw)
-        if rng is None:
-            w = np.zeros(shape, dtype=dtype)
-        else:
-            w = kaiming_normal(rng, shape, prod(shape[1:]), dtype)
-        self.weight = Parameter(w)
+        self.weight = Parameter(kaiming_normal(rng, shape, prod(shape[1:]), dtype))
 
     def forward(self, x, mode="train", rng=None):
         self._tape = x
@@ -118,11 +114,7 @@ class Linear(Module):
         self.in_features = in_features
         self.groups = groups
         shape = (out_features, in_features // groups)
-        if rng is None:
-            w = np.zeros(shape, dtype=dtype)
-        else:
-            w = kaiming_normal(rng, shape, in_features // groups, dtype)
-        self.weight = Parameter(w)
+        self.weight = Parameter(kaiming_normal(rng, shape, prod(shape[1:]), dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
 
     def forward(self, x, mode="train", rng=None):

@@ -200,10 +200,14 @@ def normal_fill(rng: np.random.Generator, out: np.ndarray, std: float) -> np.nda
 
 
 def kaiming_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float64
+    rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype=np.float64
 ) -> np.ndarray:
     """Fan-in scaled normal init, std = sqrt(2 / fan_in), drawn straight into
-    an array of ``dtype`` by ``normal_fill``."""
+    an array of ``dtype`` by ``normal_fill``; zeros, drawing nothing, for a
+    weightless build (no ``rng``)."""
     if fan_in <= 0:
         raise ConfigurationError(f"fan_in must be positive, got {fan_in}")
+    check_allocatable("a weight", shape, dtype)
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     return normal_fill(rng, np.empty(shape, dtype=dtype), np.sqrt(2.0 / fan_in))

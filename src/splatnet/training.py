@@ -345,8 +345,8 @@ def save_training_state(network, velocities: dict[str, np.ndarray],
 def restore_training_state(network, velocities: dict[str, np.ndarray], path) -> int:
     """Load a training checkpoint into ``network`` and ``velocities`` (cast to
     the parameter dtypes, keyed by parameter path); returns the epoch to
-    resume from. It holds every parameter's velocity or, saved before any
-    step, none."""
+    resume from. A checkpoint holds every parameter's velocity or, saved
+    before any step, none."""
     tensors = load_checkpoint(path)
     next_epoch = tensors.get("meta.next_epoch")
     if next_epoch is None or next_epoch.size != 1:

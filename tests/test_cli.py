@@ -220,19 +220,20 @@ TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--classes", "10000000000000"],
+    ["analyze", "--classes", "10000000000000000"],
     ["bench", "--config", TOY_CONFIG, "--batch", "1000000000000"],
     ["train", "--config", TOY_CONFIG, "--samples", "1000000000000"],
     ["analyze", "--input-size", "2147483648"],
     ["bench", "--config", TOY_CONFIG, "--input-size", "4294967296", "--batch", "1"],
     ["train", "--config", TOY_CONFIG, "--image-size", "4294967296", "--samples", "1",
      "--batch", "1"],
-], ids=["analyze-classes", "bench-batch", "train-samples", "analyze-input-size",
+], ids=["analyze-classes", "analyze-classes-unsizable", "bench-batch", "train-samples", "analyze-input-size",
         "bench-input-size", "train-image-size"])
 def test_unallocatable_size_exit_2(argv, capsys):
     """Each setting needs an array of more than 2**47 bytes, which no host
-    maps even under overcommit. The input sizes need more than numpy can even
-    size (it raises ValueError, not MemoryError), so they are checked before
-    anything is allocated."""
+    maps even under overcommit. The unsizable classes and the input sizes
+    need more than numpy can even size (it raises ValueError, not
+    MemoryError), so every requested size is checked before it is allocated."""
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
