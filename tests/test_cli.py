@@ -227,8 +227,8 @@ TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
     ["bench", "--config", TOY_CONFIG, "--input-size", "4294967296", "--batch", "1"],
     ["train", "--config", TOY_CONFIG, "--image-size", "4294967296", "--samples", "1",
      "--batch", "1"],
-], ids=["analyze-classes", "analyze-classes-unsizable", "bench-batch", "train-samples", "analyze-input-size",
-        "bench-input-size", "train-image-size"])
+], ids=["analyze-classes", "analyze-classes-unsizable", "bench-batch", "train-samples",
+        "analyze-input-size", "bench-input-size", "train-image-size"])
 def test_unallocatable_size_exit_2(argv, capsys):
     """Each setting needs an array of more than 2**47 bytes, which no host
     maps even under overcommit. The unsizable classes and the input sizes
