@@ -101,10 +101,10 @@ def _trace_rows(module: Module, input_shape, prefix: str = "") -> list[CostRow]:
         forward = leaf.forward
 
         def recorded(x, *args, **kwargs):
-            y = forward(x, *args, **kwargs)
+            y, saved = forward(x, *args, **kwargs)
             macs, aux = leaf.cost(x.shape[:-1], y.shape[:-1])
             rows.append(CostRow(path, y.shape[:-1], _nparams(leaf), macs, aux))
-            return y
+            return y, saved
         return recorded
 
     for path, m in module.named_modules(prefix):

@@ -1,32 +1,32 @@
-"""Stateful layer wrappers around the functional kernels, and the chain runner.
+"""Layer wrappers around the functional kernels, and the chain runner.
 
-Each layer keeps what its backward reads in one slot, ``_tape``, and its
-backward pops the slot and hands the kernel exactly what it kept: call
-``forward`` then ``backward`` once, in that order. Each array is kept once:
-a conv or max pool keeps its input (usually the array the ReLU before it
-keeps), which its backward kernel takes as it is. No layer writes in place
-into an array that an earlier layer's tape holds, and a train forward's
-input must not change before its backward. Each backward writes (replaces)
-its parameters' ``Parameter.grad``; an eval-mode batch-norm backward writes
-no gamma/beta gradient.
+A layer's ``forward`` returns its output and the record its backward reads,
+and ``backward(saved, grad)`` takes that record back: the caller holds it,
+so a layer keeps no per-call state. Each array is recorded once: a conv or
+max pool records its input (usually the array the ReLU before it records),
+which its backward kernel takes as it is. No layer writes in place into an
+array that a record holds, and a train forward's input must not change
+before its backward. Each backward writes (replaces) its parameters'
+``Parameter.grad``; an eval-mode batch-norm backward writes no gamma/beta
+gradient.
 
 Layers take a third mode, :data:`INFER`. What a layer computes branches only
 on ``mode == "train"``, so INFER computes exactly what eval mode computes;
-:func:`run_forward` empties the slot of each layer it runs in INFER (the two
-joins, called directly, empty their own). In INFER, :class:`BatchNorm`,
+:func:`run_forward` keeps no records in INFER. In INFER, :class:`BatchNorm`,
 :class:`ReLU` and :class:`AddReLU` write their output into their (first)
 input: in every chain that input is an array the previous layer has just
 made and nothing else holds, a conv or FC output or a batch-norm output.
 A network's eval forward runs its layers in INFER, so inference holds no
-activations and allocates none for these layers, and leaves nothing for a
-backward. Layers and units called directly in eval mode keep their tapes
-and leave their inputs as they were.
+activations and allocates none for these layers. Layers and units called
+directly in eval mode leave their inputs as they were.
 
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):
-:func:`run_forward` runs the list, :func:`run_backward` runs it in reverse.
-Only the joins of two paths (the residual sum, the attention-weighted
-fusion) route gradients by hand.
+:func:`run_forward` runs the list and returns its tape, one record per
+layer; :func:`run_backward` runs it in reverse and pops the records, so
+memory is freed as it goes. A composite's record is the list of its chains'
+tapes, which its backward pops. Only the joins of two paths (the residual
+sum, the attention-weighted fusion) route gradients by hand.
 
 Parameter values and batch-norm running buffers are read-only; their
 writers (the build, ``load_state_dict``, the SGD update and a train-mode
@@ -54,18 +54,23 @@ INFER = "infer"  # eval without a tape; see the module docstring
 
 
 def run_forward(layers, x, mode="train", rng=None):
+    """(output, tape): the tape holds one record per layer run, and is
+    ``None`` in INFER."""
+    tape = None if mode == INFER else []
     for layer in layers:
         if layer is not None:
-            x = layer.forward(x, mode, rng)
-            if mode == INFER:
-                layer._tape = None
-    return x
+            x, saved = layer.forward(x, mode, rng)
+            if tape is not None:
+                tape.append(saved)
+            del saved  # an INFER record dies before the next layer allocates
+    return x, tape
 
 
-def run_backward(layers, grad):
+def run_backward(layers, tape, grad):
+    """Input gradient of the chain; pops ``tape`` empty, last record first."""
     for layer in reversed(layers):
         if layer is not None:
-            grad = layer.backward(grad)
+            grad = layer.backward(tape.pop(), grad)
     return grad
 
 
@@ -85,15 +90,13 @@ class Conv2d(Module):
         self.weight = Parameter(kaiming_normal(rng, shape, prod(shape[1:]), dtype))
 
     def forward(self, x, mode="train", rng=None):
-        self._tape = x
-        return ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups)
+        return ops.conv2d(x, self.weight.value, self.stride, self.padding, self.groups), x
 
     def cost(self, x_shape, y_shape):
         # each output element sums one filter: Cin/groups * kh * kw products
         return prod(y_shape) * prod(self.weight.value.shape[1:]), 0
 
-    def backward(self, grad_out):
-        x, self._tape = self._tape, None
+    def backward(self, x, grad_out):
         gx, gw = ops.conv2d_backward(grad_out, x, self.weight.value, self.stride,
                                      self.padding, self.groups)
         self.weight.set_grad(gw)
@@ -121,17 +124,16 @@ class Linear(Module):
         if x.shape[0] != self.in_features:
             raise ConfigurationError(f"linear layer expects {self.in_features} input "
                                      f"features, got {x.shape[0]}")
-        x = self._tape = x[:, None, None]  # [F, 1, 1, N]
+        x = x[:, None, None]  # [F, 1, 1, N]
         y = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)[:, 0, 0]
         if self.bias is not None:
             y += self.bias.value[:, None]
-        return y
+        return y, x
 
     def cost(self, x_shape, y_shape):
         return self.weight.value.size, 0 if self.bias is None else self.bias.value.size
 
-    def backward(self, grad_out):
-        x, self._tape = self._tape, None
+    def backward(self, x, grad_out):
         gx, gw = ops.conv2d_backward(grad_out[:, None, None], x,
                                      self.weight.value[:, :, None, None], groups=self.groups)
         self.weight.set_grad(gw[:, :, 0, 0])
@@ -163,25 +165,24 @@ class BatchNorm(Module):
 
     def forward(self, x, mode="train", rng=None):
         if mode != "train":
-            self._tape = None
             key = (self.version, x.shape)
             if self._eval[0] != key:
                 self._eval = key, ops.batch_norm_eval_constants(
                     x.shape, self.gamma.value, self.beta.value, self.running_mean,
                     self.running_var)
-            return ops.batch_norm_affine(x, *self._eval[1], out=x if mode == INFER else None)
-        y, self._tape, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
+            y = ops.batch_norm_affine(x, *self._eval[1], out=x if mode == INFER else None)
+            return y, None
+        y, cache, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
         with self.writing():
             for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
                 buf *= 1.0 - ops.BN_MOMENTUM
                 buf += ops.BN_MOMENTUM * stat
-        return y
+        return y, cache
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
-    def backward(self, grad_out):
-        cache, self._tape = self._tape, None
+    def backward(self, cache, grad_out):
         if cache is None:
             # eval mode: input gradient only; gamma/beta grads stay as they were
             return ops.batch_norm_eval_backward(grad_out, self.gamma.value, self.running_var)
@@ -192,22 +193,21 @@ class BatchNorm(Module):
 
 
 class ReLU(Module):
-    """Keeps its output for the backward: y > 0 exactly where x > 0."""
+    """Records its output for the backward: y > 0 exactly where x > 0."""
 
     def forward(self, x, mode="train", rng=None):
-        self._tape = y = ops.relu(x, out=x if mode == INFER else None)
-        return y
+        y = ops.relu(x, out=x if mode == INFER else None)
+        return y, y
 
     def cost(self, x_shape, y_shape):
         return 0, prod(y_shape)
 
-    def backward(self, grad_out):
-        y, self._tape = self._tape, None
+    def backward(self, y, grad_out):
         return ops.relu_backward(grad_out, y)
 
 
 class AddReLU(Module):
-    """Residual join: ReLU of the branch output plus the shortcut. Keeps its
+    """Residual join: ReLU of the branch output plus the shortcut. Records its
     output, as :class:`ReLU` does."""
 
     def forward(self, x, shortcut, mode="train"):
@@ -218,14 +218,12 @@ class AddReLU(Module):
             )
         s = np.add(x, shortcut, out=x if mode == INFER else None)
         y = ops.relu(s, out=s)
-        self._tape = None if mode == INFER else y
-        return y
+        return y, y
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(y_shape)
 
-    def backward(self, grad_out):
-        y, self._tape = self._tape, None
+    def backward(self, y, grad_out):
         return ops.relu_backward(grad_out, y)
 
 
@@ -243,39 +241,34 @@ class _Pool2d(Module):
 
 class AvgPool2d(_Pool2d):
     def forward(self, x, mode="train", rng=None):
-        self._tape = x.shape
-        return ops.avg_pool2d(x, self.kernel, self.stride, self.padding)
+        return ops.avg_pool2d(x, self.kernel, self.stride, self.padding), x.shape
 
-    def backward(self, grad_out):
-        x_shape, self._tape = self._tape, None
+    def backward(self, x_shape, grad_out):
         return ops.avg_pool2d_backward(grad_out, x_shape, self.kernel,
                                        self.stride, self.padding)
 
 
 class MaxPool2d(_Pool2d):
-    """Keeps its input and output, from which the backward finds each argmax."""
+    """Records its input and output, from which the backward finds each argmax."""
 
     def forward(self, x, mode="train", rng=None):
         y = ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-        self._tape = x, y
-        return y
+        return y, (x, y)
 
-    def backward(self, grad_out):
-        (x, y), self._tape = self._tape, None
+    def backward(self, saved, grad_out):
+        x, y = saved
         return ops.max_pool2d_backward(grad_out, x, y, self.kernel, self.stride,
                                        self.padding)
 
 
 class GlobalAvgPool(Module):
     def forward(self, x, mode="train", rng=None):
-        self._tape = x.shape
-        return ops.global_avg_pool(x)
+        return ops.global_avg_pool(x), x.shape
 
     def cost(self, x_shape, y_shape):
         return 0, prod(x_shape)
 
-    def backward(self, grad_out):
-        x_shape, self._tape = self._tape, None
+    def backward(self, x_shape, grad_out):
         return ops.global_avg_pool_backward(grad_out, x_shape)
 
 
@@ -292,14 +285,13 @@ class Dropout(Module):
         return ops.dropout_mask(shape, self.p, rng, dtype)
 
     def forward(self, x, mode="train", rng=None):
-        self._tape = mask = self.mask(x.shape, rng, x.dtype) if mode == "train" else None
-        return x if mask is None else x * mask
+        mask = self.mask(x.shape, rng, x.dtype) if mode == "train" else None
+        return (x if mask is None else x * mask), mask
 
     def cost(self, x_shape, y_shape):
         return 0, 0  # the identity at inference
 
-    def backward(self, grad_out):
-        mask, self._tape = self._tape, None
+    def backward(self, mask, grad_out):
         return grad_out if mask is None else grad_out * mask
 
 

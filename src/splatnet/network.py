@@ -21,10 +21,10 @@ Activations are NCHW only at the network's boundary, which converts once on
 the way in and once on the way out; every module inside takes [C, H, W, N]
 (or [F, N]) arrays (:mod:`splatnet.ops`).
 
-A network's eval forward keeps no activations: it runs its layers in the
-tape-free mode ``INFER`` (:mod:`splatnet.layers`), in which batch norms,
-ReLUs and residual joins write in place. A backward follows only a
-completed train forward: a forward that raises drops every tape.
+A train forward returns the logits and the tape (:mod:`splatnet.layers`),
+which the caller holds until one backward uses it up. An eval forward keeps
+no activations: it runs its layers in the tape-free mode ``INFER``, in which
+batch norms, ReLUs and residual joins write in place.
 """
 
 from __future__ import annotations
@@ -191,12 +191,15 @@ class Bottleneck(Module):
         return [self.down_pool, self.down_conv, self.down_bn]
 
     def forward(self, x, mode="train", rng=None):
-        v = run_forward(self.branch(), x, mode, rng)
-        return self.add_relu.forward(v, run_forward(self.shortcut(), x, mode, rng), mode)
+        v, branch = run_forward(self.branch(), x, mode, rng)
+        s, shortcut = run_forward(self.shortcut(), x, mode, rng)
+        y, join = self.add_relu.forward(v, s, mode)
+        return y, [shortcut, branch, join]  # in the order the backward pops them
 
-    def backward(self, grad_out):
-        g = self.add_relu.backward(grad_out)
-        return run_backward(self.branch(), g) + run_backward(self.shortcut(), g)
+    def backward(self, tape, grad_out):
+        g = self.add_relu.backward(tape.pop(), grad_out)
+        gx = run_backward(self.branch(), tape.pop(), g)
+        return gx + run_backward(self.shortcut(), tape.pop(), g)
 
 
 class Stage(Module):
@@ -206,8 +209,8 @@ class Stage(Module):
     def forward(self, x, mode="train", rng=None):
         return run_forward(self.block, x, mode, rng)
 
-    def backward(self, grad_out):
-        return run_backward(self.block, grad_out)
+    def backward(self, tape, grad_out):
+        return run_backward(self.block, tape, grad_out)
 
 
 class Stem(Module):
@@ -233,8 +236,8 @@ class Stem(Module):
     def forward(self, x, mode="train", rng=None):
         return run_forward(self.layers(), x, mode, rng)
 
-    def backward(self, grad_out):
-        return run_backward(self.layers(), grad_out)
+    def backward(self, tape, grad_out):
+        return run_backward(self.layers(), tape, grad_out)
 
 
 class Network(Module):
@@ -281,40 +284,47 @@ class Network(Module):
                 self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]
 
     def forward(self, x, mode="train", rng=None):
-        """NCHW images -> logits [N, classes].
+        """NCHW images -> logits [N, classes]; in train mode ``(logits, tape)``,
+        the tape that one :meth:`backward` uses up. An input that is not NCHW
+        in the network's dtype, or an empty train batch, raises before any
+        layer runs."""
+        layer_mode = _layer_mode(mode)
+        dtype = self.fc.weight.value.dtype
+        if x.ndim != 4 or x.shape[1] != self.cfg.input_channels:
+            raise ConfigurationError(f"expected NCHW images with {self.cfg.input_channels} "
+                                     f"input channels, got shape {x.shape}")
+        n, _, h, w = x.shape
+        if h < MIN_INPUT_SIZE or w < MIN_INPUT_SIZE:
+            raise ConfigurationError(
+                f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
+                f"required by the stride chain"
+            )
+        if n == 0 and mode == "train":
+            raise ConfigurationError("a train forward needs at least one image")
+        if x.dtype != dtype:
+            raise ConfigurationError(f"expected {dtype} input, got {x.dtype}")
+        y, tape = run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng)
+        logits = ops.to_nchw(y)
+        return (logits, tape) if mode == "train" else logits
 
-        An eval forward keeps no activations; a train forward keeps every
-        layer's tape for one :meth:`backward`. A forward that raises drops
-        every tape, but the batch norms it ran keep their updated buffers.
-        """
-        try:
-            layer_mode = _layer_mode(mode)
-            n, c, h, w = x.shape
-            if c != self.cfg.input_channels:
-                raise ConfigurationError(
-                    f"expected {self.cfg.input_channels} input channels, got {c}"
-                )
-            if h < MIN_INPUT_SIZE or w < MIN_INPUT_SIZE:
-                raise ConfigurationError(
-                    f"input {h}x{w} below minimum size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} "
-                    f"required by the stride chain"
-                )
-            return ops.to_nchw(run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng))
-        except BaseException:
-            for _, m in self.named_modules():
-                m._tape = None
-            raise
-
-    def backward(self, grad_logits):
+    def backward(self, tape, grad_logits):
         """Gradient of the logits [N, classes] -> gradient of the NCHW input.
 
-        It uses up the tapes the layers kept, which only a completed train
-        forward (or an eval-mode ``run_forward`` of :meth:`layers`) leaves.
-        """
-        if self.fc._tape is None:
-            raise ConfigurationError("backward needs the tapes of a completed train "
-                                     "forward that no backward has used yet")
-        return ops.to_nchw(run_backward(self.layers(), ops.to_chwn(grad_logits)))
+        It uses up ``tape``, from a train forward (or an eval-mode
+        ``run_forward`` of :meth:`layers`). A used tape, or a gradient of
+        another shape or dtype than the logits, raises before any record is
+        popped."""
+        if not tape:
+            raise ConfigurationError("backward needs the tape of a train forward "
+                                     "that no backward has used yet")
+        # the classifier records its [F, 1, 1, N] input
+        want = (tape[-1].shape[-1], self.cfg.num_classes), self.fc.weight.value.dtype
+        if (grad_logits.shape, grad_logits.dtype) != want:
+            raise ConfigurationError(f"logits gradient {grad_logits.shape} {grad_logits.dtype} "
+                                     f"does not match the logits {want[0]} {want[1]}")
+        records = tape.copy()
+        tape.clear()  # used up, even by a backward that raises
+        return ops.to_nchw(run_backward(self.layers(), records, ops.to_chwn(grad_logits)))
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator,

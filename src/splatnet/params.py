@@ -78,6 +78,8 @@ class Parameter:
 
 class Module:
     """Minimal container: tracks Parameters and child Modules by attribute.
+    It keeps no per-call state; a forward hands what its backward reads to
+    the caller (:mod:`splatnet.layers`).
 
     Children are discovered by scanning instance attributes (including lists
     of modules), which is enough for the fixed, small topologies built here.
@@ -85,7 +87,6 @@ class Module:
     parameters and persistent tensors.
     """
 
-    _tape = None  # what a leaf layer's backward reads (splatnet.layers)
     version = 0  # bumped on leaving each writing() block that opened this module
 
     def _children(self):

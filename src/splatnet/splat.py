@@ -40,7 +40,7 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module
-from .layers import (INFER, AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU,
+from .layers import (AvgPool2d, BatchNorm, Conv2d, GlobalAvgPool, Linear, ReLU,
                      run_backward, run_forward)
 
 
@@ -192,12 +192,12 @@ class CardinalFuse(Module):
         self.radix = radix
 
     def forward(self, u, mode="train", rng=None):
-        return cardinal_fuse(u, self.radix)
+        return cardinal_fuse(u, self.radix), None
 
     def cost(self, x_shape, y_shape):
         return 0, prod(x_shape) - prod(y_shape)
 
-    def backward(self, grad_out):
+    def backward(self, saved, grad_out):
         return cardinal_fuse_backward(grad_out, self.radix)
 
 
@@ -209,22 +209,16 @@ class RSoftmax(Module):
         self.cardinality = cardinality
         self.cardinal_width = cardinal_width
 
-    @property
-    def weights(self):
-        """The weights of the last forward that kept a tape, until its backward."""
-        return self._tape
-
     def forward(self, logits, mode="train", rng=None):
         logits = logits.reshape(self.cardinality, self.radix, self.cardinal_width,
                                 logits.shape[1])
-        self._tape = weights = r_softmax(logits, self.radix)
-        return weights
+        weights = r_softmax(logits, self.radix)
+        return weights, weights
 
     def cost(self, x_shape, y_shape):
         return 0, 3 * prod(y_shape)
 
-    def backward(self, grad_out):
-        weights, self._tape = self._tape, None
+    def backward(self, weights, grad_out):
         g = r_softmax_backward(grad_out, weights, self.radix)
         return g.reshape(self.cardinality * self.radix * self.cardinal_width, g.shape[3])
 
@@ -233,16 +227,14 @@ class WeightedFuse(Module):
     """Splits [C*R, H, W, N] weighted by [K, R, c, N] -> [C, H, W, N]."""
 
     def forward(self, u, a, mode="train"):
-        self._tape = None if mode == INFER else (u, a)
-        return weighted_fuse(u, a)
+        return weighted_fuse(u, a), (u, a)
 
     def cost(self, x_shape, y_shape):
         return 0, 2 * prod(x_shape) - prod(y_shape)
 
-    def backward(self, grad_out):
+    def backward(self, saved, grad_out):
         """Gradients with respect to the splits and the weights."""
-        (u, a), self._tape = self._tape, None
-        return weighted_fuse_backward(grad_out, u, a)
+        return weighted_fuse_backward(grad_out, *saved)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +250,9 @@ class SplitAttentionUnit(Module):
     per-split weights -> weighted fusion. A stride > 1 is realized by a 3x3
     average pool placed before the 3x3 conv (``fast``) or after it.
 
-    The residual shortcut is the enclosing block's business, not this unit's.
+    Its forward's record is [transform tape, attention tape, (splits,
+    attention weights)]. The residual shortcut is the enclosing block's
+    business, not this unit's.
     """
 
     def __init__(self, cfg: SplatConfig, rng=None, dtype=np.float64):
@@ -297,14 +291,15 @@ class SplitAttentionUnit(Module):
                 self.assign]
 
     def forward(self, x, mode="train", rng=None):
-        u = run_forward(self.transform_layers(), x, mode)
-        a = run_forward(self.attention_layers(), u, mode, rng)
-        return self.weighted_fuse.forward(u, a, mode)
+        u, transform = run_forward(self.transform_layers(), x, mode)
+        a, attention = run_forward(self.attention_layers(), u, mode, rng)
+        y, fused = self.weighted_fuse.forward(u, a, mode)
+        return y, [transform, attention, fused]
 
-    def backward(self, grad_out):
-        gu, ga = self.weighted_fuse.backward(grad_out)
-        gu = gu + run_backward(self.attention_layers(), ga)
-        return run_backward(self.transform_layers(), gu)
+    def backward(self, tape, grad_out):
+        gu, ga = self.weighted_fuse.backward(tape.pop(), grad_out)
+        gu = gu + run_backward(self.attention_layers(), tape.pop(), ga)
+        return run_backward(self.transform_layers(), tape.pop(), gu)
 
 
 # ---------------------------------------------------------------------------

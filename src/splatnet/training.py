@@ -307,14 +307,14 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
                 xb, targets = mixup_batch(xb, targets, mixup_cfg.alpha, rng)
             targets = smooth_targets(targets, loss_cfg.smoothing)
 
-            logits = network.forward(xb, mode="train", rng=rng)
+            logits, tape = network.forward(xb, mode="train", rng=rng)
             loss, dlogits = cross_entropy_soft(logits, targets)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss diverged at epoch {epoch} step {step_in_epoch} "
                     f"(global step {gstep})"
                 )
-            network.backward(dlogits)
+            network.backward(tape, dlogits)
             last_lr = lr_at(gstep, sched)
             result.lr_trace.append(last_lr)
             sgd_step(network, velocities, last_lr, opt_cfg)

@@ -15,11 +15,11 @@ from splatnet.params import spawn_rng
 def shortcut_only_forward(net, x, mode="eval"):
     """NCHW images -> logits [N, classes] with every residual branch bypassed."""
     mode = _layer_mode(mode)
-    x = net.stem.forward(ops.to_chwn(x), mode)
+    x, _ = net.stem.forward(ops.to_chwn(x), mode)
     for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
         for block in stage.block:
-            x = ops.relu(run_forward(block.shortcut(), x, mode))
-    return ops.to_nchw(run_forward([net.gap, net.fc], x, mode))
+            x = ops.relu(run_forward(block.shortcut(), x, mode)[0])
+    return ops.to_nchw(run_forward([net.gap, net.fc], x, mode)[0])
 
 
 def randomize_batch_norm(net):

@@ -61,12 +61,11 @@ def _grid_forwards(seed=0):
                           cardinality=cardinality)
         params = random_unit_params(cfg, rng)
         x = rng.standard_normal((2, 6, 8, 8))
-        y_radix, unit = unit_forward(x, cfg, params)
+        y_radix, a = unit_forward(x, cfg, params)
         y_card = splat_forward_cardinality_major(
             x, cfg, permute_params(params, cfg, RADIX_TO_CARDINALITY)
         )
-        out.append(((radix, cardinality, channels), y_radix, y_card,
-                    unit.assign.weights))
+        out.append(((radix, cardinality, channels), y_radix, y_card, a))
     return out
 
 
@@ -111,8 +110,8 @@ def test_criterion_3_se_sk_reduction():
     rng = make_rng(33)
     cfg = SplatConfig(in_channels=5, channels=16, radix=2, cardinality=2)
     params = random_unit_params(cfg, rng)
-    _, unit = unit_forward(rng.standard_normal((3, 5, 6, 6)), cfg, params)
-    pair = float(np.abs(unit.assign.weights.sum(axis=1) - 1.0).max())
+    _, a = unit_forward(rng.standard_normal((3, 5, 6, 6)), cfg, params)
+    pair = float(np.abs(a.sum(axis=1) - 1.0).max())
     report(3, "squeeze-gate and two-branch reductions",
            worst < 1e-10 and pair < 1e-12,
            f"squeeze-gate diff {worst:.3e}, pair-sum err {pair:.3e}")

@@ -92,9 +92,9 @@ class TestCountParams:
         rng = make_rng(1)
         x = rng.standard_normal((2, 1, 32, 32))
         g = rng.standard_normal((2, 2))
-        net.forward(x, mode="train", rng=rng)
-        net.backward(g)  # running stats and gradients are now non-trivial
-        logits = net.forward(x, mode="train", rng=make_rng(2))
+        _, tape = net.forward(x, mode="train", rng=rng)
+        net.backward(tape, g)  # running stats and gradients are now non-trivial
+        logits, tape = net.forward(x, mode="train", rng=make_rng(2))
         attrs = {path: dict(vars(m)) for path, m in net.named_modules()}
         state = {k: v.copy() for k, v in net.state_dict().items()}
 
@@ -108,11 +108,12 @@ class TestCountParams:
         for k, v in state.items():
             assert after[k].tobytes() == v.tobytes(), k
 
-        gx = net.backward(g)
+        gx = net.backward(tape, g)
         ref = build(MICRO)
         ref.load_state_dict(state)
-        assert ref.forward(x, mode="train", rng=make_rng(2)).tobytes() == logits.tobytes()
-        assert ref.backward(g).tobytes() == gx.tobytes()
+        ref_logits, ref_tape = ref.forward(x, mode="train", rng=make_rng(2))
+        assert ref_logits.tobytes() == logits.tobytes()
+        assert ref.backward(ref_tape, g).tobytes() == gx.tobytes()
 
     def test_resnet50_baseline(self):
         net = build(dict(depth=50, radix=0, deep_stem=False, avg_down=False))

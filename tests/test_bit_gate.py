@@ -100,13 +100,13 @@ def _inputs(dtype=np.float64):
 
 
 def eval_logits_and_input_grad(variant):
-    """The eval forward's logits, and the input gradient of a backward after
-    an eval-mode run of the same layers, which keeps their tapes."""
+    """The eval forward's logits, and the input gradient of a backward along
+    the tape of an eval-mode run of the same layers."""
     net = _network(variant)
     x, grad_logits = _inputs()
     logits = net.forward(x, mode="eval")
-    run_forward(net.layers(), to_chwn(x), "eval")
-    return logits, net.backward(grad_logits)
+    _, tape = run_forward(net.layers(), to_chwn(x), "eval")
+    return logits, net.backward(tape, grad_logits)
 
 
 def eval_logits_f32(variant):
@@ -118,8 +118,8 @@ def train_param_grads(variant):
     """Every parameter gradient, flattened in parameter order."""
     net = _network(variant)
     x, grad_logits = _inputs()
-    net.forward(x, mode="train", rng=spawn_rng(0, 4))
-    net.backward(grad_logits)
+    _, tape = net.forward(x, mode="train", rng=spawn_rng(0, 4))
+    net.backward(tape, grad_logits)
     return np.concatenate([p.grad.ravel() for p in net.parameters()])
 
 
@@ -327,10 +327,10 @@ def directional_error(net, size=SIZE, channels=1, batch=16):
     norm = math.sqrt(sum(float((d * d).sum()) for d in v))
 
     def loss():
-        return float((net.forward(x, mode="train", rng=spawn_rng(0, 4)) * proj).sum())
+        logits, tape = net.forward(x, mode="train", rng=spawn_rng(0, 4))
+        return float((logits * proj).sum()), tape
 
-    loss()
-    net.backward(proj)
+    net.backward(loss()[1], proj)
     analytic = sum(float((p.grad * d).sum()) for p, d in zip(params, v)) / norm
     start = [p.value.copy() for p in params]
     errors = []
@@ -340,7 +340,7 @@ def directional_error(net, size=SIZE, channels=1, batch=16):
             with net.writing():
                 for p, s, d in zip(params, start, v):
                     p.value[...] = s + (sign * h / norm) * d
-            sides.append(loss())
+            sides.append(loss()[0])
         fd = (sides[0] - sides[1]) / (2.0 * h)
         errors.append(abs(fd - analytic) / max(abs(fd), abs(analytic)))
     with net.writing():
@@ -374,8 +374,8 @@ def test_train_directional_derivative_over_config_space(cfg, size, tmp_path_fact
     net32 = build_network(cfg, None, dtype=np.float32)
     net32.load_state_dict(loaded)
     x = spawn_rng(0, 6).standard_normal((2, cfg.input_channels, size, size))
-    logits = net32.forward(x.astype(np.float32), mode="train")
-    grads = [net32.backward(np.ones_like(logits)), *(p.grad for p in net32.parameters())]
+    logits, tape = net32.forward(x.astype(np.float32), mode="train")
+    grads = [net32.backward(tape, np.ones_like(logits)), *(p.grad for p in net32.parameters())]
     assert {a.dtype for a in (logits, *grads)} == {np.dtype(np.float32)}
 
 

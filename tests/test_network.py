@@ -101,7 +101,7 @@ class TestStem:
     def test_spatial_halving_to_quarter(self):
         stem = Stem(NetworkConfig(depth=50, stem_width=32), rng=make_rng(0))
         x = make_rng(1).standard_normal((3, 224, 224, 1))
-        y = stem.forward(x, mode="eval")
+        y, _ = stem.forward(x, mode="eval")
         assert y.shape == (64, 56, 56, 1)
 
     def test_output_channels_double_stem_width(self):
@@ -118,7 +118,7 @@ class TestStem:
     def test_classic_stem(self):
         stem = Stem(NetworkConfig(depth=50, deep_stem=False), rng=make_rng(0))
         x = make_rng(1).standard_normal((3, 224, 224, 1))
-        assert stem.forward(x, mode="eval").shape == (64, 56, 56, 1)
+        assert stem.forward(x, mode="eval")[0].shape == (64, 56, 56, 1)
         conv_params = stem.conv1.weight.value.size
         assert conv_params == 64 * 3 * 7 * 7
 
@@ -129,13 +129,13 @@ class TestBottleneck:
         block = Bottleneck(spec, rng=make_rng(0))
         x = np.abs(make_rng(1).standard_normal((64, 8, 8, 2)))
         # fresh block: final normalization scale is zero, so out = relu(x)
-        npt.assert_allclose(block.forward(x, mode="eval"), np.maximum(x, 0.0),
+        npt.assert_allclose(block.forward(x, mode="eval")[0], np.maximum(x, 0.0),
                             atol=1e-12)
 
     def test_stride_two_shapes(self):
         spec = BottleneckSpec(64, 32, 2, 2, 1, 64, True, False)
         block = Bottleneck(spec, rng=make_rng(0))
-        y = block.forward(make_rng(1).standard_normal((64, 16, 16, 2)), mode="eval")
+        y, _ = block.forward(make_rng(1).standard_normal((64, 16, 16, 2)), mode="eval")
         assert y.shape == (128, 8, 8, 2)
 
     def test_avg_down_shortcut_structure(self):
@@ -195,10 +195,10 @@ class TestNetwork:
     def test_stage_spatial_bookkeeping(self):
         net = build_network(NetworkConfig(depth=50, num_classes=10), make_rng(0))
         x = make_rng(1).standard_normal((1, 3, 224, 224))
-        h = net.stem.forward(to_chwn(x), mode="eval")
+        h, _ = net.stem.forward(to_chwn(x), mode="eval")
         sizes = []
         for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
-            h = stage.forward(h, mode="eval")
+            h, _ = stage.forward(h, mode="eval")
             sizes.append(h.shape[2])
         assert sizes == [56, 28, 14, 7]  # input / 2^(i+2)
 
@@ -211,6 +211,29 @@ class TestNetwork:
         net = micro_net()
         with pytest.raises(ConfigurationError, match="input channels"):
             net.forward(np.zeros((1, 3, 32, 32)), mode="eval")
+
+    def test_input_that_is_not_nchw(self):
+        net = micro_net()
+        for shape in [(1, 32, 32), (1, 1, 1, 32, 32)]:
+            with pytest.raises(ConfigurationError, match="expected NCHW images"):
+                net.forward(np.zeros(shape), mode="eval")
+
+    def test_empty_train_batch_raises_before_any_layer(self):
+        """An empty batch has no batch statistics: its train forward would
+        write NaN into every running buffer. An empty eval batch, which the
+        cost trace runs, stays allowed."""
+        net = micro_net()
+        before = {k: v.tobytes() for k, v in net.state_dict().items()}
+        with pytest.raises(ConfigurationError, match="at least one image"):
+            net.forward(np.zeros((0, 1, 32, 32)), mode="train")
+        assert {k: v.tobytes() for k, v in net.state_dict().items()} == before
+        assert net.forward(np.zeros((0, 1, 32, 32)), mode="eval").shape == (0, 2)
+
+    def test_input_of_another_dtype(self):
+        net = build_network(NetworkConfig(**MICRO), make_rng(0), dtype=np.float32)
+        for mode in ("train", "eval"):
+            with pytest.raises(ConfigurationError, match="float32 input, got float64"):
+                net.forward(np.zeros((1, 1, 32, 32)), mode=mode)
 
     def test_uniform_logits_on_fresh_zero_bias_head(self):
         net = micro_net()
@@ -298,8 +321,8 @@ class TestNetwork:
         assert len(picked) == len(names)
 
         def loss():
-            logits = net.forward(x, mode="train")
-            net.backward(proj)
+            logits, tape = net.forward(x, mode="train")
+            net.backward(tape, proj)
             grads = {name: p.grad.copy() for name, p in net.named_parameters()
                      if name in picked}
             return float((logits * proj).sum()), grads
@@ -335,8 +358,8 @@ class TestNetwork:
             for name, v in picked.items():
                 checked[name].update(np.flatnonzero(v != start[name]).tolist())
             logits = net.forward(x, mode="eval")
-            run_forward(net.layers(), to_chwn(x), "eval")  # keeps the tapes for the backward
-            net.backward(proj)
+            _, tape = run_forward(net.layers(), to_chwn(x), "eval")
+            net.backward(tape, proj)
             grads = {name: p.grad.copy() for name, p in net.named_parameters()
                      if name in picked}
             return float((logits * proj).sum()), grads
@@ -393,16 +416,17 @@ class TestNetwork:
         drop = [path for path, m in net.named_modules() if isinstance(m, DropBlock)]
         assert drop == ["dropblock3", "dropblock4"]
         masked = (net.dropblock3, net.dropblock4, net.head_dropout)
-        net.forward(x, mode="train", rng=rng)
-        assert all(layer._tape is not None for layer in masked)
+        _, tape = net.forward(x, mode="train", rng=rng)
+        records = dict(zip(net.layers(), tape))  # every layer of this network runs
+        assert all(records[layer] is not None for layer in masked)
         for layer in masked:
-            # eval mode is the identity both ways and leaves no mask behind
+            # eval mode is the identity both ways and records no mask
             v = rng.standard_normal((3, 4, 4, 2))
-            assert layer.forward(v, mode="eval") is v
-            assert layer._tape is None
-            assert layer.backward(v) is v
+            y, mask = layer.forward(v, mode="eval")
+            assert y is v and mask is None
+            assert layer.backward(mask, v) is v
         net.forward(x, mode="eval")
-        assert all(layer._tape is None for layer in masked)
+        assert held_arrays(net) == []
 
 
 def parent_dropblock_mask(shape, block_size, drop_prob, rng):
@@ -426,20 +450,20 @@ class TestRngStreams:
     def test_dropblock_mask_is_transposed_nchw_mask(self):
         x = make_rng(13).standard_normal((5, 9, 9, 4))  # [C, H, W, N]
         layer, rng = DropBlock(0.3, 3), make_rng(14)
-        y = layer.forward(x, mode="train", rng=rng)
+        y, mask = layer.forward(x, mode="train", rng=rng)
         want_rng = make_rng(14)
         want = to_chwn(parent_dropblock_mask((4, 5, 9, 9), 3, 0.3, want_rng))
-        assert layer._tape.tobytes() == want.tobytes()
+        assert mask.tobytes() == want.tobytes()
         assert y.tobytes() == (x * want).tobytes()
         assert rng.random() == want_rng.random()  # the same number of draws
 
     def test_dropout_mask_is_transposed_nf_mask(self):
         x = make_rng(15).standard_normal((12, 6))  # [F, N]
         layer, rng = Dropout(0.4), make_rng(16)
-        y = layer.forward(x, mode="train", rng=rng)
+        y, mask = layer.forward(x, mode="train", rng=rng)
         want_rng = make_rng(16)
         want = to_chwn((want_rng.random((6, 12)) >= 0.4).astype(np.float64) / 0.6)
-        assert layer._tape.tobytes() == want.tobytes()
+        assert mask.tobytes() == want.tobytes()
         assert y.tobytes() == (x * want).tobytes()
         assert rng.random() == want_rng.random()
 
@@ -450,20 +474,21 @@ class TestFloat32Network:
                             make_rng(0), dtype=np.float32)
         dtypes = []
 
-        def recording(path, method):
+        def recording(path, method, arrays):
             def recorded(*args, **kwargs):
                 out = method(*args, **kwargs)
-                dtypes.extend((path, a.dtype) for a in (out if isinstance(out, tuple) else (out,)))
+                dtypes.extend((path, a.dtype) for a in arrays(out))
                 return out
             return recorded
 
         for path, m in net.named_modules():
             if next(m.named_modules(), None) is None:
-                m.forward = recording(path, m.forward)
-                m.backward = recording(path + " backward", m.backward)
+                m.forward = recording(path, m.forward, lambda out: out[:1])
+                m.backward = recording(path + " backward", m.backward,
+                                       lambda out: out if isinstance(out, tuple) else (out,))
         x = make_rng(1).standard_normal((4, 1, 32, 32)).astype(np.float32)
-        logits = net.forward(x, mode="train", rng=make_rng(2))
-        gx = net.backward(np.ones_like(logits))
+        logits, tape = net.forward(x, mode="train", rng=make_rng(2))
+        gx = net.backward(tape, np.ones_like(logits))
         assert len(dtypes) > 100
         assert [(p, d) for p, d in dtypes if d != np.float32] == []
         assert logits.dtype == gx.dtype == np.float32
@@ -490,48 +515,52 @@ class TestGradientContract:
         x = rng.standard_normal((2, 1, 32, 32))
         g1, g2 = rng.standard_normal((2, 2, 2))
         net, ref = micro_net(), micro_net()
-        net.forward(x, mode="train")
-        net.backward(g1)
-        net.forward(x, mode="train")
-        net.backward(g2)
-        ref.forward(x, mode="train")
-        ref.backward(g2)
+        for g in (g1, g2):
+            net.backward(net.forward(x, mode="train")[1], g)
+        ref.backward(ref.forward(x, mode="train")[1], g2)
         for (name, p), q in zip(net.named_parameters(), ref.parameters()):
             assert p.grad.tobytes() == q.grad.tobytes(), name
 
 
 class TestConvKeepsItsInput:
-    """Conv2d keeps its input array, not its im2col columns, from a forward
-    that keeps a tape to its backward, which hands it to the conv backward
-    kernel: a network's eval forward holds none, a backward drops them."""
-
-    @staticmethod
-    def convs(net):
-        return [(path, m) for path, m in net.named_modules() if isinstance(m, Conv2d)]
+    """Conv2d records its input array, not its im2col columns, for its
+    backward, which hands it to the conv backward kernel: a network's eval
+    forward returns no record, a backward drops them."""
 
     @pytest.mark.parametrize("radix", [0, 2])
     def test_held_from_train_forward_to_backward_only(self, radix):
         net = micro_net(radix=radix)
         rng = make_rng(3)
         x = rng.standard_normal((2, 1, 32, 32))
-        net.forward(x, mode="eval")
-        assert [p for p, m in self.convs(net) if m._tape is not None] == []
-        net.forward(x, mode="train")
-        assert [p for p, m in self.convs(net) if m._tape is None] == []
-        net.backward(rng.standard_normal((2, 2)))
-        assert [p for p, m in self.convs(net) if m._tape is not None] == []
+        inputs = {}  # conv path -> the input of its last forward
+
+        def recording(path, forward):
+            def recorded(x, *args):
+                inputs[path] = x
+                return forward(x, *args)
+            return recorded
+
+        for path, m in net.named_modules():
+            if isinstance(m, Conv2d):
+                m.forward = recording(path, m.forward)
+        assert isinstance(net.forward(x, mode="eval"), np.ndarray)
+        _, tape = net.forward(x, mode="train")
+        recorded = list(arrays(tape))
+        assert [p for p, a in inputs.items() if not any(r is a for r in recorded)] == []
+        net.backward(tape, rng.standard_normal((2, 2)))
+        assert tape == []
 
     def test_eval_backward_matches_train_backward(self):
         rng = make_rng(4)
         conv = Conv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=rng)
         x = rng.standard_normal((4, 7, 7, 3))
         g = rng.standard_normal((6, 4, 4, 3))
-        conv.forward(x, mode="train")
-        assert conv._tape is x
-        gx_train = conv.backward(g)
+        _, saved = conv.forward(x, mode="train")
+        assert saved is x
+        gx_train = conv.backward(saved, g)
         gw_train = conv.weight.grad
-        conv.forward(x, mode="eval")
-        assert conv.backward(g).tobytes() == gx_train.tobytes()
+        _, saved = conv.forward(x, mode="eval")
+        assert conv.backward(saved, g).tobytes() == gx_train.tobytes()
         assert conv.weight.grad.tobytes() == gw_train.tobytes()
 
 
@@ -590,16 +619,17 @@ class TestShapeConstants:
         assert counts[0] == counts[1]
 
 
-def kept_arrays(module):
-    """(attribute, array) for every ndarray a module's attributes hold,
-    inside nested tuples and lists too."""
-    def arrays(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                yield from arrays(item)
+def arrays(obj):
+    """Every ndarray in ``obj``, inside nested tuples and lists too."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays(item)
 
+
+def kept_arrays(module):
+    """(attribute, array) for every ndarray a module's attributes hold."""
     for attr, obj in vars(module).items():
         for a in arrays(obj):
             yield attr, a
@@ -628,51 +658,42 @@ def grad_bytes(net):
 
 
 class TestTapeFreeEval:
-    """A network's eval forward keeps no activations, so a backward follows
-    only a train forward, and only once."""
+    """A network's eval forward keeps no activations and returns no tape; a
+    train forward's tape gives one backward."""
 
     @pytest.mark.parametrize("radix", [0, 2])
     def test_eval_forward_keeps_no_activations(self, radix):
         net = micro_net(radix=radix, dropblock_prob=0.2, dropout=0.2)
         rng = make_rng(7)
         x = rng.standard_normal((2, 1, 32, 32))
-        net.forward(x, mode="train", rng=rng)
-        net.backward(rng.standard_normal((2, 2)))  # leaves the batch-norm caches
+        _, tape = net.forward(x, mode="train", rng=rng)
+        net.backward(tape, rng.standard_normal((2, 2)))
         net.forward(x, mode="eval")
         assert held_arrays(net) == []
-
-    @pytest.mark.parametrize("train_first", [False, True])
-    def test_backward_after_eval_forward_raises(self, train_first):
-        net = micro_net()
-        rng = make_rng(8)
-        x = rng.standard_normal((2, 1, 32, 32))
-        if train_first:
-            net.forward(x, mode="train")
-        net.forward(x, mode="eval")
-        with pytest.raises(ConfigurationError, match="train forward"):
-            net.backward(rng.standard_normal((2, 2)))
 
     def test_second_backward_raises(self):
         net = micro_net()
         rng = make_rng(8)
         g = rng.standard_normal((2, 2))
-        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
-        net.backward(g)
+        _, tape = net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
+        net.backward(tape, g)
         with pytest.raises(ConfigurationError, match="train forward"):
-            net.backward(g)
+            net.backward(tape, g)
 
     def test_forward_that_raises_drops_every_tape(self):
         """A train forward that fails partway (the residual join of a 40x40
-        input) leaves no tape, none of an earlier forward either, so no
-        backward runs on a mix of two forwards' tapes."""
-        net = micro_net()
+        input) returns nothing and leaves no module holding an array; the
+        tape of an earlier forward still gives that forward's gradients."""
+        net, ref = micro_net(), micro_net()
         rng = make_rng(12)
-        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
+        x = rng.standard_normal((2, 1, 32, 32))
+        g = rng.standard_normal((2, 2))
+        _, tape = net.forward(x, mode="train")
         with pytest.raises(ConfigurationError, match="shape mismatch"):
             net.forward(rng.standard_normal((2, 1, 40, 40)), mode="train")
-        assert [path for path, m in net.named_modules() if m._tape is not None] == []
-        with pytest.raises(ConfigurationError, match="completed train forward"):
-            net.backward(rng.standard_normal((2, 2)))
+        assert held_arrays(net) == []
+        gx = net.backward(tape, g)
+        assert gx.tobytes() == ref.backward(ref.forward(x, mode="train")[1], g).tobytes()
 
     def test_eval_forward_leaves_nothing_a_train_step_sees(self):
         net, ref = (randomize_batch_norm(micro_net()) for _ in range(2))
@@ -680,10 +701,8 @@ class TestTapeFreeEval:
         x = rng.standard_normal((2, 1, 32, 32))
         g = rng.standard_normal((2, 2))
         net.forward(rng.standard_normal((2, 1, 32, 32)), mode="eval")
-        net.forward(x, mode="train")
-        gx = net.backward(g)
-        ref.forward(x, mode="train")
-        assert gx.tobytes() == ref.backward(g).tobytes()
+        gx = net.backward(net.forward(x, mode="train")[1], g)
+        assert gx.tobytes() == ref.backward(ref.forward(x, mode="train")[1], g).tobytes()
         assert grad_bytes(net) == grad_bytes(ref)
 
     def test_eval_forward_frees_every_array_but_the_logits(self):
@@ -710,8 +729,8 @@ class TestTapeFreeEval:
 
     @pytest.mark.parametrize("radix", [0, 2])
     def test_relu_keeps_its_output(self, radix):
-        """After a train forward each ReLU keeps the array the next layer
-        received, so its input dies with the ReLU's call."""
+        """Each ReLU's train record is the array the next layer receives, so
+        its input dies with the ReLU's call."""
         net = micro_net(radix=radix)
         outputs = {}
 
@@ -726,19 +745,22 @@ class TestTapeFreeEval:
             m.forward = recording(path, m.forward)
         net.forward(make_rng(12).standard_normal((2, 1, 32, 32)), mode="train")
         assert len(outputs) == len(relus) > 0
-        for path, m in relus:
-            kept = [a for _, a in kept_arrays(m)]
-            assert len(kept) == 1 and np.shares_memory(kept[0], outputs[path]), path
+        for path, (y, saved) in outputs.items():
+            assert saved is y, path
 
 
 class TestTrainTape:
-    """A train forward keeps each activation once, and a backward drops
-    every layer's tape."""
+    """A train forward records each activation once, in the tape it returns
+    to its caller, and a backward empties that tape as it goes."""
 
     # array bytes a toy train forward at batch 32 leaves on its tape: 23.7 MB
     # measured, 26.4 MB while the max pool kept a padded copy of its input and
     # 56.5 MB while each conv kept its im2col columns
     TOY_TAPE_BYTES = 24_500_000
+    # traced peak of the toy batch-32 backward above its start, the tape
+    # traced too: 3.62 MB measured, 4.55 MB while a block's shortcut ran its
+    # backward before its branch, whose records then outlived their use
+    TOY_BACKWARD_PEAK_BYTES = 3_750_000
 
     def test_toy_train_forward_tape_bytes(self):
         net = toy_net()
@@ -747,22 +769,75 @@ class TestTrainTape:
         tracemalloc.start()
         try:
             before = traced_array_bytes()
-            logits = net.forward(x, mode="train")
-            tape = traced_array_bytes() - before - logits.nbytes
+            logits, tape = net.forward(x, mode="train")
+            tape_bytes = traced_array_bytes() - before - logits.nbytes
         finally:
             tracemalloc.stop()
-        assert tape <= self.TOY_TAPE_BYTES
-        # the max pool keeps the very array the ReLU before it keeps
-        assert net.stem.maxpool._tape[0] is net.stem.relu3._tape
+        assert tape_bytes <= self.TOY_TAPE_BYTES
+        # the max pool records the very array the ReLU before it records
+        stem = tape[0]
+        assert stem[-1][0] is stem[-2]
+
+    def test_toy_backward_peak(self):
+        net = toy_net()
+        x = make_rng(14).standard_normal((32, 1, 32, 32))
+        g = make_rng(15).standard_normal((32, net.cfg.num_classes))
+        tracemalloc.start()
+        try:
+            _, tape = net.forward(x, mode="train")
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net.backward(tape, g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.TOY_BACKWARD_PEAK_BYTES
 
     @pytest.mark.parametrize("radix", [0, 2])
     def test_backward_drops_every_tape(self, radix):
         net = micro_net(radix=radix, dropblock_prob=0.2, dropout=0.2)
         rng = make_rng(15)
-        logits = net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train", rng=rng)
-        assert held_arrays(net) != []
-        net.backward(np.ones_like(logits))
+        logits, tape = net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train", rng=rng)
+        assert list(arrays(tape)) != []
+        net.backward(tape, np.ones_like(logits))
+        assert tape == []
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_train_forward_leaves_no_array_in_a_module(self, radix):
+        net = micro_net(radix=radix, dropblock_prob=0.2, dropout=0.2)
+        rng = make_rng(16)
+        net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train", rng=rng)
         assert held_arrays(net) == []
+
+    @pytest.mark.parametrize("radix", [0, 2])
+    def test_backwards_in_reverse_order_give_each_inputs_gradients(self, radix):
+        """Two train forwards, then their backwards last first: each tape gives
+        its own input's gradients, byte for byte, whatever ran since."""
+        cfg = dict(radix=radix, dropblock_prob=0.2, dropout=0.2)
+        net = micro_net(**cfg)
+        rng = make_rng(17)
+        xs = rng.standard_normal((2, 2, 1, 32, 32))
+        gs = rng.standard_normal((2, 2, 2))
+        tapes = [net.forward(x, mode="train", rng=spawn_rng(1, i))[1] for i, x in enumerate(xs)]
+        for i in (1, 0):
+            gx = net.backward(tapes[i], gs[i])
+            ref = micro_net(**cfg)
+            _, tape = ref.forward(xs[i], mode="train", rng=spawn_rng(1, i))
+            assert gx.tobytes() == ref.backward(tape, gs[i]).tobytes()
+            assert grad_bytes(net) == grad_bytes(ref)
+
+    def test_bad_logits_gradient_raises_and_keeps_the_tape(self):
+        net, ref = micro_net(), micro_net()
+        rng = make_rng(18)
+        x = rng.standard_normal((2, 1, 32, 32))
+        g = rng.standard_normal((2, 2))
+        _, tape = net.forward(x, mode="train")
+        for bad in (rng.standard_normal((3, 2)), g.astype(np.float32)):
+            with pytest.raises(ConfigurationError, match="does not match the logits"):
+                net.backward(tape, bad)
+        gx = net.backward(tape, g)
+        assert gx.tobytes() == ref.backward(ref.forward(x, mode="train")[1], g).tobytes()
+        assert grad_bytes(net) == grad_bytes(ref)
 
 
 class TestParameterWrites:
@@ -799,10 +874,10 @@ class TestParameterWrites:
             assert logits.dtype == dtype and logits.tobytes() == want.tobytes(), writer
 
         assert_fresh("build")
-        logits = net.forward(x, mode="train", rng=spawn_rng(0, 8))
+        logits, _ = net.forward(x, mode="train", rng=spawn_rng(0, 8))
         assert_fresh("train forward")
-        net.forward(x, mode="train", rng=spawn_rng(0, 8))
-        net.backward(np.ones_like(logits))
+        _, tape = net.forward(x, mode="train", rng=spawn_rng(0, 8))
+        net.backward(tape, np.ones_like(logits))
         sgd_step(net, {}, 0.1, OptimizerConfig(momentum=0.9, weight_decay=1e-4))
         assert_fresh("sgd step")
         other = build_network(cfg, spawn_rng(0, 9), dtype=dtype)
@@ -855,8 +930,8 @@ class TestEvalMemory:
         for layer, args in [(bn, ()), (ReLU(), ()),
                             (AddReLU(), (rng.standard_normal((4, 3, 3, 2)),))]:
             x = rng.standard_normal((4, 3, 3, 2))
-            want = layer.forward(x.copy(), *args, mode="eval")
-            y = layer.forward(x, *args, mode=INFER)
+            want, _ = layer.forward(x.copy(), *args, mode="eval")
+            y, _ = layer.forward(x, *args, mode=INFER)
             assert np.shares_memory(y, x) and y.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("radix", [0, 2])

@@ -401,8 +401,8 @@ class TestPooling:
         grads = []
         for mode in ("train", "eval"):
             pool = MaxPool2d(3, 2, 1)
-            pool.forward(x, mode)
-            grads.append(pool.backward(grad_out))
+            _, saved = pool.forward(x, mode)
+            grads.append(pool.backward(saved, grad_out))
         assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_global_avg_pool(self):
@@ -522,13 +522,13 @@ class TestFullyConnected:
     def test_identity(self):
         rng = make_rng(10)
         x = rng.standard_normal((6, 4))
-        npt.assert_array_equal(linear(np.eye(6)).forward(x), x)
+        npt.assert_array_equal(linear(np.eye(6)).forward(x)[0], x)
 
     def test_two_groups_are_independent_halves(self):
         rng = make_rng(11)
         x = rng.standard_normal((8, 3))
         w = rng.standard_normal((10, 4))
-        got = linear(w, groups=2).forward(x)
+        got, _ = linear(w, groups=2).forward(x)
         top = w[:5] @ x[:4]
         bottom = w[5:] @ x[4:]
         npt.assert_allclose(got, np.concatenate([top, bottom], axis=0), atol=1e-12)
@@ -539,7 +539,7 @@ class TestFullyConnected:
         w = rng.standard_normal((9, 4))
         b = rng.standard_normal(9)
         npt.assert_allclose(
-            to_nchw(linear(w, b, groups=3).forward(to_chwn(x))),
+            to_nchw(linear(w, b, groups=3).forward(to_chwn(x))[0]),
             fc_oracle(x, w, b, 3),
             atol=1e-12,
         )
@@ -565,10 +565,10 @@ class TestFullyConnected:
         xg = x.reshape(groups, -1, n)
         gg = g.reshape(groups, -1, n)
         wg = w.reshape(groups, o // groups, -1)
-        y = layer.forward(x)
+        y, saved = layer.forward(x)
         npt.assert_allclose(y, np.einsum("gof,gfn->gon", wg, xg).reshape(o, n) + b[:, None],
                             rtol=0, atol=1e-12)
-        gx = layer.backward(g)
+        gx = layer.backward(saved, g)
         npt.assert_allclose(layer.weight.grad,
                             np.einsum("gon,gfn->gof", gg, xg).reshape(w.shape),
                             rtol=0, atol=1e-12)
@@ -583,10 +583,10 @@ class TestFullyConnected:
         x = rng.standard_normal((2048, 1))
         layer = linear(rng.standard_normal((1000, 2048)), rng.standard_normal(1000))
         g = rng.standard_normal((1000, 1))
-        layer.forward(x)
+        _, saved = layer.forward(x)
         tracemalloc.start()
         try:
-            layer.backward(g)
+            layer.backward(saved, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -599,8 +599,8 @@ class TestFullyConnected:
         proj = rng.standard_normal((6, 3))
 
         def loss():
-            y = layer.forward(x)
-            gx = layer.backward(proj)
+            y, saved = layer.forward(x)
+            gx = layer.backward(saved, proj)
             return float((y * proj).sum()), {"x": gx, "w": layer.weight.grad,
                                               "b": layer.bias.grad}
 
@@ -612,8 +612,8 @@ class TestFullyConnected:
         f32 = np.float32
         x = rng.standard_normal((8, 3)).astype(f32)
         layer = linear(rng.standard_normal((6, 4)).astype(f32), np.zeros(6, f32), 2)
-        y = layer.forward(x)
-        gx = layer.backward(np.ones((6, 3), f32))
+        y, saved = layer.forward(x)
+        gx = layer.backward(saved, np.ones((6, 3), f32))
         arrays = [y, gx, layer.weight.grad, layer.bias.grad]
         assert [a.dtype for a in arrays] == [f32] * 4
 
@@ -782,19 +782,19 @@ class TestDropout:
     def test_p_zero_identity(self):
         x = make_rng(25).standard_normal((3, 4))
         layer, rng = Dropout(0.0), make_rng(0)
-        assert layer.forward(x, "train", rng) is x
-        assert layer._tape is None
+        y, mask = layer.forward(x, "train", rng)
+        assert y is x and mask is None
         assert rng.random() == make_rng(0).random()  # nothing drawn
         g = make_rng(1).standard_normal((3, 4))
-        assert layer.backward(g) is g
+        assert layer.backward(mask, g) is g
 
     def test_eval_identity(self):
         x = make_rng(26).standard_normal((3, 4))
         for mode in ("eval", INFER):
             layer = Dropout(0.7)
-            assert layer.forward(x, mode, make_rng(0)) is x
-            assert layer._tape is None
-            assert layer.backward(x) is x
+            y, mask = layer.forward(x, mode, make_rng(0))
+            assert y is x and mask is None
+            assert layer.backward(mask, x) is x
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigurationError, match="probability"):
@@ -805,7 +805,7 @@ class TestDropout:
     def test_monte_carlo_survival_and_mean(self):
         rng = make_rng(27)
         x = np.abs(rng.standard_normal(1_000_000)) + 1.0
-        y = Dropout(0.2).forward(x, "train", rng)
+        y, _ = Dropout(0.2).forward(x, "train", rng)
         survivors = (y != 0).mean()
         assert abs(survivors - 0.8) < 0.005
         assert abs(y.mean() - x.mean()) / x.mean() < 0.01
@@ -814,10 +814,9 @@ class TestDropout:
         rng = make_rng(28)
         x = rng.standard_normal((100,))
         layer = Dropout(0.3)
-        y = layer.forward(x, "train", rng)
-        mask = layer._tape
+        y, mask = layer.forward(x, "train", rng)
         assert y.tobytes() == (x * mask).tobytes()
-        g = layer.backward(np.ones_like(x))
+        g = layer.backward(mask, np.ones_like(x))
         npt.assert_array_equal(g, mask)
 
 
@@ -844,14 +843,13 @@ class TestFloat32:
         for shape in ((3, 4), (3, 5, 5, 2)):
             x = rng.standard_normal(shape).astype(f32)
             bn = BatchNorm(3, dtype=f32)
-            y = bn.forward(x, "train")
-            cache = bn._tape
-            gx = bn.backward(np.ones_like(y))
+            y, cache = bn.forward(x, "train")
+            gx = bn.backward(cache, np.ones_like(y))
             arrays = [y, bn.running_mean, bn.running_var, gx, bn.gamma.grad, bn.beta.grad,
                       *cache]
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
-            y = bn.forward(x, "eval")
-            assert y.dtype == f32 and bn.backward(y).dtype == f32, shape
+            y, cache = bn.forward(x, "eval")
+            assert y.dtype == f32 and bn.backward(cache, y).dtype == f32, shape
 
 
 class TestDeterminism:

@@ -32,6 +32,12 @@ def unit_with_random_state(cfg, seed):
     return random_unit_params(cfg, rng), rng
 
 
+def loaded_unit(cfg, params):
+    unit = SplitAttentionUnit(cfg)
+    unit.load_state_dict(params)
+    return unit
+
+
 class TestSplatConfig:
     def test_divisibility(self):
         with pytest.raises(ConfigurationError, match="cardinality"):
@@ -157,8 +163,8 @@ class TestSplitTransform:
                           cardinality=cardinality)
         params, rng = unit_with_random_state(cfg, 31)
         x = rng.standard_normal((2, 5, 6, 6))
-        _, unit = unit_forward(x, cfg, params)
-        u = to_nchw(run_forward(unit.transform_layers(), to_chwn(x), "eval"))
+        unit = loaded_unit(cfg, params)
+        u = to_nchw(run_forward(unit.transform_layers(), to_chwn(x), "eval")[0])
 
         sw, cw = cfg.split_width, cfg.cardinal_width
         eps = 1e-5
@@ -183,8 +189,8 @@ class TestSplitTransform:
         cfg = SplatConfig(in_channels=3, channels=8, radix=1, cardinality=1)
         params, rng = unit_with_random_state(cfg, 32)
         x = rng.standard_normal((1, 3, 5, 5))
-        _, unit = unit_forward(x, cfg, params)
-        u = run_forward(unit.transform_layers(), to_chwn(x), "eval")
+        unit = loaded_unit(cfg, params)
+        u, _ = run_forward(unit.transform_layers(), to_chwn(x), "eval")
         assert SplitAttentionUnit(cfg).conv_split.groups == 1
         assert u.shape == (8, 5, 5, 1)
 
@@ -198,8 +204,8 @@ class TestSplitTransform:
         params["bn_split.running_var"][:] = 1.0
         params["conv_split.weight"][8:] = 0.0  # second split (radix-major rows)
         x = rng.standard_normal((1, 3, 5, 5))
-        _, unit = unit_forward(x, cfg, params)
-        u = run_forward(unit.transform_layers(), to_chwn(x), "eval")
+        unit = loaded_unit(cfg, params)
+        u, _ = run_forward(unit.transform_layers(), to_chwn(x), "eval")
         assert np.abs(u[8:]).max() == 0.0
         assert np.abs(u[:8]).max() > 0.0
 
@@ -302,7 +308,7 @@ class TestUnitForward:
             unit.conv_split.weight.value[...] = 0.0
             unit.bn_split.beta.value[...] = 0.0
         x = make_rng(51).standard_normal((3, 6, 6, 2))
-        y = unit.forward(x, mode="train")
+        y, _ = unit.forward(x, mode="train")
         npt.assert_allclose(y, 0.0, atol=1e-15)
 
     def test_mutating_weighted_fuse_breaks_equivalence(self, monkeypatch):
@@ -323,7 +329,6 @@ class TestUnitForward:
         cfg = SplatConfig(in_channels=3, channels=8, radix=2, cardinality=2)
         params, rng = unit_with_random_state(cfg, 52)
         x = rng.standard_normal((2, 3, 5, 5))
-        _, unit = unit_forward(x, cfg, params)
-        a_eval = unit.assign.weights
+        _, a_eval = unit_forward(x, cfg, params)
         assert a_eval.shape == (2, 2, 4, 2)  # [K, R, c, N]
         assert np.isfinite(a_eval).all()

@@ -391,9 +391,9 @@ class TestTrainToy:
         forward = net.forward
 
         def recording_forward(x, mode="train", rng=None):
-            y = forward(x, mode=mode, rng=rng)
+            y, tape = forward(x, mode=mode, rng=rng)
             logit_dtypes.append(y.dtype)
-            return y
+            return y, tape
 
         net.forward = recording_forward
         sched = ScheduleConfig(batch_size=16, total_epochs=2, steps_per_epoch=4,
@@ -434,7 +434,7 @@ class TestTrainToy:
         result = train_toy(net, ds, sched, LossConfig(2, smoothing=0.0),
                            MixupConfig(enabled=False), OptimizerConfig(), seed=7)
         order = spawn_rng(7, 1000).permutation(32)
-        logits = net.forward(ds.images[order[:32]], mode="train")
+        logits, _ = net.forward(ds.images[order[:32]], mode="train")
         want, _ = label_smooth_ce(logits, ds.labels[order[:32]], 0.0)
         assert result.epochs[0].loss == pytest.approx(float(want), rel=1e-9)
 
