@@ -56,13 +56,16 @@ INFER = "infer"  # eval without a tape; see the module docstring
 def run_forward(layers, x, mode="train", rng=None):
     """(output, tape): the tape holds one record per layer run, and is
     ``None`` in INFER."""
-    tape = None if mode == INFER else []
+    if mode == INFER:
+        for layer in layers:
+            if layer is not None:
+                x = layer.forward(x, mode, rng)[0]  # the record dies here
+        return x, None
+    tape = []
     for layer in layers:
         if layer is not None:
             x, saved = layer.forward(x, mode, rng)
-            if tape is not None:
-                tape.append(saved)
-            del saved  # an INFER record dies before the next layer allocates
+            tape.append(saved)
     return x, tape
 
 
@@ -104,8 +107,8 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    """Grouped fully-connected layer on [F, N] inputs: the grouped 1x1
-    convolution of the [F, 1, 1, N] map, run on ``ops.conv2d`` views."""
+    """Grouped fully-connected layer on [F, N] inputs (``ops.fully_connected``,
+    the grouped 1x1 convolution of N positions)."""
 
     def __init__(self, in_features, out_features, groups=1, bias=True,
                  rng=None, dtype=np.float64):
@@ -123,8 +126,7 @@ class Linear(Module):
         if x.shape[0] != (features := self.weight.value.shape[1] * self.groups):
             raise ConfigurationError(f"linear layer expects {features} input "
                                      f"features, got {x.shape[0]}")
-        x = x[:, None, None]  # [F, 1, 1, N]
-        y = ops.conv2d(x, self.weight.value[:, :, None, None], groups=self.groups)[:, 0, 0]
+        y = ops.fully_connected(x, self.weight.value, self.groups)
         if self.bias is not None:
             y += self.bias.value[:, None]
         return y, x
@@ -133,12 +135,11 @@ class Linear(Module):
         return self.weight.value.size, 0 if self.bias is None else self.bias.value.size
 
     def backward(self, x, grad_out):
-        gx, gw = ops.conv2d_backward(grad_out[:, None, None], x,
-                                     self.weight.value[:, :, None, None], groups=self.groups)
-        self.weight.set_grad(gw[:, :, 0, 0])
+        gx, gw = ops.fully_connected_backward(grad_out, x, self.weight.value, self.groups)
+        self.weight.set_grad(gw)
         if self.bias is not None:
             self.bias.set_grad(grad_out.sum(axis=1))
-        return gx[:, 0, 0]
+        return gx
 
 
 class BatchNorm(Module):
@@ -157,20 +158,19 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
         self.running_mean.flags.writeable = self.running_var.flags.writeable = False
-        self._eval = None, ()  # (version, input shape) and the eval constants for it
+        self._eval = (None,)  # (version, input shape, *eval constants for them)
 
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode="train", rng=None):
         if mode != "train":
-            key = (self.version, x.shape)
-            if self._eval[0] != key:
-                self._eval = key, ops.batch_norm_eval_constants(
+            e = self._eval
+            if e[0] != self.version or e[1] != x.shape:
+                e = self._eval = (self.version, x.shape, *ops.batch_norm_eval_constants(
                     x.shape, self.gamma.value, self.beta.value, self.running_mean,
-                    self.running_var)
-            y = ops.batch_norm_affine(x, *self._eval[1], out=x if mode == INFER else None)
-            return y, None
+                    self.running_var))
+            return ops.batch_norm_affine(x, e[2], e[3], e[4], x if mode == INFER else None), None
         y, cache, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
         with self.writing():
             for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
@@ -195,7 +195,7 @@ class ReLU(Module):
     """Records its output for the backward: y > 0 exactly where x > 0."""
 
     def forward(self, x, mode="train", rng=None):
-        y = ops.relu(x, out=x if mode == INFER else None)
+        y = ops.relu(x, x if mode == INFER else None)
         return y, y
 
     def cost(self, x_shape, y_shape):
@@ -230,12 +230,12 @@ class _Pool2d(Module):
     """The pooling layers' window arguments and cost, kh*kw ops per output."""
 
     def __init__(self, kernel, stride, padding=0):
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
+        self.kernel = ops._pair(kernel)
+        self.stride = ops._pair(stride)
+        self.padding = ops._pair(padding)
 
     def cost(self, x_shape, y_shape):
-        return 0, prod(y_shape) * prod(ops._pair(self.kernel))
+        return 0, prod(y_shape) * prod(self.kernel)
 
 
 class AvgPool2d(_Pool2d):

@@ -216,6 +216,10 @@ class Stage(Module):
 class Stem(Module):
     """Conv-BN-ReLU triples ``conv<i>, bn<i>, relu<i>`` then a max pool."""
 
+    # the layer list, built once, sits in a slot: the module scans read
+    # vars(), so they still find each layer once, under its own name
+    __slots__ = ("_layers",)
+
     def __init__(self, cfg: NetworkConfig, rng=None, dtype=np.float64):
         ic, sw = cfg.input_channels, cfg.stem_width
         # (in, out, kernel, stride, padding) of each triple's convolution
@@ -228,16 +232,14 @@ class Stem(Module):
             setattr(self, f"relu{i}", ReLU())
         self.out_channels = cout
         self.maxpool = MaxPool2d(3, stride=2, padding=1)
-
-    def layers(self):
-        """The children in the order they were built, which is forward order."""
-        return [child for _, child in self._children()]
+        # the children in the order they were built, which is forward order
+        self._layers = [child for _, child in self._children()]
 
     def forward(self, x, mode="train", rng=None):
-        return run_forward(self.layers(), x, mode, rng)
+        return run_forward(self._layers, x, mode, rng)
 
     def backward(self, tape, grad_out):
-        return run_backward(self.layers(), tape, grad_out)
+        return run_backward(self._layers, tape, grad_out)
 
 
 class Network(Module):
@@ -311,7 +313,7 @@ class Network(Module):
         if not tape:
             raise ConfigurationError("backward needs the tape of a train forward "
                                      "that no backward has used yet")
-        # the classifier records its [F, 1, 1, N] input
+        # the classifier records its [F, N] input
         want = (tape[-1].shape[-1], self.cfg.num_classes), self.fc.weight.value.dtype
         if (grad_logits.shape, grad_logits.dtype) != want:
             raise ConfigurationError(f"logits gradient {grad_logits.shape} {grad_logits.dtype} "

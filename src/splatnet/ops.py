@@ -9,7 +9,10 @@ converts from and to NCHW once, at its boundary (``to_chwn``, ``to_nchw``).
 Each forward has a matching ``*_backward`` that returns exact analytic
 gradients. A conv or pool forward returns its output alone; its backward
 takes the forward's input or its shape (the max pool's output too) and
-rebuilds from it what it needs. There is no graph engine:
+rebuilds from it what it needs. What a conv or pool kernel derives from
+shapes alone (window geometry, padded shape, column view, per-offset
+slices) is worked out once per shape by ``_window`` and reused by every
+later call, forward and backward. There is no graph engine:
 :mod:`splatnet.layers` wraps each kernel in a layer, and a composite module
 runs its backward over the same layer list as its forward.
 
@@ -23,6 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -47,82 +51,134 @@ def to_nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
 
 
-def _pad_spatial(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    c, h, w, n = x.shape
-    shape = (c, h + 2 * ph, w + 2 * pw, n)
-    xp = np.full(shape, value, dtype=x.dtype) if value else np.zeros(shape, x.dtype)
-    xp[:, ph : ph + h, pw : pw + w] = x
-    return xp
+@dataclass(frozen=True, eq=False, slots=True)
+class _Window:
+    """What a kernel sliding over a [C, H, W, N] input derives from shapes
+    alone; ``_window`` makes one per shape. It holds ints, tuples and slices.
+    Equality is identity, so it keys ``_pool_divisors``."""
+
+    x_shape: tuple  # the input's [C, H, W, N]
+    kh: int
+    kw: int
+    sh: int
+    sw: int
+    ph: int
+    pw: int
+    ho: int
+    wo: int
+    direct: bool  # a 1x1 stride-1 unpadded kernel: the input is its own columns
+    pad: bool
+    padded: tuple  # the zero-padded input's shape; the col2im canvas
+    group_padded: tuple  # one group's padded channels
+    interior: tuple  # the slices of a padded array that hold the input
+    offsets: tuple  # per window offset, row-major: the slices of its [C, Ho, Wo, N] view
+    columns: tuple  # one group's column view [C/g, kh, kw, Ho, Wo, N] of its padded channels
+    strides: tuple  # that view's byte strides into the C-contiguous padded channels
+    rows: int  # C/g * kh * kw, the columns' first axis
 
 
-def _window(x_shape, kernel, stride, padding, name="kernel"):
-    """Window geometry (kh, kw, sh, sw, ph, pw, ho, wo) of a kernel sliding
-    over the spatial axes of x_shape [C, H, W, N] with zero padding; kernel,
-    stride and padding are each an int or a pair. A kernel larger than the
-    padded input is an error, reported as ``name``.
-    """
+@functools.lru_cache(maxsize=256)
+def _window(x_shape, kernel, stride, padding, groups, itemsize, name="kernel"):
+    """The ``_Window`` of a kernel sliding over ``x_shape`` [C, H, W, N] with
+    zero padding, its channels in ``groups`` groups of arrays of ``itemsize``
+    bytes; kernel, stride and padding are each an int or a tuple pair. Made
+    once per argument tuple. A kernel larger than the padded input is an
+    error, reported as ``name``."""
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    hp, wp = x_shape[1] + 2 * ph, x_shape[2] + 2 * pw
+    c, h, w, n = x_shape
+    hp, wp = h + 2 * ph, w + 2 * pw
     if hp < kh or wp < kw:
         raise ConfigurationError(f"{name} ({kh}x{kw}) larger than padded input ({hp}x{wp})")
-    return kh, kw, sh, sw, ph, pw, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    cg = c // groups
+    sx = n * itemsize
+    sy = wp * sx
+    return _Window(
+        x_shape, kh, kw, sh, sw, ph, pw, ho, wo,
+        direct=(kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0),
+        pad=ph > 0 or pw > 0,
+        padded=(c, hp, wp, n),
+        group_padded=(cg, hp, wp, n),
+        interior=(slice(None), slice(ph, ph + h), slice(pw, pw + w)),
+        offsets=tuple((slice(None), slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw))
+                      for i in range(kh) for j in range(kw)),
+        columns=(cg, kh, kw, ho, wo, n),
+        strides=(hp * sy, sy, sx, sy * sh, sx * sw, itemsize),
+        rows=cg * kh * kw,
+    )
 
 
-def _window_slices(xp, window):
-    """The kh*kw strided views [C, Ho, Wo, N] of a padded input, one per
-    window offset, in row-major offset order."""
-    kh, kw, sh, sw, ph, pw, ho, wo = window
-    return [xp[:, i : i + sh * ho : sh, j : j + sw * wo : sw]
-            for i in range(kh) for j in range(kw)]
+def _padded(x, win, value):
+    """x [C, H, W, N] inside an array of ``win.padded`` filled with ``value``,
+    or x itself when ``win`` pads nothing."""
+    if not win.pad:
+        return x
+    xp = np.full(win.padded, value, x.dtype) if value else np.zeros(win.padded, x.dtype)
+    xp[win.interior] = x
+    return xp
 
 
-def _scatter_windows(part, x_shape, window, dtype):
-    """col2im, the backward of every windowed kernel: adds ``part(i, j)``, the
-    [C, Ho, Wo, N] gradient of window offset (i, j), onto a zeroed padded
-    canvas and returns its C-contiguous [C, H, W, N] interior. Offsets go in
+def _scatter_windows(part, win, dtype):
+    """col2im, the backward of every windowed kernel: adds ``part(k)``, the
+    [C, Ho, Wo, N] gradient of window offset k, onto a zeroed padded canvas
+    and returns its C-contiguous [C, H, W, N] interior. Offsets go in
     descending order, so each input position sums its windows in window order.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = window
-    c, h, w, n = x_shape
-    canvas = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dtype)
-    for i in reversed(range(kh)):
-        for j in reversed(range(kw)):
-            canvas[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += part(i, j)
-    if ph == 0 and pw == 0:
-        return canvas
-    return np.ascontiguousarray(canvas[:, ph : ph + h, pw : pw + w])
+    canvas = np.zeros(win.padded, dtype=dtype)
+    for k in range(len(win.offsets) - 1, -1, -1):
+        canvas[win.offsets[k]] += part(k)
+    return np.ascontiguousarray(canvas[win.interior]) if win.pad else canvas
 
 
 # ---------------------------------------------------------------------------
-# Convolution
+# Convolution and fully connected
 # ---------------------------------------------------------------------------
 
 
-def _group_columns(x, g, groups, window):
-    """Columns [Cin/g*kh*kw, Ho*Wo*N] of group g of x [Cin, H, W, N], made
-    from the group's channels alone, so only they are padded.
+def _columns(xg, win):
+    """Columns [C/g*kh*kw, Ho*Wo*N] of one group's channels xg [C/g, H, W, N],
+    rows in (channel, ki, kj) order: the window view of the C-contiguous
+    padded channels (or the channels themselves, or a copy of non-contiguous
+    ones), copied into one new array. The padded copy dies on return."""
+    if win.pad:
+        xp = np.zeros(win.group_padded, xg.dtype)
+        xp[win.interior] = xg
+    else:
+        xp = np.ascontiguousarray(xg)
+    cols = np.empty(win.columns, xp.dtype)
+    np.copyto(cols, np.ndarray(win.columns, xp.dtype, xp, 0, win.strides))
+    return cols.reshape(win.rows, -1)
 
-    Row order is (channel, ki, kj). A 1x1 stride-1 unpadded kernel reads the
-    group's channels themselves, whatever their layout. Any other kernel
-    reads its windows from a C-contiguous array (the zero-padded channels,
-    the channels, or a copy of non-contiguous ones); the columns are a view
-    of that array where the windows lie at uniform strides (a strided 1x1
-    kernel) and a copy otherwise. Callers only read them.
-    """
-    kh, kw, sh, sw, ph, pw, ho, wo = window
-    cing = x.shape[0] // groups
-    xg = x[g * cing : (g + 1) * cing]
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return xg.reshape(cing, -1)
-    xp = np.ascontiguousarray(_pad_spatial(xg, ph, pw))
-    sc, sy, sx, sn = xp.strides
-    cols = np.ndarray((cing, kh, kw, ho, wo, xp.shape[3]), xp.dtype, xp, 0,
-                      (sc, sy, sx, sy * sh, sx * sw, sn))
-    return cols.reshape(cing * kh * kw, -1)
+
+def fully_connected(x, weight, groups=1):
+    """Grouped fully-connected layer, no bias: x [Fin, M], weight
+    [Fout, Fin/groups] -> [Fout, M], one GEMM per group, W_g @ x_g, into the
+    group's rows of the output. It is the grouped 1x1 convolution of M
+    positions, which ``conv2d`` runs through it."""
+    if groups == 1:
+        return np.matmul(weight, x)
+    cout, cing = weight.shape
+    wg = weight.reshape(groups, cout // groups, cing)
+    out = np.empty((groups, cout // groups, x.shape[1]), np.result_type(x, weight))
+    for g in range(groups):
+        np.matmul(wg[g], x[g * cing : (g + 1) * cing], out=out[g])
+    return out.reshape(cout, -1)
+
+
+def fully_connected_backward(grad_out, x, weight, groups=1):
+    """Gradients of fully_connected w.r.t. (input, weight): per group, the
+    weight gradient go_g @ x_gᵀ, and the input gradient in one batched GEMM
+    by a transposed view of the weight, so nothing weight-sized is made
+    beyond the weight gradient. Returns C-contiguous arrays."""
+    cout, cing = weight.shape
+    go = grad_out.reshape(groups, cout // groups, x.shape[1])
+    grad_w = np.empty((groups, cout // groups, cing), np.result_type(grad_out, x))
+    for g in range(groups):
+        np.matmul(go[g], x[g * cing : (g + 1) * cing].T, out=grad_w[g])
+    gx = np.matmul(weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1), go)
+    return gx.reshape(x.shape), grad_w.reshape(weight.shape)
 
 
 def conv2d(x, weight, stride=1, padding=0, groups=1):
@@ -133,7 +189,9 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
     norm follows). Each group's columns cols[Cin/g*kh*kw, Ho*Wo*N] are made
     in turn from its channels and multiplied, W[Cout/g, Cin/g*kh*kw] @ cols,
     into the group's rows of the [Cout, Ho, Wo, N] output, so only one
-    group's columns (and padded channels) are held at a time. Returns y;
+    group's columns are held at a time, and its padded channels only while
+    the columns are made. A 1x1 stride-1 unpadded kernel is
+    ``fully_connected`` on the [Cin, H*W*N] input. Returns y;
     ``conv2d_backward`` takes the same x.
     """
     cin, h, w, n = x.shape
@@ -146,17 +204,21 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
         raise ConfigurationError(
             f"weight expects {cing} channels per group, input provides {cin // groups}"
         )
-    window = _window(x.shape, (kh, kw), stride, padding)
-    ho, wo = window[6:]
-    wg = weight.reshape(groups, cout // groups, cing * kh * kw)
+    win = _window(x.shape, (kh, kw), stride, padding, groups, x.itemsize)
+    if win.direct:
+        y = fully_connected(x.reshape(cin, -1), weight.reshape(cout, cing), groups)
+        return y.reshape(cout, h, w, n)
+    wg = weight.reshape(groups, cout // groups, win.rows)
+    if groups == 1:
+        return np.matmul(wg[0], _columns(x, win)).reshape(cout, win.ho, win.wo, n)
     out = None
     for g in range(groups):
-        cols = _group_columns(x, g, groups, window)
+        cols = _columns(x[g * cing : (g + 1) * cing], win)
         if out is None:  # made after the padded channels are freed, as in one GEMM
-            out = np.empty((groups, cout // groups, ho * wo * n), np.result_type(x, weight))
+            out = np.empty((groups, cout // groups, cols.shape[1]), np.result_type(x, weight))
         np.matmul(wg[g], cols, out=out[g])
         del cols  # before the next group's columns are made
-    return out.reshape(cout, ho, wo, n)
+    return out.reshape(cout, win.ho, win.wo, n)
 
 
 def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
@@ -167,27 +229,25 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
     as [Cout/g, Ho*Wo*N], one GEMM gives the weight gradient go @ colsᵀ.
     The column gradient Wᵀ @ go takes one GEMM per window offset, each added
     onto the input by ``_scatter_windows`` as it is made, so no
-    kh*kw-times-input array is held. A 1x1 stride-1 unpadded kernel
-    multiplies by a transposed view of the weight, so it allocates nothing
-    weight-sized beyond the weight gradient. Returns C-contiguous arrays.
+    kh*kw-times-input array is held. A 1x1 stride-1 unpadded kernel is
+    ``fully_connected_backward``. Returns C-contiguous arrays.
     """
-    x_shape = cin, h, w, n = x.shape
+    cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
-    window = _window(x_shape, (kh, kw), stride, padding)
-    ho, wo = window[6:]
-    go = grad_out.reshape(groups, cout // groups, ho * wo * n)
-    grad_w = np.empty((groups, cout // groups, cing * kh * kw), np.result_type(grad_out, x))
+    win = _window(x.shape, (kh, kw), stride, padding, groups, x.itemsize)
+    if win.direct:
+        gx, grad_w = fully_connected_backward(grad_out.reshape(cout, -1), x.reshape(cin, -1),
+                                              weight.reshape(cout, cing), groups)
+        return gx.reshape(x.shape), grad_w.reshape(weight.shape)
+    go = grad_out.reshape(groups, cout // groups, win.ho * win.wo * n)
+    grad_w = np.empty((groups, cout // groups, win.rows), np.result_type(grad_out, x))
     for g in range(groups):
-        np.matmul(go[g], _group_columns(x, g, groups, window).T, out=grad_w[g])
-    grad_w = grad_w.reshape(weight.shape)
-    if window[:6] == (1, 1, 1, 1, 0, 0):
-        wt = weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1)
-        return np.matmul(wt, go).reshape(x_shape), grad_w
+        np.matmul(go[g], _columns(x[g * cing : (g + 1) * cing], win).T, out=grad_w[g])
     # Wᵀ per window offset: [kh*kw, groups, Cin/g, Cout/g], contiguous for the GEMMs
     wt = weight.reshape(groups, cout // groups, cing, kh * kw).transpose(3, 0, 2, 1).copy()
-    gx = _scatter_windows(lambda i, j: np.matmul(wt[i * kw + j], go).reshape(cin, ho, wo, n),
-                          x_shape, window, grad_out.dtype)
-    return gx, grad_w
+    shape = (cin, win.ho, win.wo, n)
+    gx = _scatter_windows(lambda k: np.matmul(wt[k], go).reshape(shape), win, grad_out.dtype)
+    return gx, grad_w.reshape(weight.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +255,47 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
 # ---------------------------------------------------------------------------
 
 
-def _window_counts(h, w, window):
-    """In-bounds positions of each pooling window over an H x W input, [Ho, Wo].
+def _fold(ufunc, xp, offsets):
+    """``ufunc`` folded over the window slices of xp in row-major offset
+    order, into a new array: ((s0 ∘ s1) ∘ s2) ∘ ..."""
+    if len(offsets) == 1:
+        return xp[offsets[0]].copy()
+    out = ufunc(xp[offsets[0]], xp[offsets[1]])
+    for k in range(2, len(offsets)):
+        ufunc(out, xp[offsets[k]], out=out)
+    return out
+
+
+def _window_counts(win):
+    """In-bounds positions of each pooling window, [Ho, Wo].
 
     A window's count is the product of its in-bounds extents along each
     axis, so the counts are the outer product of two per-axis vectors.
     """
-    kh, kw, sh, sw, ph, pw, ho, wo = window
 
     def extents(size, out, k, s, p):
         start = np.arange(out) * s - p
         return np.minimum(start + k, size) - np.maximum(start, 0)
 
-    return np.outer(extents(h, ho, kh, sh, ph), extents(w, wo, kw, sw, pw))
+    _, h, w, _ = win.x_shape
+    return np.outer(extents(h, win.ho, win.kh, win.sh, win.ph),
+                    extents(w, win.wo, win.kw, win.sw, win.pw))
 
 
 @functools.lru_cache(maxsize=256)
-def _pool_divisors(h, w, window, dtype):
+def _pool_divisors(win, dtype):
     """Per-window divisor [Ho, Wo, 1] of average pooling, made once per
-    shape and dtype. Every call with that key gets the same array, so it is
-    read-only; the kernels only divide by it.
+    window geometry and dtype. Every call with that key gets the same array,
+    so it is read-only; the kernels only divide by it.
     """
-    divisors = _window_counts(h, w, window)[:, :, None].astype(dtype)
+    divisors = _window_counts(win)[:, :, None].astype(dtype)
     divisors.flags.writeable = False
     return divisors
+
+
+def _pool_window(x_shape, kernel, stride, padding, itemsize):
+    """A pool's ``_Window``: one group, errors named for a pool."""
+    return _window(x_shape, kernel, stride, padding, 1, itemsize, "pool kernel")
 
 
 def avg_pool2d(x, kernel, stride, padding=0):
@@ -227,12 +304,10 @@ def avg_pool2d(x, kernel, stride, padding=0):
     The kh*kw strided slices of the padded input, one per window offset,
     are summed into one accumulator in window order, then divided.
     """
-    window = _window(x.shape, kernel, stride, padding, "pool kernel")
-    slices = _window_slices(_pad_spatial(x, *window[4:6]), window)
-    out = slices[0].copy()
-    for s in slices[1:]:
-        out += s
-    out /= _pool_divisors(x.shape[1], x.shape[2], window, x.dtype)
+    win = _pool_window(x.shape, kernel, stride, padding, x.itemsize)
+    xp = _padded(x, win, 0.0)
+    out = _fold(np.add, xp, win.offsets)
+    out /= _pool_divisors(win, x.dtype)
     return out
 
 
@@ -241,9 +316,9 @@ def avg_pool2d_backward(grad_out, x_shape, kernel, stride, padding=0):
 
     Returns a C-contiguous array of grad_out's dtype.
     """
-    window = _window(x_shape, kernel, stride, padding, "pool kernel")
-    g = grad_out / _pool_divisors(x_shape[1], x_shape[2], window, grad_out.dtype)
-    return _scatter_windows(lambda i, j: g, x_shape, window, grad_out.dtype)
+    win = _pool_window(tuple(x_shape), kernel, stride, padding, grad_out.itemsize)
+    g = grad_out / _pool_divisors(win, grad_out.dtype)
+    return _scatter_windows(lambda k: g, win, grad_out.dtype)
 
 
 def max_pool2d(x, kernel, stride, padding=0):
@@ -253,12 +328,8 @@ def max_pool2d(x, kernel, stride, padding=0):
     input. Returns y; ``max_pool2d_backward`` takes the same x and pads it
     again, so a forward does no index work and keeps no padded copy.
     """
-    window = _window(x.shape, kernel, stride, padding, "pool kernel")
-    slices = _window_slices(_pad_spatial(x, *window[4:6], -np.inf), window)
-    best = slices[0].copy()
-    for s in slices[1:]:
-        np.maximum(best, s, out=best)
-    return best
+    win = _pool_window(x.shape, kernel, stride, padding, x.itemsize)
+    return _fold(np.maximum, _padded(x, win, -np.inf), win.offsets)
 
 
 def max_pool2d_backward(grad_out, x, y, kernel, stride, padding=0):
@@ -269,23 +340,22 @@ def max_pool2d_backward(grad_out, x, y, kernel, stride, padding=0):
     maximum. Each offset's hits take grad_out and the rest zero, added onto
     the input by ``_scatter_windows``. Returns an array of grad_out's dtype.
     """
-    window = _window(x.shape, kernel, stride, padding, "pool kernel")
+    win = _pool_window(x.shape, kernel, stride, padding, x.itemsize)
+    xp = _padded(x, win, -np.inf)
     taken = np.zeros(y.shape, dtype=bool)
     hits = []
-    for s in _window_slices(_pad_spatial(x, *window[4:6], -np.inf), window):
-        hit = s == y
+    for s in win.offsets:
+        hit = xp[s] == y
         np.greater(hit, taken, out=hit)  # not taken by an earlier offset
         taken |= hit
         hits.append(hit)
-    return _scatter_windows(lambda i, j: np.where(hits[i * window[1] + j], grad_out, 0),
-                            x.shape, window, grad_out.dtype)
+    return _scatter_windows(lambda k: np.where(hits[k], grad_out, 0), win, grad_out.dtype)
 
 
 def global_avg_pool(x):
     """[C, H, W, N] -> [C, N], mean over all spatial positions: the sum
     divided by the count, as ``np.mean`` computes it."""
-    c, h, w, n = x.shape
-    return x.sum(axis=(1, 2)) / (h * w)
+    return np.add.reduce(x, (1, 2)) / (x.shape[1] * x.shape[2])
 
 
 def global_avg_pool_backward(grad_out, x_shape):

@@ -633,14 +633,27 @@ class TestShapeConstants:
         net.forward(images[0], mode="eval")
         assert counted  # the toy network's avg-pools divide by window counts
         counted.clear()
+        windows = ops._window.cache_info()
         net.forward(images[1], mode="eval")
         assert counted == []
-        # a 1x1 stride-1 unpadded conv reads its input as its columns
-        x = make_rng(2).standard_normal((4, 5, 6, 1))
-        assert np.shares_memory(ops._group_columns(x, 0, 1, ops._window(x.shape, 1, 1, 0)), x)
+        # every conv and pool found its window geometry made
+        assert ops._window.cache_info().misses == windows.misses
+        assert ops._window.cache_info().hits - windows.hits == 26
+
+        # a 1x1 stride-1 unpadded conv makes no columns: its input is its columns
+        def no_columns(*a):
+            raise AssertionError("columns made")
+
+        monkeypatch.setattr(ops, "_columns", no_columns)
+        rng = make_rng(2)
+        x, w = rng.standard_normal((4, 5, 6, 1)), rng.standard_normal((6, 2, 1, 1))
+        y = ops.conv2d(x, w, groups=2)
+        gx, gw = ops.conv2d_backward(np.ones_like(y), x, w, groups=2)
+        assert y.shape == (6, 5, 6, 1) and gx.shape == x.shape and gw.shape == w.shape
 
     def test_conv_normalizes_its_geometry_once_per_call(self, monkeypatch):
-        # kernel, stride and padding are made pairs once per call, not per group
+        # kernel, stride and padding are made pairs once per shape: not per
+        # group, and not again by a later call or by the backward
         pair = ops._pair
         calls = []
 
@@ -649,6 +662,7 @@ class TestShapeConstants:
             return pair(v)
 
         monkeypatch.setattr(ops, "_pair", counting_pair)
+        ops._window.cache_clear()
         rng = make_rng(5)
         x = rng.standard_normal((8, 6, 6, 2))
         g = rng.standard_normal((8, 3, 3, 2))
@@ -660,8 +674,66 @@ class TestShapeConstants:
             forward = len(calls)
             calls.clear()
             ops.conv2d_backward(g, x, w, 2, 1, groups)
+            ops.conv2d(x, w, 2, 1, groups)
             counts.append((forward, len(calls)))
-        assert counts[0] == counts[1]
+        assert counts == [(3, 0), (3, 0)]
+
+    def test_each_leaf_runs_once_through_its_forward(self):
+        """Wrappers on every leaf instance's ``forward``, placed as the
+        benchmark tracer and the cost trace place them, each see one call of
+        a batch-1 eval forward, and the logits keep their bytes."""
+        net = randomize_batch_norm(toy_net())
+        x = make_rng(3).standard_normal((1, 1, 32, 32))
+        want = net.forward(x, mode="eval").tobytes()
+        calls = []
+
+        def counting(path, forward):
+            def counted(*args, **kwargs):
+                calls.append(path)
+                return forward(*args, **kwargs)
+            return counted
+
+        leaves = []
+        for path, m in net.named_modules():
+            if next(m.named_modules(), None) is None:
+                leaves.append(path)
+                m.forward = counting(path, m.forward)
+        assert net.forward(x, mode="eval").tobytes() == want
+        assert len(leaves) == 94 and sorted(calls) == sorted(leaves)
+
+    def test_eval_after_weight_writes_matches_a_fresh_network(self):
+        """What a forward keeps per input shape outlives a weight write, but
+        reads no stale weight: on the batch-1 request path, an eval after an
+        SGD step, and after ``load_state_dict``, gives the bytes of a fresh
+        network loaded with the same state."""
+        net = randomize_batch_norm(toy_net())
+        rng = make_rng(4)
+        x = rng.standard_normal((1, 1, 32, 32))
+        first = net.forward(x, mode="eval").tobytes()  # makes every per-shape constant
+        start = {name: a.copy() for name, a in net.state_dict().items()}
+
+        def fresh_eval(state):
+            fresh = toy_net()
+            fresh.load_state_dict(state)
+            return fresh.forward(x, mode="eval").tobytes()
+
+        logits, tape = net.forward(rng.standard_normal((2, 1, 32, 32)), mode="train")
+        net.backward(tape, rng.standard_normal(logits.shape))
+        sgd_step(net, {}, lr=0.1, opt=OptimizerConfig())
+        stepped = net.forward(x, mode="eval").tobytes()
+        assert stepped != first
+        assert stepped == fresh_eval(net.state_dict())
+        net.load_state_dict(start)
+        assert net.forward(x, mode="eval").tobytes() == fresh_eval(start) == first
+
+    def test_alternating_batches_keep_their_bytes(self):
+        net, ref1, ref3 = (randomize_batch_norm(toy_net()) for _ in range(3))
+        rng = make_rng(5)
+        x1, x3 = rng.standard_normal((1, 1, 32, 32)), rng.standard_normal((3, 1, 32, 32))
+        want = [ref1.forward(x1, mode="eval").tobytes(), ref3.forward(x3, mode="eval").tobytes()]
+        for _ in range(2):
+            got = [net.forward(x, mode="eval").tobytes() for x in (x1, x3)]
+            assert got == want
 
 
 def arrays(obj):

@@ -316,6 +316,212 @@ class TestConv2dReference:
 
 
 # ---------------------------------------------------------------------------
+# windowed kernels, byte for byte, against a plain im2col reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_pad(x, padding, value=0.0):
+    ph, pw = padding
+    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=value)
+
+
+def _ref_windows(xp, kernel, stride, out_hw):
+    """The [C, Ho, Wo, N] slices of a padded input, one per window offset,
+    in row-major offset order."""
+    (kh, kw), (sh, sw), (ho, wo) = kernel, stride, out_hw
+    return [xp[:, i : i + sh * ho : sh, j : j + sw * wo : sw]
+            for i in range(kh) for j in range(kw)]
+
+
+def _ref_out_hw(hw, kernel, stride, padding):
+    return tuple((hw[a] + 2 * padding[a] - kernel[a]) // stride[a] + 1 for a in (0, 1))
+
+
+def _ref_scatter(parts, x_shape, kernel, stride, padding, dtype):
+    """col2im: each offset's part added onto a zeroed padded canvas in
+    descending offset order; the canvas interior."""
+    c, h, w, n = x_shape
+    ph, pw = padding
+    canvas = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype)
+    views = _ref_windows(canvas, kernel, stride, parts[0].shape[1:3])
+    for view, part in reversed(list(zip(views, parts))):
+        view += part
+    return canvas[:, ph : ph + h, pw : pw + w]
+
+
+def _ref_columns(xg, kernel, stride, padding):
+    """im2col of one group's channels [C, H, W, N]: np.pad, then one copy per
+    window offset into rows (channel, ki, kj)."""
+    c, h, w, n = xg.shape
+    out_hw = _ref_out_hw((h, w), kernel, stride, padding)
+    cols = np.empty((c, kernel[0] * kernel[1], *out_hw, n), xg.dtype)
+    for k, view in enumerate(_ref_windows(_ref_pad(xg, padding), kernel, stride, out_hw)):
+        cols[:, k] = view
+    return cols.reshape(c * kernel[0] * kernel[1], -1)
+
+
+def _ref_conv(x, w, stride, padding, groups):
+    """Per group, W_g @ cols_g: the GEMMs ``ops.conv2d`` makes."""
+    (cin, h, wd, n), (cout, cing, kh, kw) = x.shape, w.shape
+    wg = w.reshape(groups, cout // groups, -1)
+    y = [np.matmul(wg[g], _ref_columns(x[g * cing : (g + 1) * cing], (kh, kw), stride, padding))
+         for g in range(groups)]
+    return np.concatenate(y).reshape(cout, *_ref_out_hw((h, wd), (kh, kw), stride, padding), n)
+
+
+def _ref_conv_backward(grad_out, x, w, stride, padding, groups):
+    """Per group go_g @ cols_gᵀ; per window offset Wᵀ_k @ go, scattered."""
+    (cin, h, wd, n), (cout, cing, kh, kw) = x.shape, w.shape
+    go = grad_out.reshape(groups, cout // groups, -1)
+    gw = [np.matmul(go[g], _ref_columns(x[g * cing : (g + 1) * cing], (kh, kw), stride,
+                                        padding).T) for g in range(groups)]
+    wt = w.reshape(groups, cout // groups, cing, kh * kw).transpose(3, 0, 2, 1).copy()
+    parts = [np.matmul(wt[k], go).reshape(cin, *grad_out.shape[1:]) for k in range(kh * kw)]
+    gx = _ref_scatter(parts, x.shape, (kh, kw), stride, padding, grad_out.dtype)
+    return gx, np.stack(gw).reshape(w.shape)
+
+
+def _ref_counts(hw, kernel, stride, padding, dtype):
+    """In-bounds positions of each window, [Ho, Wo, 1], from a padded plane of ones."""
+    ones = _ref_pad(np.ones((1, *hw, 1)), padding)
+    views = _ref_windows(ones, kernel, stride, _ref_out_hw(hw, kernel, stride, padding))
+    return sum(views)[0].astype(dtype)
+
+
+def _ref_pool(x, kernel, stride, padding, fold, pad_value):
+    """Window slices folded in row-major offset order into a copy of the first."""
+    xp = _ref_pad(x, padding, pad_value)
+    views = _ref_windows(xp, kernel, stride, _ref_out_hw(x.shape[1:3], kernel, stride, padding))
+    out = views[0].copy()
+    for view in views[1:]:
+        fold(out, view, out=out)
+    return out
+
+
+def _ref_avg_pool(x, kernel, stride, padding):
+    return (_ref_pool(x, kernel, stride, padding, np.add, 0.0)
+            / _ref_counts(x.shape[1:3], kernel, stride, padding, x.dtype))
+
+
+def _ref_avg_pool_backward(grad_out, x_shape, kernel, stride, padding):
+    g = grad_out / _ref_counts(x_shape[1:3], kernel, stride, padding, grad_out.dtype)
+    return _ref_scatter([g] * (kernel[0] * kernel[1]), x_shape, kernel, stride, padding,
+                        grad_out.dtype)
+
+
+def _ref_max_pool_backward(grad_out, x, y, kernel, stride, padding):
+    """Each window's gradient to its first maximum in row-major offset order."""
+    taken = np.zeros(y.shape, bool)
+    parts = []
+    for view in _ref_windows(_ref_pad(x, padding, -np.inf), kernel, stride, y.shape[1:3]):
+        hit = (view == y) & ~taken
+        taken |= hit
+        parts.append(np.where(hit, grad_out, 0))
+    return _ref_scatter(parts, x.shape, kernel, stride, padding, grad_out.dtype)
+
+
+def _signature(out):
+    """(dtype, shape, bytes) of an array or of each array of a tuple."""
+    if isinstance(out, tuple):
+        return tuple(_signature(a) for a in out)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _three_calls(call, other):
+    """The signatures of ``call()`` made first (the shape caches cleared),
+    made again, and made after ``other()`` ran the kernel on another shape."""
+    ops._window.cache_clear()
+    ops._pool_divisors.cache_clear()
+    first = _signature(call())
+    again = _signature(call())
+    other()
+    return [first, again, _signature(call())]
+
+
+@st.composite
+def window_cases(draw):
+    """A windowed kernel's arguments down to the smallest input it accepts.
+    A pool's padding is at most half its kernel, so no window lies wholly in
+    the padding (such a window has no mean)."""
+    kernel = tuple(draw(st.sampled_from((1, 2, 3, 7))) for _ in range(2))
+    padding = tuple(draw(st.integers(0, 3)) for _ in range(2))
+    least = [max(1, k - 2 * p) for k, p in zip(kernel, padding)]
+    return dict(
+        kernel=kernel, padding=padding,
+        stride=tuple(draw(st.sampled_from((1, 2))) for _ in range(2)),
+        hw=tuple(draw(st.integers(m, m + 3)) for m in least),
+        pool_padding=tuple(min(p, k // 2) for k, p in zip(kernel, padding)),
+        groups=draw(st.sampled_from((1, 2, 4))),
+        cin_g=draw(st.integers(1, 3)), cout_g=draw(st.integers(1, 2)),
+        n=draw(st.integers(0, 3)),
+        dtype=draw(st.sampled_from((np.float32, np.float64))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _window_case(**changes):
+    """A batch-1 float64 case, the eval path of every network request."""
+    case = dict(kernel=(3, 3), padding=(1, 1), stride=(1, 1), hw=(5, 4), groups=1, cin_g=2,
+                cout_g=2, n=1, dtype=np.float64, seed=7) | changes
+    case["pool_padding"] = tuple(min(p, k // 2) for k, p in zip(case["kernel"], case["padding"]))
+    return case
+
+
+def _plain(pair):
+    """An equal pair as the int it repeats, so both spellings are called."""
+    return pair[0] if pair[0] == pair[1] else pair
+
+
+class TestWindowedKernelBytes:
+    """The conv and pool kernels, forward and backward, give the bytes of a
+    plain im2col reference on a first call, a repeated call, and a call made
+    after another shape: what they work out once per shape changes nothing."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(window_cases())
+    @example(_window_case(kernel=(1, 1), padding=(0, 0), groups=2))  # the input is the columns
+    @example(_window_case(kernel=(3, 3), padding=(1, 1), stride=(2, 2), groups=4))
+    @example(_window_case(kernel=(7, 7), padding=(3, 3), hw=(1, 1)))
+    def test_kernels_match_reference(self, case):
+        rng = make_rng(case["seed"])
+        dt, g, n = case["dtype"], case["groups"], case["n"]
+        kernel, stride, padding = case["kernel"], case["stride"], case["padding"]
+        k, s, p = _plain(kernel), _plain(stride), _plain(padding)
+        cin = g * case["cin_g"]
+        x = rng.standard_normal((cin, *case["hw"], n)).astype(dt)
+        other = np.zeros((cin, case["hw"][0] + 1, case["hw"][1], n), dt)
+
+        w = rng.standard_normal((g * case["cout_g"], case["cin_g"], *kernel)).astype(dt)
+        y = ops.conv2d(x, w, s, p, g)
+        go = rng.standard_normal(y.shape).astype(dt)
+        want = [_signature(_ref_conv(x, w, stride, padding, g))] * 3
+        assert _three_calls(lambda: ops.conv2d(x, w, s, p, g),
+                            lambda: ops.conv2d(other, w, s, p, g)) == want
+        want = [_signature(_ref_conv_backward(go, x, w, stride, padding, g))] * 3
+        assert _three_calls(lambda: ops.conv2d_backward(go, x, w, s, p, g),
+                            lambda: ops.conv2d(other, w, s, p, g)) == want
+
+        padding = case["pool_padding"]
+        p = _plain(padding)
+        y = ops.avg_pool2d(x, k, s, p)
+        go = rng.standard_normal(y.shape).astype(dt)
+        want = [_signature(_ref_avg_pool(x, kernel, stride, padding))] * 3
+        assert _three_calls(lambda: ops.avg_pool2d(x, k, s, p),
+                            lambda: ops.avg_pool2d(other, k, s, p)) == want
+        want = [_signature(_ref_avg_pool_backward(go, x.shape, kernel, stride, padding))] * 3
+        assert _three_calls(lambda: ops.avg_pool2d_backward(go, x.shape, k, s, p),
+                            lambda: ops.avg_pool2d(other, k, s, p)) == want
+
+        y = ops.max_pool2d(x, k, s, p)
+        want = [_signature(_ref_pool(x, kernel, stride, padding, np.maximum, -np.inf))] * 3
+        assert _three_calls(lambda: ops.max_pool2d(x, k, s, p),
+                            lambda: ops.max_pool2d(other, k, s, p)) == want
+        want = [_signature(_ref_max_pool_backward(go, x, y, kernel, stride, padding))] * 3
+        assert _three_calls(lambda: ops.max_pool2d_backward(go, x, y, k, s, p),
+                            lambda: ops.max_pool2d(other, k, s, p)) == want
+
+
+# ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
 
@@ -420,10 +626,10 @@ class TestPooling:
     def test_cached_divisors_never_reach_an_output(self, dtype, padding):
         # one divisor array per shape and dtype is shared by every call
         x = make_rng(32).standard_normal((2, 5, 5, 3)).astype(dtype)
-        window = ops._window(x.shape, 3, 2, padding)
-        divisors = ops._pool_divisors(5, 5, window, np.dtype(dtype))
+        window = ops._pool_window(x.shape, 3, 2, padding, x.itemsize)
+        divisors = ops._pool_divisors(window, np.dtype(dtype))
         assert not divisors.flags.writeable and divisors.dtype == dtype
-        assert ops._pool_divisors(5, 5, window, np.dtype(dtype)) is divisors
+        assert ops._pool_divisors(window, np.dtype(dtype)) is divisors
 
         def run():
             y = ops.avg_pool2d(x, 3, 2, padding)
@@ -893,6 +1099,10 @@ def _kernel_calls():
         "to_nchw": [((x,), {})],
         "conv2d": [((x, w, 2, 1, 2), {}), ((x, w1), {})],
         "conv2d_backward": [((yc, x, w, 2, 1, 2), {}), ((yc1, x, w1), {})],
+        "fully_connected": [((x[:, 0, 0], w1[:, :, 0, 0]), {}),
+                            ((x[:, 0, 0], w1[:, :2, 0, 0], 2), {})],
+        "fully_connected_backward": [((yc1[:, 0, 0], x[:, 0, 0], w1[:, :, 0, 0]), {}),
+                                     ((yc1[:, 0, 0], x[:, 0, 0], w1[:, :2, 0, 0], 2), {})],
         "avg_pool2d": [((x, 3, 2, 1), {})],
         "avg_pool2d_backward": [((ya, x.shape, 3, 2, 1), {})],
         "max_pool2d": [((x, 3, 2, 1), {}), ((x, 2, 2), {})],
