@@ -57,13 +57,6 @@ class _Window:
     alone; ``_window`` makes one per shape. It holds ints, tuples and slices.
     Equality is identity, so it keys ``_pool_divisors``."""
 
-    x_shape: tuple  # the input's [C, H, W, N]
-    kh: int
-    kw: int
-    sh: int
-    sw: int
-    ph: int
-    pw: int
     ho: int
     wo: int
     direct: bool  # a 1x1 stride-1 unpadded kernel: the input is its own columns
@@ -96,7 +89,7 @@ def _window(x_shape, kernel, stride, padding, groups, itemsize, name="kernel"):
     sx = n * itemsize
     sy = wp * sx
     return _Window(
-        x_shape, kh, kw, sh, sw, ph, pw, ho, wo,
+        ho, wo,
         direct=(kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0),
         pad=ph > 0 or pw > 0,
         padded=(c, hp, wp, n),
@@ -267,19 +260,11 @@ def _fold(ufunc, xp, offsets):
 
 
 def _window_counts(win):
-    """In-bounds positions of each pooling window, [Ho, Wo].
-
-    A window's count is the product of its in-bounds extents along each
-    axis, so the counts are the outer product of two per-axis vectors.
-    """
-
-    def extents(size, out, k, s, p):
-        start = np.arange(out) * s - p
-        return np.minimum(start + k, size) - np.maximum(start, 0)
-
-    _, h, w, _ = win.x_shape
-    return np.outer(extents(h, win.ho, win.kh, win.sh, win.ph),
-                    extents(w, win.wo, win.kw, win.sw, win.pw))
+    """In-bounds positions of each pooling window, [Ho, Wo, 1]: the window
+    sums of a plane of ones padded with zeros."""
+    plane = np.zeros((1, *win.padded[1:3], 1))
+    plane[win.interior] = 1.0
+    return _fold(np.add, plane, win.offsets)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -288,7 +273,7 @@ def _pool_divisors(win, dtype):
     window geometry and dtype. Every call with that key gets the same array,
     so it is read-only; the kernels only divide by it.
     """
-    divisors = _window_counts(win)[:, :, None].astype(dtype)
+    divisors = _window_counts(win).astype(dtype)
     divisors.flags.writeable = False
     return divisors
 
