@@ -104,11 +104,13 @@ def _window(x_shape, kernel, stride, padding, groups, itemsize, name="kernel"):
 
 
 def _padded(x, win, value):
-    """x [C, H, W, N] inside an array of ``win.padded`` filled with ``value``,
-    or x itself when ``win`` pads nothing."""
+    """One group's channels x [C/g, H, W, N] (a pool's whole input) inside an
+    array of ``win.group_padded`` filled with ``value``, or x itself when
+    ``win`` pads nothing."""
     if not win.pad:
         return x
-    xp = np.full(win.padded, value, x.dtype) if value else np.zeros(win.padded, x.dtype)
+    shape = win.group_padded
+    xp = np.full(shape, value, x.dtype) if value else np.zeros(shape, x.dtype)
     xp[win.interior] = x
     return xp
 
@@ -135,11 +137,7 @@ def _columns(xg, win):
     rows in (channel, ki, kj) order: the window view of the C-contiguous
     padded channels (or the channels themselves, or a copy of non-contiguous
     ones), copied into one new array. The padded copy dies on return."""
-    if win.pad:
-        xp = np.zeros(win.group_padded, xg.dtype)
-        xp[win.interior] = xg
-    else:
-        xp = np.ascontiguousarray(xg)
+    xp = np.ascontiguousarray(_padded(xg, win, 0.0))
     cols = np.empty(win.columns, xp.dtype)
     np.copyto(cols, np.ndarray(win.columns, xp.dtype, xp, 0, win.strides))
     return cols.reshape(win.rows, -1)
@@ -202,12 +200,10 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
         y = fully_connected(x.reshape(cin, -1), weight.reshape(cout, cing), groups)
         return y.reshape(cout, h, w, n)
     wg = weight.reshape(groups, cout // groups, win.rows)
-    if groups == 1:
-        return np.matmul(wg[0], _columns(x, win)).reshape(cout, win.ho, win.wo, n)
     out = None
     for g in range(groups):
         cols = _columns(x[g * cing : (g + 1) * cing], win)
-        if out is None:  # made after the padded channels are freed, as in one GEMM
+        if out is None:  # made once the first padded copy is freed, to keep the peak low
             out = np.empty((groups, cout // groups, cols.shape[1]), np.result_type(x, weight))
         np.matmul(wg[g], cols, out=out[g])
         del cols  # before the next group's columns are made
