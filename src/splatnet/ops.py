@@ -41,6 +41,12 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
+def _key(v):
+    """An int or pair argument as a hashable key of ``_window``'s cache: a
+    list pair becomes a tuple."""
+    return tuple(v) if type(v) is list else v
+
+
 def to_chwn(x: np.ndarray) -> np.ndarray:
     """NCHW (or [N, F]) -> a [C, H, W, N] (or [F, N]) view."""
     return x.transpose(*range(1, x.ndim), 0)
@@ -145,29 +151,25 @@ def _columns(xg, win):
 
 def fully_connected(x, weight, groups=1):
     """Grouped fully-connected layer, no bias: x [Fin, M], weight
-    [Fout, Fin/groups] -> [Fout, M], one GEMM per group, W_g @ x_g, into the
-    group's rows of the output. It is the grouped 1x1 convolution of M
+    [Fout, Fin/groups] -> [Fout, M], by one batched GEMM over the groups,
+    W_g @ x_g, for any group count. It is the grouped 1x1 convolution of M
     positions, which ``conv2d`` runs through it."""
-    if groups == 1:
-        return np.matmul(weight, x)
     cout, cing = weight.shape
-    wg = weight.reshape(groups, cout // groups, cing)
-    out = np.empty((groups, cout // groups, x.shape[1]), np.result_type(x, weight))
-    for g in range(groups):
-        np.matmul(wg[g], x[g * cing : (g + 1) * cing], out=out[g])
-    return out.reshape(cout, -1)
+    m = x.shape[1]
+    y = np.matmul(weight.reshape(groups, cout // groups, cing), x.reshape(groups, cing, m))
+    return y.reshape(cout, m)
 
 
 def fully_connected_backward(grad_out, x, weight, groups=1):
-    """Gradients of fully_connected w.r.t. (input, weight): per group, the
-    weight gradient go_g @ x_gᵀ, and the input gradient in one batched GEMM
-    by a transposed view of the weight, so nothing weight-sized is made
-    beyond the weight gradient. Returns C-contiguous arrays."""
+    """Gradients of fully_connected w.r.t. (input, weight), each one batched
+    GEMM over the groups: the weight gradient go_g @ x_gᵀ, and the input
+    gradient W_gᵀ @ go_g by a transposed view of the weight, so nothing
+    weight-sized is made beyond the weight gradient. Returns C-contiguous
+    arrays."""
     cout, cing = weight.shape
-    go = grad_out.reshape(groups, cout // groups, x.shape[1])
-    grad_w = np.empty((groups, cout // groups, cing), np.result_type(grad_out, x))
-    for g in range(groups):
-        np.matmul(go[g], x[g * cing : (g + 1) * cing].T, out=grad_w[g])
+    m = x.shape[1]
+    go = grad_out.reshape(groups, cout // groups, m)
+    grad_w = np.matmul(go, x.reshape(groups, cing, m).transpose(0, 2, 1))
     gx = np.matmul(weight.reshape(groups, cout // groups, cing).transpose(0, 2, 1), go)
     return gx.reshape(x.shape), grad_w.reshape(weight.shape)
 
@@ -195,7 +197,7 @@ def conv2d(x, weight, stride=1, padding=0, groups=1):
         raise ConfigurationError(
             f"weight expects {cing} channels per group, input provides {cin // groups}"
         )
-    win = _window(x.shape, (kh, kw), stride, padding, groups, x.itemsize)
+    win = _window(x.shape, (kh, kw), _key(stride), _key(padding), groups, x.itemsize)
     if win.direct:
         y = fully_connected(x.reshape(cin, -1), weight.reshape(cout, cing), groups)
         return y.reshape(cout, h, w, n)
@@ -223,7 +225,7 @@ def conv2d_backward(grad_out, x, weight, stride=1, padding=0, groups=1):
     """
     cin, h, w, n = x.shape
     cout, cing, kh, kw = weight.shape
-    win = _window(x.shape, (kh, kw), stride, padding, groups, x.itemsize)
+    win = _window(x.shape, (kh, kw), _key(stride), _key(padding), groups, x.itemsize)
     if win.direct:
         gx, grad_w = fully_connected_backward(grad_out.reshape(cout, -1), x.reshape(cin, -1),
                                               weight.reshape(cout, cing), groups)
@@ -276,7 +278,8 @@ def _pool_divisors(win, dtype):
 
 def _pool_window(x_shape, kernel, stride, padding, itemsize):
     """A pool's ``_Window``: one group, errors named for a pool."""
-    return _window(x_shape, kernel, stride, padding, 1, itemsize, "pool kernel")
+    return _window(x_shape, _key(kernel), _key(stride), _key(padding), 1, itemsize,
+                   "pool kernel")
 
 
 def avg_pool2d(x, kernel, stride, padding=0):

@@ -520,6 +520,25 @@ class TestWindowedKernelBytes:
         assert _three_calls(lambda: ops.max_pool2d_backward(go, x, y, k, s, p),
                             lambda: ops.max_pool2d(other, k, s, p)) == want
 
+    def test_list_pairs_are_read_as_tuples(self):
+        """A kernel, stride or padding given as a list is the same pair as a
+        tuple: the shape cache takes it, and the bytes are the tuple's."""
+        rng = make_rng(11)
+        x = rng.standard_normal((4, 6, 5, 2))
+        w = rng.standard_normal((4, 2, 3, 3))
+
+        def outputs(k, s, p):
+            y = ops.conv2d(x, w, s, p, 2)
+            z = ops.max_pool2d(x, k, s, p)
+            go = np.ones_like(z)
+            return (y, ops.conv2d_backward(np.ones_like(y), x, w, s, p, 2),
+                    ops.avg_pool2d(x, k, s, p), ops.avg_pool2d_backward(go, x.shape, k, s, p),
+                    z, ops.max_pool2d_backward(go, x, z, k, s, p))
+
+        ops._window.cache_clear()
+        got = _signature(outputs([3, 2], [2, 1], [1, 0]))
+        assert got == _signature(outputs((3, 2), (2, 1), (1, 0)))
+
 
 # ---------------------------------------------------------------------------
 # pooling
