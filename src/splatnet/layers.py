@@ -7,18 +7,18 @@ max pool records its input (usually the array the ReLU before it records),
 which its backward kernel takes as it is. No layer writes in place into an
 array that a record holds, and a train forward's input must not change
 before its backward. Each backward writes (replaces) its parameters'
-``Parameter.grad``; an eval-mode batch-norm backward writes no gamma/beta
-gradient.
+``Parameter.grad``.
 
-Layers take a third mode, :data:`INFER`. What a layer computes branches only
-on ``mode == "train"``, so INFER computes exactly what eval mode computes;
-:func:`run_forward` keeps no records in INFER. In INFER, :class:`BatchNorm`,
+Layers take two modes, ``"train"`` and ``"eval"``, and what a layer
+computes branches only on ``mode == "train"``. A leaf returns its record in
+either mode, but in eval mode :func:`run_forward` drops it, so a chain's
+backward follows only its train forward. In eval mode :class:`BatchNorm`,
 :class:`ReLU` and :class:`AddReLU` write their output into their (first)
 input: in every chain that input is an array the previous layer has just
 made and nothing else holds, a conv or FC output or a batch-norm output.
-A network's eval forward runs its layers in INFER, so inference holds no
-activations and allocates none for these layers. Layers and units called
-directly in eval mode leave their inputs as they were.
+So an eval forward holds no activations and allocates none for these
+layers, and a unit or network leaves its input as it was, since a conv or a
+pool reads it first.
 
 A composite module names each of its chains once, as a list of layers in
 forward order (``None`` for a layer the configuration leaves out):
@@ -50,13 +50,11 @@ import numpy as np
 from . import ops
 from .params import ConfigurationError, Module, Parameter, kaiming_normal
 
-INFER = "infer"  # eval without a tape; see the module docstring
-
 
 def run_forward(layers, x, mode="train", rng=None):
     """(output, tape): the tape holds one record per layer run, and is
-    ``None`` in INFER."""
-    if mode == INFER:
+    ``None`` in eval mode."""
+    if mode != "train":
         for layer in layers:
             if layer is not None:
                 x = layer.forward(x, mode, rng)[0]  # the record dies here
@@ -148,9 +146,9 @@ class BatchNorm(Module):
     Its gamma, beta and read-only running buffers change only through
     :meth:`Module.writing`: in the build, ``load_state_dict``, the SGD update
     (gamma and beta) and a train forward, which folds the batch statistics
-    into the running buffers. An eval forward applies the constants of
-    ``ops.batch_norm_eval_constants``, built once per (``version``, input
-    shape) and kept until either changes."""
+    into the running buffers. An eval forward writes into its input with the
+    constants of ``ops.batch_norm_eval_constants``, built once per
+    (``version``, input shape) and kept until either changes."""
 
     def __init__(self, num_features, dtype=np.float64):
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
@@ -170,7 +168,7 @@ class BatchNorm(Module):
                 e = self._eval = (self.version, x.shape, *ops.batch_norm_eval_constants(
                     x.shape, self.gamma.value, self.beta.value, self.running_mean,
                     self.running_var))
-            return ops.batch_norm_affine(x, e[2], e[3], e[4], x if mode == INFER else None), None
+            return ops.batch_norm_affine(x, e[2], e[3], e[4], x), None
         y, cache, mean, var = ops.batch_norm(x, self.gamma.value, self.beta.value)
         with self.writing():
             for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
@@ -182,9 +180,6 @@ class BatchNorm(Module):
         return 0, 2 * prod(y_shape)
 
     def backward(self, cache, grad_out):
-        if cache is None:
-            # eval mode: input gradient only; gamma/beta grads stay as they were
-            return ops.batch_norm_eval_backward(grad_out, self.gamma.value, self.running_var)
         gx, dgamma, dbeta = ops.batch_norm_backward(grad_out, cache)
         self.gamma.set_grad(dgamma)
         self.beta.set_grad(dbeta)
@@ -195,7 +190,7 @@ class ReLU(Module):
     """Records its output for the backward: y > 0 exactly where x > 0."""
 
     def forward(self, x, mode="train", rng=None):
-        y = ops.relu(x, x if mode == INFER else None)
+        y = ops.relu(x, None if mode == "train" else x)
         return y, y
 
     def cost(self, x_shape, y_shape):
@@ -215,7 +210,7 @@ class AddReLU(Module):
                 f"residual/shortcut shape mismatch: {x.shape[:-1]} vs "
                 f"{shortcut.shape[:-1]} per image"
             )
-        s = np.add(x, shortcut, out=x if mode == INFER else None)
+        s = np.add(x, shortcut, out=None if mode == "train" else x)
         y = ops.relu(s, out=s)
         return y, y
 

@@ -25,8 +25,8 @@ residual join two paths of different shapes.
 
 A train forward returns the logits and the tape (:mod:`splatnet.layers`),
 which the caller holds until one backward uses it up. An eval forward keeps
-no activations: it runs its layers in the tape-free mode ``INFER``, in which
-batch norms, ReLUs and residual joins write in place.
+no tape and no activations: its batch norms, ReLUs and residual joins write
+in place.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ops
 from .params import ConfigurationError, Module, normal_fill
-from .layers import (INFER, AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout,
+from .layers import (AddReLU, AvgPool2d, BatchNorm, Conv2d, DropBlock, Dropout,
                      GlobalAvgPool, Linear, MaxPool2d, ReLU, run_backward, run_forward)
 from .splat import SplatConfig, SplitAttentionUnit
 
@@ -49,11 +49,9 @@ STAGE_LAYOUTS: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-def _layer_mode(mode):
-    """The mode a network forward runs its layers in: eval keeps no tape."""
+def _check_mode(mode):
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"unknown forward mode {mode!r}; expected 'train' or 'eval'")
-    return INFER if mode == "eval" else mode
 
 
 @dataclass
@@ -290,7 +288,7 @@ class Network(Module):
         the tape that one :meth:`backward` uses up. An input that is not NCHW
         in the network's dtype, or an empty train batch, raises before any
         layer runs; an unreducible size, in the first layer it fails."""
-        layer_mode = _layer_mode(mode)
+        _check_mode(mode)
         dtype = self.fc.weight.value.dtype
         if x.ndim != 4 or x.shape[1] != self.cfg.input_channels:
             raise ConfigurationError(f"expected NCHW images with {self.cfg.input_channels} "
@@ -299,17 +297,16 @@ class Network(Module):
             raise ConfigurationError("a train forward needs at least one image")
         if x.dtype != dtype:
             raise ConfigurationError(f"expected {dtype} input, got {x.dtype}")
-        y, tape = run_forward(self.layers(), ops.to_chwn(x), layer_mode, rng)
+        y, tape = run_forward(self.layers(), ops.to_chwn(x), mode, rng)
         logits = ops.to_nchw(y)
         return (logits, tape) if mode == "train" else logits
 
     def backward(self, tape, grad_logits):
         """Gradient of the logits [N, classes] -> gradient of the NCHW input.
 
-        It uses up ``tape``, from a train forward (or an eval-mode
-        ``run_forward`` of :meth:`layers`). A used tape, or a gradient of
-        another shape or dtype than the logits, raises before any record is
-        popped."""
+        It uses up ``tape``, from a train forward. A used tape, or a gradient
+        of another shape or dtype than the logits, raises before any record
+        is popped."""
         if not tape:
             raise ConfigurationError("backward needs the tape of a train forward "
                                      "that no backward has used yet")

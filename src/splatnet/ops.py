@@ -429,12 +429,6 @@ def batch_norm_backward(grad_out, cache):
     return gx.reshape(grad_out.shape), dgamma, dbeta
 
 
-def batch_norm_eval_backward(grad_out, gamma, var):
-    """Eval-mode input gradient: a fixed per-channel scale."""
-    scale = gamma / np.sqrt(var + BN_EPS)
-    return grad_out * scale.reshape(-1, *(1,) * (grad_out.ndim - 1))
-
-
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def sgd_step(model: Module, velocities: dict[str, np.ndarray],
     Only parameters of rank >= 2 (conv and FC weights) take the decay wd * w.
     A parameter without a gradient raises before any is updated."""
     params = list(model.named_parameters())
-    if missing := [name for name, p in params if p.grad is None]:  # e.g. after an eval backward
+    if missing := [name for name, p in params if p.grad is None]:
         raise ConfigurationError(f"parameter {missing[0]} has no gradient")
     with model.writing():
         for name, p in params:

@@ -8,13 +8,13 @@ chain: the stem, each block's shortcut and ReLU, the pool and the head.
 
 from splatnet import ops
 from splatnet.layers import BatchNorm, run_forward
-from splatnet.network import _layer_mode
+from splatnet.network import _check_mode
 from splatnet.params import spawn_rng
 
 
 def shortcut_only_forward(net, x, mode="eval"):
     """NCHW images -> logits [N, classes] with every residual branch bypassed."""
-    mode = _layer_mode(mode)
+    _check_mode(mode)
     x, _ = net.stem.forward(ops.to_chwn(x), mode)
     for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
         for block in stage.block:

@@ -9,9 +9,8 @@ network, a 2s2x40d variant, a plain bottleneck with the classic stem, and a
 sigmoid-gated unit with the pool before its 3x3):
 
 * the eval-mode logits in float64 and in float32;
-* the input gradient of an eval-mode backward;
-* every parameter gradient after one train-mode forward and backward with
-  DropBlock and head dropout on.
+* the input gradient and every parameter gradient after one train-mode
+  forward and backward with DropBlock and head dropout on.
 
 The paper's ResNeSt-50 2s1x64d is pinned the same way at its own size,
 batch 1 at 224x224, by its eval-mode logits in float64 and float32: its
@@ -55,9 +54,7 @@ from hypothesis import given, settings
 from splatnet.checkpoint import load_checkpoint, save_checkpoint
 from splatnet.cli import main
 from splatnet.configio import network_config, parse_settings, read_config_file
-from splatnet.layers import run_forward
 from splatnet.network import NetworkConfig, build_network
-from splatnet.ops import to_chwn
 from splatnet.params import spawn_rng
 from shortcut import randomize_batch_norm
 from strategies import input_sizes, network_configs
@@ -99,28 +96,19 @@ def _inputs(dtype=np.float64):
     return x, grad_logits
 
 
-def eval_logits_and_input_grad(variant):
-    """The eval forward's logits, and the input gradient of a backward along
-    the tape of an eval-mode run of the same layers."""
-    net = _network(variant)
-    x, grad_logits = _inputs()
-    logits = net.forward(x, mode="eval")
-    _, tape = run_forward(net.layers(), to_chwn(x), "eval")
-    return logits, net.backward(tape, grad_logits)
+def eval_logits(variant, dtype=np.float64):
+    x, _ = _inputs(dtype)
+    return _network(variant, dtype).forward(x, mode="eval")
 
 
-def eval_logits_f32(variant):
-    x, _ = _inputs(np.float32)
-    return _network(variant, np.float32).forward(x, mode="eval")
-
-
-def train_param_grads(variant):
-    """Every parameter gradient, flattened in parameter order."""
+def train_grads(variant):
+    """The NCHW input gradient, and every parameter gradient flattened in
+    parameter order."""
     net = _network(variant)
     x, grad_logits = _inputs()
     _, tape = net.forward(x, mode="train", rng=spawn_rng(0, 4))
-    net.backward(tape, grad_logits)
-    return np.concatenate([p.grad.ravel() for p in net.parameters()])
+    gx = net.backward(tape, grad_logits)
+    return gx, np.concatenate([p.grad.ravel() for p in net.parameters()])
 
 
 def _sha256(a):
@@ -148,14 +136,14 @@ PINS = {
             0.3787083666354438, 3.184185637881451,
         ],
         logits_f32="b36893ac253abd7f09d63c254ba49b5e068d04156bb6593db1260e04f2794232",
-        input_grad="6348983ac3e9049981bfe46f8de3f6066d9af3d766cb551939baf412a3a1a222",
-        input_grad_ref=[
-            -0.0007212439319378137, -0.0021491992166479943, -0.00400863090807843,
-            0.00014678809760247365, 0.0003235963811343374, 0.0020672858286143654,
-            -0.0021248398180142556, 0.005329860001219348, 0.0005938830171446825,
-            -0.003220251335695524, 0.0021160523506895627, 0.0005611089367626316,
-            -0.0007851505649287062, -0.0004517876050186652, 0.0002482400999222397,
-            -0.0021717510566545994,
+        train_input_grad="4bc672f57ff33279562b791e5ea503ed46ee8e0257204a1509e135800aa2979a",
+        train_input_grad_ref=[
+            0.0017468356611224749, 0.0033176633944980508, 0.006196095621846197,
+            -0.021222748298430856, -0.00836996471274571, -0.012108900472686292,
+            -0.06918331028189643, 0.021448312046235384, 0.0033679568028941523,
+            0.004963168407763879, 0.004057602130090951, -0.02535968203198402,
+            0.015643047035915198, -0.019647029700712415, 0.011162344362882356,
+            -0.025940510817406663,
         ],
         param_grads="54623ed62a0d7396935093a303906c46a7fe79dfee6dd6870f5331c3bfecf237",
         param_grads_ref=[
@@ -178,14 +166,14 @@ PINS = {
             -1.6266587816619542,
         ],
         logits_f32="cab2c235ee28f1dcb49794e5e81a9e49261004a688f4c35056543fa5d60c20cc",
-        input_grad="33b8abdc1eae30d4013eee6885eba012c335815fcecc578fd235abe174f74d0f",
-        input_grad_ref=[
-            -0.0011440322146961455, -0.0056703255349605025, 0.0013110409387408898,
-            -0.009271994695305815, -0.00407731738919959, 0.02678682404747576,
-            0.0022997018384844155, 0.0023376223363896116, -0.003585006141377028,
-            2.848544836866686e-05, 0.00046502666535377756, 9.555054403032807e-06,
-            0.00917153348821267, 0.001653695985365642, 0.0005041461305744349,
-            0.0010600606365824092,
+        train_input_grad="4a1f75d4384e12b25917161588f83254efa76df242e0a7e32fa5ac54c292139e",
+        train_input_grad_ref=[
+            2.3900174667972236e-06, 0.030831349689909346, 0.008402818894681988,
+            -0.024220797367890234, 0.012526692341154073, -0.013055289291031663,
+            0.03691008950704777, -0.009068152028653752, 0.0039895202113255195,
+            0.01037629335875195, -0.008969141062116529, 0.012701885074011807,
+            -0.002449747868983156, 0.011169995387080321, 0.006812809406229744,
+            -0.022291981712925277,
         ],
         param_grads="db74b9ffd118a35c217529a57764435c614ee3db3e512b5e0d6b74918ff21d6b",
         param_grads_ref=[
@@ -207,14 +195,14 @@ PINS = {
             4.9521182988953925, 3.7685651325474527,
         ],
         logits_f32="f19abf4b9710fe9010fa2b16df6101bbb025b330176eb5d340d848da334497c6",
-        input_grad="a64cb90fcf063ca28dad6a053899c5cd266f4ab78bf7cfe470c83e4751c769c7",
-        input_grad_ref=[
-            -0.0014470603848567272, -0.010825166527126898, 0.04421671243745839,
-            -0.01749158613562245, -0.03530255896460839, 0.023850487089141285,
-            -0.011174705448780634, -0.02499795593502461, 0.008318834143888367,
-            -0.0017079142178607022, -0.016653204559241987, -0.018431907555946196,
-            -0.032035731718024846, -0.013024228349387965, 0.011334142350561526,
-            -0.03265717556223811,
+        train_input_grad="1199267ae3d60a99af523a4be20353f51143d7ba0e42cf2e0f12479e681da383",
+        train_input_grad_ref=[
+            0.005586390679307581, -0.0010099617907468267, -0.0028098622188784533,
+            0.003198742118101665, 0.012448365189696706, -0.013695560744216127,
+            -0.024217385390409803, 0.003669627956958181, -0.010382848046972277,
+            -0.005330197140094034, 0.0016904211213373415, -0.01075681795319952,
+            -0.02604286945847767, 0.01791174663344576, 0.008927156832294784,
+            -0.010530939225483402,
         ],
         param_grads="9b143697352315d107331f96229b58e44be08b694551e1340d36bd00af80809c",
         param_grads_ref=[
@@ -237,14 +225,14 @@ PINS = {
             -0.07145049277166599,
         ],
         logits_f32="357ccf2038d2f2c4588d2298c707d2c27d0b903109d5dc0dd5fbc6f713b639c7",
-        input_grad="c270992b9d012170497412b85af89d0cec5475766477cf6062d6c19026e45ada",
-        input_grad_ref=[
-            0.0003903630040409708, 0.0009612483789470773, 0.000299303860223478,
-            0.00023812170386795694, -0.0006688889533628524, -0.0005462101353651373,
-            4.5152170637044734e-05, -0.001888165429810932, -9.909646940240647e-05,
-            -0.0012862252573207248, 0.0003302680465044357, -0.0014279784510716417,
-            0.00701316000386461, -0.00028608806497512754, -0.0009044644374484154,
-            0.0011390150462630311,
+        train_input_grad="766c96b198aa3a57597831b5322a04c35924362f557510934d2db5ad303c6ce7",
+        train_input_grad_ref=[
+            -0.005688463400988047, -0.0028113657832091778, -0.00919874331858005,
+            0.006737905436224233, -0.010253309265683358, -0.017414298862690854,
+            0.040047513699824205, -0.032078824115480103, 0.005635382451730397,
+            0.004708479668241224, -0.00018833430568094222, -0.0013165251155564362,
+            -0.010620793939207986, -0.0005336898473303287, -0.004050303963110379,
+            0.0005035110785949774,
         ],
         param_grads="a276851cf19a705d42e098a4cdc31f2be4c6b092e47466bc584e3d00b14ed65d",
         param_grads_ref=[
@@ -262,21 +250,22 @@ PINS = {
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 class TestBitGate:
     def test_eval_logits_and_input_grad(self, variant):
+        """The eval logits, and the input gradient of the train backward."""
         pins = PINS[variant]
-        logits, gx = eval_logits_and_input_grad(variant)
+        logits, (gx, _) = eval_logits(variant), train_grads(variant)
         _assert_reference(logits, pins["logits_f64_ref"])
-        _assert_reference(gx, pins["input_grad_ref"])
+        _assert_reference(gx, pins["train_input_grad_ref"])
         assert _sha256(logits) == pins["logits_f64"]
-        assert _sha256(gx) == pins["input_grad"]
+        assert _sha256(gx) == pins["train_input_grad"]
 
     def test_eval_logits_f32(self, variant):
-        logits = eval_logits_f32(variant)
+        logits = eval_logits(variant, np.float32)
         assert logits.dtype == np.float32
         assert _sha256(logits) == PINS[variant]["logits_f32"]
 
     def test_train_param_grads(self, variant):
         pins = PINS[variant]
-        grads = train_param_grads(variant)
+        _, grads = train_grads(variant)
         _assert_reference(grads, pins["param_grads_ref"])
         assert _sha256(grads) == pins["param_grads"]
 

@@ -1,8 +1,14 @@
 """Config file grammar, schema typing, and unknown-key rejection."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatnet.configio import (
+    NETWORK_KEYS,
+    TRAIN_KEYS,
     network_config,
     parse_settings,
     read_config_file,
@@ -98,3 +104,29 @@ def test_non_finite_float_rejected(tmp_path):
             raw = read_config_file(write(tmp_path, f"{key} = {value}\n"))
             with pytest.raises(ConfigurationError, match=f"key {key}: expected a finite"):
                 parse_settings(raw, allow_training=True)
+
+
+BIG = 2**70
+VALUES = st.one_of(
+    st.integers(-BIG, BIG).map(str),
+    st.sampled_from(("nan", "inf", "-inf", "1e308", "-1e308")),
+    st.floats(-sys.float_info.min, sys.float_info.min).map(repr),  # subnormals
+    st.text(max_size=12),
+    st.lists(st.integers(-BIG, BIG), max_size=5).map(lambda v: ", ".join(map(str, v))),
+)
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(NETWORK_KEYS.keys() | TRAIN_KEYS.keys())), value=VALUES)
+def test_any_one_line_parses_or_raises_configuration_error(key, value, tmp_path_factory):
+    """One ``key = value`` line of a known key and a drawn value: reading,
+    typing and mapping it onto the settings either return or raise
+    ``ConfigurationError``, never anything else. No network is built."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    try:
+        parsed = parse_settings(read_config_file(path), allow_training=True)
+        network_config(parsed)
+        train_settings(parsed)
+    except ConfigurationError:
+        pass

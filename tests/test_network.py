@@ -23,8 +23,7 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import (INFER, AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, Linear,
-                             ReLU, run_forward)
+from splatnet.layers import AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, Linear, ReLU
 from splatnet.ops import to_chwn
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 from splatnet.training import OptimizerConfig, sgd_step
@@ -375,46 +374,6 @@ class TestNetwork:
         report = grad_check(loss, picked, tolerance=1e-5,
                             max_entries_per_param=4, rng=rng, writing=net.writing)
         assert report.passed, report.summary()
-
-    @pytest.mark.parametrize("overrides, names", [
-        ({}, ("stem.conv2.weight", "stage2.block0.splat.conv_split.weight",
-              "stage3.block0.splat.fc2.bias", "stage4.block0.conv3.weight")),
-        (dict(radix=0, deep_stem=False, avg_down=False),
-         ("stem.conv1.weight", "stage1.block0.conv1.weight",
-          "stage2.block0.down_conv.weight", "stage3.block0.conv2.weight")),
-        (dict(radix=1, cardinality=2, base_width=32, fast=True),
-         ("stem.conv3.weight", "stage2.block0.conv3.weight",
-          "stage3.block0.splat.conv_split.weight",
-          "stage4.block0.splat.conv_split.weight")),
-    ], ids=["2s1x64d", "0s1x64d-classic", "1s2x32d-fast"])
-    def test_micro_gradcheck_eval_branches(self, overrides, names):
-        net = randomize_batch_norm(micro_net(**overrides))
-        rng = make_rng(6)
-        x = rng.standard_normal((2, 1, 32, 32))
-        proj = rng.standard_normal((2, 2))
-        picked = {
-            name: p.value for name, p in net.named_parameters() if name in names
-        }
-        assert len(picked) == len(names)
-        start = {name: v.copy() for name, v in picked.items()}
-        checked = {name: set() for name in picked}  # entries grad_check perturbs
-
-        def loss():
-            for name, v in picked.items():
-                checked[name].update(np.flatnonzero(v != start[name]).tolist())
-            logits = net.forward(x, mode="eval")
-            _, tape = run_forward(net.layers(), to_chwn(x), "eval")
-            net.backward(tape, proj)
-            grads = {name: p.grad.copy() for name, p in net.named_parameters()
-                     if name in picked}
-            return float((logits * proj).sum()), grads
-
-        analytic = loss()[1]
-        report = grad_check(loss, picked, tolerance=1e-5,
-                            max_entries_per_param=4, rng=rng, writing=net.writing)
-        assert report.passed, report.summary()
-        for name, entries in checked.items():
-            assert entries and analytic[name].ravel()[sorted(entries)].any(), name
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         net = micro_net(seed=9)
@@ -1019,8 +978,9 @@ MiB = 1 << 20
 
 class TestEvalMemory:
     """A float32 build draws no whole-tensor float64 copy, a grouped conv
-    holds one group's columns at a time, and an INFER forward writes batch
-    norm, ReLU and the residual join into their input."""
+    holds one group's columns at a time, and in eval mode a bare batch norm,
+    ReLU or residual join writes into its first input, while a unit, a
+    block or a network leaves its input as it was."""
 
     def test_float32_build_peak(self):
         # 16.4 MiB above the state while each tensor was drawn in float64 first
@@ -1048,7 +1008,7 @@ class TestEvalMemory:
                             (AddReLU(), (rng.standard_normal((4, 3, 3, 2)),))]:
             x = rng.standard_normal((4, 3, 3, 2))
             want, _ = layer.forward(x.copy(), *args, mode="eval")
-            y, _ = layer.forward(x, *args, mode=INFER)
+            y, _ = layer.forward(x, *args, mode="eval")
             assert np.shares_memory(y, x) and y.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("radix", [0, 2])
@@ -1058,6 +1018,15 @@ class TestEvalMemory:
         before = x.tobytes()
         net.forward(x, mode="eval")
         assert x.tobytes() == before
+        # a block whose shortcut is the identity, called directly, and its unit
+        spec = BottleneckSpec(in_channels=64, planes=16, stride=1, radix=radix,
+                              cardinality=1, base_width=64, avg_down=True, fast=False)
+        block = randomize_batch_norm(Bottleneck(spec, rng=make_rng(19)))
+        x = make_rng(20).standard_normal((64, 8, 8, 2))
+        before = x.tobytes()
+        for unit in (block, block.splat) if radix else (block,):
+            unit.forward(x, mode="eval")
+            assert x.tobytes() == before, type(unit).__name__
 
 
 class TestKaimingNormal:

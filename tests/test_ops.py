@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from splatnet import ops
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
-from splatnet.layers import INFER, BatchNorm, Dropout, Linear, MaxPool2d
+from splatnet.layers import BatchNorm, Dropout, Linear, MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -1015,11 +1015,10 @@ class TestDropout:
 
     def test_eval_identity(self):
         x = make_rng(26).standard_normal((3, 4))
-        for mode in ("eval", INFER):
-            layer = Dropout(0.7)
-            y, mask = layer.forward(x, mode, make_rng(0))
-            assert y is x and mask is None
-            assert layer.backward(mask, x) is x
+        layer = Dropout(0.7)
+        y, mask = layer.forward(x, "eval", make_rng(0))
+        assert y is x and mask is None
+        assert layer.backward(mask, x) is x
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigurationError, match="probability"):
@@ -1073,8 +1072,7 @@ class TestFloat32:
             arrays = [y, bn.running_mean, bn.running_var, gx, bn.gamma.grad, bn.beta.grad,
                       *cache]
             assert [a.dtype for a in arrays] == [f32] * len(arrays), shape
-            y, cache = bn.forward(x, "eval")
-            assert y.dtype == f32 and bn.backward(cache, y).dtype == f32, shape
+            assert bn.forward(x, "eval")[0].dtype == f32, shape
 
 
 class TestDeterminism:
@@ -1133,7 +1131,6 @@ def _kernel_calls():
                                       (((4, ops.BN_FLAT_SIZE, 1, 1), gamma, beta, mean, var), {})],
         "batch_norm_affine": [((x, *flat), {}), ((x, *cols), {"out": np.empty_like(x)})],
         "batch_norm_backward": [((g1, cache), {})],
-        "batch_norm_eval_backward": [((g1, gamma, var), {})],
         "relu": [((x,), {}), ((x,), {"out": np.empty_like(x)})],
         "relu_backward": [((g1, x), {})],
         "sigmoid": [((x,), {})],
