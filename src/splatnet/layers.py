@@ -9,24 +9,24 @@ array that a record holds, and a train forward's input must not change
 before its backward. Each backward writes (replaces) its parameters'
 ``Parameter.grad``.
 
-Layers take two modes, ``"train"`` and ``"eval"``, and what a layer
-computes branches only on ``mode == "train"``. A leaf returns its record in
-either mode, but in eval mode :func:`run_forward` drops it, so a chain's
-backward follows only its train forward. In eval mode :class:`BatchNorm`,
-:class:`ReLU` and :class:`AddReLU` write their output into their (first)
-input: in every chain that input is an array the previous layer has just
-made and nothing else holds, a conv or FC output or a batch-norm output.
-So an eval forward holds no activations and allocates none for these
-layers, and a unit or network leaves its input as it was, since a conv or a
-pool reads it first.
+Layers take two modes, ``"train"`` and ``"eval"``, and what a layer computes
+branches only on ``mode == "train"``. A leaf returns its record in either
+mode; :func:`run_forward` keeps it only in train mode and drops an eval
+record before the next layer runs, so a chain's backward follows only its
+train forward. In eval mode :class:`BatchNorm`, :class:`ReLU` and
+:class:`AddReLU` write their output into their (first) input: in every chain
+that input is an array the previous layer has just made and nothing else
+holds, a conv or FC output or a batch-norm output. So an eval forward holds
+no activations and allocates none for these layers, and a unit or network
+leaves its input as it was, since a conv or a pool reads it first.
 
-A composite module names each of its chains once, as a list of layers in
-forward order (``None`` for a layer the configuration leaves out):
-:func:`run_forward` runs the list and returns its tape, one record per
-layer; :func:`run_backward` runs it in reverse and pops the records, so
-memory is freed as it goes. A composite's record is the list of its chains'
-tapes, which its backward pops. Only the joins of two paths (the residual
-sum, the attention-weighted fusion) route gradients by hand.
+A chain is a list of layers in forward order (``None`` for a layer the
+configuration leaves out): :func:`run_forward` runs it and returns its
+tape, one record per layer; :func:`run_backward` runs it in reverse and
+pops the records, so memory is freed as it goes. Only the joins of two
+paths nest tapes: a block's record holds its branch's and shortcut's tapes,
+a split-attention unit's its transform's and attention's, and each routes
+its join's gradients (residual sum, attention-weighted fusion) by hand.
 
 Parameter values and batch-norm running buffers are read-only; their
 writers (the build, ``load_state_dict``, the SGD update and a train-mode
@@ -54,16 +54,13 @@ from .params import ConfigurationError, Module, Parameter, kaiming_normal
 def run_forward(layers, x, mode="train", rng=None):
     """(output, tape): the tape holds one record per layer run, and is
     ``None`` in eval mode."""
-    if mode != "train":
-        for layer in layers:
-            if layer is not None:
-                x = layer.forward(x, mode, rng)[0]  # the record dies here
-        return x, None
-    tape = []
+    tape = [] if mode == "train" else None
     for layer in layers:
         if layer is not None:
             x, saved = layer.forward(x, mode, rng)
-            tape.append(saved)
+            if tape is not None:
+                tape.append(saved)
+            del saved  # an eval record dies before the next layer runs
     return x, tape
 
 

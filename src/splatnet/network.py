@@ -11,11 +11,12 @@ baseline the cost model calibrates against.
 The final normalization scale of every residual branch is initialized to
 zero, so a freshly built network computes only its shortcut chain.
 
-Each module names its chains once, in forward order: the stem's conv-BN-ReLU
-triples and max pool, a stage's blocks, a block's branch and shortcut, and
-the network's stem, stages, DropBlock layers and head. ``run_forward`` and
-``run_backward`` (:mod:`splatnet.layers`) run both passes from those lists;
-only the residual sum routes gradients by hand.
+The network runs as one chain, :meth:`Network.layers`: the stem's
+conv-BN-ReLU triples and max pool, every block of the four stages, the
+DropBlock layers and the head, in forward order. ``run_forward`` and
+``run_backward`` (:mod:`splatnet.layers`) run both passes from it; the stem
+and stages only name their modules. A block runs its branch and shortcut,
+and only its residual sum routes gradients by hand.
 
 Activations are NCHW only at the network's boundary, which converts once on
 the way in and once on the way out; every module inside takes [C, H, W, N]
@@ -204,12 +205,6 @@ class Stage(Module):
     def __init__(self, blocks: list[Bottleneck]):
         self.block = blocks
 
-    def forward(self, x, mode="train", rng=None):
-        return run_forward(self.block, x, mode, rng)
-
-    def backward(self, tape, grad_out):
-        return run_backward(self.block, tape, grad_out)
-
 
 class Stem(Module):
     """Conv-BN-ReLU triples ``conv<i>, bn<i>, relu<i>`` then a max pool."""
@@ -233,11 +228,8 @@ class Stem(Module):
         # the children in the order they were built, which is forward order
         self._layers = [child for _, child in self._children()]
 
-    def forward(self, x, mode="train", rng=None):
-        return run_forward(self._layers, x, mode, rng)
-
-    def backward(self, tape, grad_out):
-        return run_backward(self._layers, tape, grad_out)
+    def layers(self):
+        return self._layers
 
 
 class Network(Module):
@@ -280,8 +272,11 @@ class Network(Module):
                 normal_fill(rng, self.fc.weight.value, 0.01)
 
     def layers(self):
-        return [self.stem, self.stage1, self.stage2, self.stage3, self.dropblock3,
-                self.stage4, self.dropblock4, self.gap, self.head_dropout, self.fc]
+        """The one chain the network runs: the stem's layers, every block, the
+        DropBlocks and the head, in forward order."""
+        return [*self.stem.layers(), *self.stage1.block, *self.stage2.block,
+                *self.stage3.block, self.dropblock3, *self.stage4.block, self.dropblock4,
+                self.gap, self.head_dropout, self.fc]
 
     def forward(self, x, mode="train", rng=None):
         """NCHW images -> logits [N, classes]; in train mode ``(logits, tape)``,

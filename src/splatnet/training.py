@@ -20,7 +20,7 @@ from .params import ConfigurationError, Module, spawn_rng
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; message names the offending step."""
+    """A step's loss or arithmetic became non-finite; the message names the step."""
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +310,21 @@ def train_toy(network, dataset, sched: ScheduleConfig, loss_cfg: LossConfig,
                 xb, targets = mixup_batch(xb, targets, mixup_cfg.alpha, rng)
             targets = smooth_targets(targets, loss_cfg.smoothing)
 
-            logits, tape = network.forward(xb, mode="train", rng=rng)
-            loss, dlogits = cross_entropy_soft(logits, targets)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss diverged at epoch {epoch} step {step_in_epoch} "
-                    f"(global step {gstep})"
-                )
-            network.backward(tape, dlogits)
-            last_lr = lr_at(gstep, sched)
-            result.lr_trace.append(last_lr)
-            sgd_step(network, velocities, last_lr, opt_cfg)
+            try:
+                # an overflow, invalid value or division by zero ends the run
+                # here, whether numpy would warn of it or raise
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    logits, tape = network.forward(xb, mode="train", rng=rng)
+                    loss, dlogits = cross_entropy_soft(logits, targets)
+                    if not np.isfinite(loss):
+                        raise FloatingPointError(f"loss {loss}")
+                    network.backward(tape, dlogits)
+                    last_lr = lr_at(gstep, sched)
+                    result.lr_trace.append(last_lr)
+                    sgd_step(network, velocities, last_lr, opt_cfg)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"loss diverged at epoch {epoch} step {step_in_epoch} "
+                                       f"(global step {gstep}): {exc}") from None
 
             epoch_loss += float(loss) * len(idx)
             # accuracy against the un-mixed labels of the batch

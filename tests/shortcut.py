@@ -7,19 +7,23 @@ chain: the stem, each block's shortcut and ReLU, the pool and the head.
 """
 
 from splatnet import ops
-from splatnet.layers import BatchNorm, run_forward
-from splatnet.network import _check_mode
+from splatnet.layers import BatchNorm, Dropout, run_forward
+from splatnet.network import Bottleneck, _check_mode
 from splatnet.params import spawn_rng
 
 
 def shortcut_only_forward(net, x, mode="eval"):
-    """NCHW images -> logits [N, classes] with every residual branch bypassed."""
+    """NCHW images -> logits [N, classes] with every residual branch bypassed:
+    the network's chain with each block swapped for its shortcut and ReLU,
+    and without its dropout layers."""
     _check_mode(mode)
-    x, _ = net.stem.forward(ops.to_chwn(x), mode)
-    for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
-        for block in stage.block:
-            x = ops.relu(run_forward(block.shortcut(), x, mode)[0])
-    return ops.to_nchw(run_forward([net.gap, net.fc], x, mode)[0])
+    x = ops.to_chwn(x)
+    for layer in net.layers():
+        if isinstance(layer, Bottleneck):
+            x = ops.relu(run_forward(layer.shortcut(), x, mode)[0])
+        elif layer is not None and not isinstance(layer, Dropout):
+            x, _ = layer.forward(x, mode)
+    return ops.to_nchw(x)
 
 
 def randomize_batch_norm(net):

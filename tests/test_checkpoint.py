@@ -122,6 +122,14 @@ def test_corrupt_header_rejected(tmp_path, name, extents, match):
         load_checkpoint(path)
 
 
+def test_unknown_dtype_tag_rejected(tmp_path):
+    path = tmp_path / "tag.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
+                     + struct.pack("<BBQ", 2, 1, 1) + np.ones(1).tobytes())
+    with pytest.raises(CheckpointError, match="tensor w: unknown dtype tag 2"):
+        load_checkpoint(path)
+
+
 def test_duplicate_name_rejected(tmp_path):
     """Two records named ``a``: the header's count of 2 holds, but a load
     would keep only the second."""
@@ -172,7 +180,7 @@ def _write_half_then_fail(monkeypatch):
     monkeypatch.setattr(Path, "open", lambda self, *a, **k: _HalfFullFile(real(self, *a, **k)))
 
 
-@pytest.mark.parametrize("failure", ["write", "dtype"])
+@pytest.mark.parametrize("failure", ["write", "dtype", "name"])
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, failure):
     """A save that fails midway leaves the previous checkpoint byte-identical
     and no temporary file behind."""
@@ -184,9 +192,12 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, failure):
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, {"w": np.arange(1000.0)})
         monkeypatch.undo()
-    else:
+    elif failure == "dtype":
         with pytest.raises(CheckpointError, match="unsupported dtype"):
             save_checkpoint(path, {"w": np.arange(1000.0), "bad": np.arange(3)})
+    else:  # a name of 65,536 UTF-8 bytes overflows its u16 length
+        with pytest.raises(CheckpointError, match="tensor name too long"):
+            save_checkpoint(path, {"w": np.arange(1000.0), "\xe9" * 32768: np.ones(1)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 

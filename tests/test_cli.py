@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, output contracts, determinism."""
 
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,8 @@ MICRO_FLAGS = [
     "--stem-width", "16", "--classes", "2", "--input-channels", "1",
     "--radix", "2", "--cardinality", "1", "--base-width", "64",
 ]
+TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_analyze_totals_line(capsys):
@@ -41,6 +46,19 @@ def test_analyze_no_reference_row_for_another_network(flags, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "reference" not in out
+
+
+def test_analyze_prices_dropout_leaves_at_zero(capsys):
+    """DropBlock and dropout are the identity at inference: each has a row
+    of 0 params and 0 MACs, and the totals are those without them."""
+    def rows(*flags):
+        assert main(["analyze", "--config", TOY_CONFIG, "--input-size", "32", *flags]) == 0
+        out = capsys.readouterr().out.split("-- machine readable --\n")[1]
+        return dict(line.split("\t", 1) for line in out.splitlines())
+    dropped = rows("--dropout", "0.2", "--dropblock-prob", "0.1")
+    for path in ("dropblock3", "dropblock4", "head_dropout"):
+        assert dropped[path] == "0\t0"
+    assert dropped["TOTAL"] == rows()["TOTAL"] == "550098\t4972032"
 
 
 def test_analyze_machine_rows_to_file(tmp_path, capsys):
@@ -169,6 +187,7 @@ def test_bench_rejects_zero_reps(capsys):
      "--noise", "nan"],
     ["analyze", "--radix", "0", "--base-width", "1", "--base-planes", "16",
      "--stage-blocks", "1,1,1,1", "--input-channels", "1", "--classes", "2"],
+    ["analyze", "--radix", "-1"],
 ], ids=["cardinality-0", "empty-stages", "bench-batch-0", "bench-batch-negative",
         "train-batch-0", "negative-warmup", "config-is-directory",
         "checkpoint-is-directory", "config-not-utf8", "classes-0", "classes-negative",
@@ -176,7 +195,7 @@ def test_bench_rejects_zero_reps(capsys):
         "dropblock-size-0", "dropblock-size-not-int", "train-samples-negative",
         "train-image-size-negative", "analyze-input-size-negative",
         "bench-input-size-negative", "bench-warmup-negative", "mixup-alpha-nan",
-        "base-lr-inf", "noise-nan", "zero-group-width"])
+        "base-lr-inf", "noise-nan", "zero-group-width", "radix-negative"])
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\ndepth = 50\n".encode("latin-1"))
     rc = main([a.format(tmp=tmp_path) for a in argv])
@@ -215,9 +234,6 @@ def test_negative_seed_exit_2(argv, tmp_path, capsys):
     assert "seed" in err
 
 
-TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
-
-
 @pytest.mark.parametrize("argv", [
     ["analyze", "--classes", "10000000000000"],
     ["analyze", "--classes", "10000000000000000"],
@@ -239,6 +255,29 @@ def test_unallocatable_size_exit_2(argv, capsys):
     assert rc == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "allocate" in err
+
+
+OVERFLOW_TRAIN = ["train", "--config", TOY_CONFIG, "--samples", "64", "--epochs", "3",
+                  "--warmup-epochs", "1", "--base-lr", "1e300"]
+OVERFLOW_ERROR = "error: loss diverged at epoch 0 step 1 (global step 1): overflow"
+
+
+def test_train_overflow_divergence_exit_1(capsys):
+    """The first step's update overflows the weights, and the next forward
+    overflows in its arithmetic: under the suite's warnings-as-errors, the
+    run still ends with one error line naming that step."""
+    rc = main(OVERFLOW_TRAIN)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(OVERFLOW_ERROR) and len(err.splitlines()) == 1
+
+
+def test_train_overflow_divergence_prints_no_warning():
+    run = subprocess.run([sys.executable, "-m", "splatnet.cli", *OVERFLOW_TRAIN],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.startswith(OVERFLOW_ERROR) and len(run.stderr.splitlines()) == 1
 
 
 def test_train_writes_log_and_checkpoint(tmp_path, capsys):
@@ -455,6 +494,16 @@ def test_inspect_checkpoint_empty_tensor_huge_extent(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "too large" in err
+
+
+def test_inspect_checkpoint_unknown_dtype_tag(tmp_path, capsys):
+    p = tmp_path / "tag.ckpt"
+    p.write_bytes(b"SPLT" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                  + struct.pack("<BBQ", 7, 1, 1) + bytes(8))
+    rc = main(["inspect-checkpoint", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "tensor w: unknown dtype tag 7" in err
 
 
 def test_inspect_checkpoint_truncated_header(tmp_path, capsys):

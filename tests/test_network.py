@@ -23,7 +23,8 @@ from splatnet.network import (
     Stem,
     build_network,
 )
-from splatnet.layers import AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, Linear, ReLU
+from splatnet.layers import (AddReLU, BatchNorm, Conv2d, DropBlock, Dropout, Linear, ReLU,
+                             run_forward)
 from splatnet.ops import to_chwn
 from splatnet.params import ConfigurationError, Parameter, kaiming_normal, make_rng, spawn_rng
 from splatnet.training import OptimizerConfig, sgd_step
@@ -75,7 +76,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("num_classes", 0), ("input_channels", 0), ("base_planes", 0), ("base_width", 0),
         ("stem_width", 0), ("dropblock_size", 0), ("dropblock_prob", 1.0),
-        ("dropblock_prob", -0.1),
+        ("dropblock_prob", -0.1), ("radix", -1),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -102,7 +103,7 @@ class TestStem:
     def test_spatial_halving_to_quarter(self):
         stem = Stem(NetworkConfig(depth=50, stem_width=32), rng=make_rng(0))
         x = make_rng(1).standard_normal((3, 224, 224, 1))
-        y, _ = stem.forward(x, mode="eval")
+        y, _ = run_forward(stem.layers(), x, mode="eval")
         assert y.shape == (64, 56, 56, 1)
 
     def test_output_channels_double_stem_width(self):
@@ -119,7 +120,7 @@ class TestStem:
     def test_classic_stem(self):
         stem = Stem(NetworkConfig(depth=50, deep_stem=False), rng=make_rng(0))
         x = make_rng(1).standard_normal((3, 224, 224, 1))
-        assert stem.forward(x, mode="eval")[0].shape == (64, 56, 56, 1)
+        assert run_forward(stem.layers(), x, mode="eval")[0].shape == (64, 56, 56, 1)
         conv_params = stem.conv1.weight.value.size
         assert conv_params == 64 * 3 * 7 * 7
 
@@ -196,10 +197,10 @@ class TestNetwork:
     def test_stage_spatial_bookkeeping(self):
         net = build_network(NetworkConfig(depth=50, num_classes=10), make_rng(0))
         x = make_rng(1).standard_normal((1, 3, 224, 224))
-        h, _ = net.stem.forward(to_chwn(x), mode="eval")
+        h, _ = run_forward(net.stem.layers(), to_chwn(x), mode="eval")
         sizes = []
         for stage in (net.stage1, net.stage2, net.stage3, net.stage4):
-            h, _ = stage.forward(h, mode="eval")
+            h, _ = run_forward(stage.block, h, mode="eval")
             sizes.append(h.shape[2])
         assert sizes == [56, 28, 14, 7]  # input / 2^(i+2)
 
@@ -851,8 +852,8 @@ class TestTrainTape:
             tracemalloc.stop()
         assert tape_bytes <= self.TOY_TAPE_BYTES
         # the max pool records the very array the ReLU before it records
-        stem = tape[0]
-        assert stem[-1][0] is stem[-2]
+        pool = net.layers().index(net.stem.maxpool)
+        assert tape[pool][0] is tape[pool - 1]
 
     def test_toy_backward_peak(self):
         net = toy_net()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from splatnet import ops
 from splatnet.ops import to_chwn, to_nchw
 from splatnet.gradcheck import grad_check
-from splatnet.layers import BatchNorm, Dropout, Linear, MaxPool2d
+from splatnet.layers import BatchNorm, Conv2d, Dropout, Linear, MaxPool2d
 from splatnet.params import ConfigurationError, make_rng
 
 
@@ -777,6 +777,8 @@ class TestFullyConnected:
                 layer.forward(np.zeros((width, 1)))
         with pytest.raises(ConfigurationError, match="not divisible"):
             Linear(4, 5, groups=2)
+        with pytest.raises(ConfigurationError, match="not divisible"):
+            Conv2d(4, 6, 3, groups=4)
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
     def test_backward_against_einsum(self, groups):
