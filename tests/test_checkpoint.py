@@ -122,14 +122,6 @@ def test_corrupt_header_rejected(tmp_path, name, extents, match):
         load_checkpoint(path)
 
 
-def test_unknown_dtype_tag_rejected(tmp_path):
-    path = tmp_path / "tag.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
-                     + struct.pack("<BBQ", 2, 1, 1) + np.ones(1).tobytes())
-    with pytest.raises(CheckpointError, match="tensor w: unknown dtype tag 2"):
-        load_checkpoint(path)
-
-
 def test_duplicate_name_rejected(tmp_path):
     """Two records named ``a``: the header's count of 2 holds, but a load
     would keep only the second."""

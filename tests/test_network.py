@@ -422,7 +422,7 @@ class TestNetwork:
         assert drop == ["dropblock3", "dropblock4"]
         masked = (net.dropblock3, net.dropblock4, net.head_dropout)
         _, tape = net.forward(x, mode="train", rng=rng)
-        records = dict(zip(net.layers(), tape))  # every layer of this network runs
+        records = dict(zip(net.layers(), tape, strict=True))  # one record per layer
         assert all(records[layer] is not None for layer in masked)
         for layer in masked:
             # eval mode is the identity both ways and records no mask

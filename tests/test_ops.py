@@ -777,7 +777,7 @@ class TestFullyConnected:
                 layer.forward(np.zeros((width, 1)))
         with pytest.raises(ConfigurationError, match="not divisible"):
             Linear(4, 5, groups=2)
-        with pytest.raises(ConfigurationError, match="not divisible"):
+        with pytest.raises(ConfigurationError, match="conv channels .* not divisible"):
             Conv2d(4, 6, 3, groups=4)
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
